@@ -1,8 +1,11 @@
 """Hot numeric kernels.
 
-Every kernel exists twice: a loop version compiled with numba when available,
-and a vectorized numpy fallback.  Set ``PVARLAB_NUMBA=0`` to force the numpy
-path (used by the benchmark and by CI runs without a working numba).
+The profile kernels (``dp_profile_pow``, ``dp1_profile``) and ``shift_max``
+exist twice: a loop version compiled with numba when available, and a
+vectorized numpy fallback.  Set ``PVARLAB_NUMBA=0`` to force the numpy path
+(used by the benchmark and by CI runs without a working numba).
+``dp_with_parents`` has one vectorized numpy implementation, which shares its
+row step with the numpy profile kernel.
 """
 
 from __future__ import annotations
@@ -63,20 +66,33 @@ def _dp_profile_loops(values, p, nmax):
     return out
 
 
+def _pow_diff(values, p):
+    return np.abs(values[:, None] - values[None, :]) ** p  # diff[j, i]
+
+
+def _dp_row(prev, diff, buf, cur):
+    """One DP row into ``cur``, using the m x m scratch ``buf``.
+
+    buf[j, i] = prev[j] + diff[j, i], accumulated down the columns, so its
+    superdiagonal holds ext[i-1] = max_{j <= i-1} prev[j] + diff[j, i].
+    """
+    np.add(prev[:, None], diff, out=buf)
+    np.maximum.accumulate(buf, axis=0, out=buf)
+    cur[0] = 0.0
+    np.maximum(np.diagonal(buf, offset=1), 0.0, out=cur[1:])
+    np.maximum.accumulate(cur[1:], out=cur[1:])
+
+
 def _dp_profile_numpy(values, p, nmax):
     m = values.shape[0]
-    diff = np.abs(values[:, None] - values[None, :]) ** p  # diff[j, i]
-    prev = np.zeros(m)
+    diff = _pow_diff(values, p)
+    buf = np.empty((m, m))
+    prev, cur = np.zeros(m), np.empty(m)
     out = np.zeros(nmax + 1)
     for k in range(1, nmax + 1):
-        # ext[i-1] = max_{j <= i-1} prev[j] + diff[j, i]
-        col_max = np.maximum.accumulate(prev[:, None] + diff, axis=0)
-        ext = np.diagonal(col_max, offset=1)
-        cur = np.empty(m)
-        cur[0] = 0.0
-        cur[1:] = np.maximum.accumulate(np.maximum(ext, 0.0))
+        _dp_row(prev, diff, buf, cur)
         out[k] = cur[m - 1]
-        prev = cur
+        prev, cur = cur, prev
     return out
 
 
@@ -90,43 +106,22 @@ def dp_profile_pow(values: np.ndarray, p: float, nmax: int) -> np.ndarray:
     return _dp_profile_numpy(values, float(p), int(nmax))
 
 
-def _dp_parent_loops(values, p, n):
-    m = values.shape[0]
-    prev = np.zeros(m)
-    table = np.zeros((n + 1, m))
-    take = np.full((n + 1, m), -1, dtype=np.int64)
-    for k in range(1, n + 1):
-        cur = np.zeros(m)
-        for i in range(1, m):
-            best = cur[i - 1]
-            arg = -1
-            for j in range(i):
-                d = values[i] - values[j]
-                if d < 0.0:
-                    d = -d
-                c = prev[j] + d ** p
-                if c > best:
-                    best = c
-                    arg = j
-            cur[i] = best
-            take[k, i] = arg
-        table[k] = cur
-        prev = cur
-    return table, take
-
-
-_dp_parent_jit = njit(cache=True)(_dp_parent_loops) if USE_NUMBA else None
-
-
 def dp_with_parents(values: np.ndarray, p: float, n: int):
-    """DP table plus take[k][i] = interval start chosen at (k, i), -1 for skip.
+    """Full DP value table and the pair costs it was built from, for backtracking.
 
-    Ties prefer skipping and, among extensions, the smallest start index
-    (strict-improvement updates), which makes backtracking deterministic.
+    Returns ``(table, diff)`` with table[k][i] = best[k][i] for k = 0..n and
+    diff[j, i] = |values[i] - values[j]|^p; every row is nondecreasing.  A
+    backtrack that adds table[k-1, j] + diff[j, i] again gets the very floats
+    the table was built from, so it can find a cell's maximizing start by
+    exact equality.
     """
-    if USE_NUMBA:
-        return _dp_parent_jit(values, float(p), int(n))
-    return _dp_parent_loops(values, float(p), int(n))
+    m, n = values.shape[0], int(n)
+    diff = _pow_diff(values, float(p))
+    buf = np.empty((m, m))
+    table = np.zeros((n + 1, m))
+    for k in range(1, n + 1):
+        _dp_row(table[k - 1], diff, buf, table[k])
+    return table, diff
 
 
 def _dp1_values_loops(values, nmax):

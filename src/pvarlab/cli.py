@@ -32,7 +32,7 @@ from .functions import from_spec
 from .kfunctional import kfunctional_sweep, lower_monotone_in_t
 from .modulus import ModulusOfVariation
 from .sampled import SampledFunction
-from .variation import pvariation_dp, pvariation_profile
+from .variation import _pvariation_solve
 from .verify import run_battery
 
 log = logging.getLogger("pvarlab")
@@ -125,10 +125,9 @@ def _cmd_pvar(args) -> int:
     n_max = args.n or args.n_max
     if n_max is None or n_max < 1:
         raise ValueError("pvar needs --n or --n-max >= 1")
-    prof = pvariation_profile(f, args.p, n_max)
+    value, sel, prof = _pvariation_solve(f, args.p, n_max)
     rows = [f"{n},{_fmt(v)}" for n, v in zip(range(1, n_max + 1), prof)]
     _emit_rows(args, "n,value", rows)
-    value, sel = pvariation_dp(f, args.p, n_max)
     if args.selection_out:
         payload = {
             "p": args.p,
@@ -249,8 +248,29 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _is_number_list(s: str) -> bool:
+    try:
+        [float(v) for v in s.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a number list such as ``-0.3,0.5`` as a value, not as a flag.
+
+    argparse only takes a plain negative number for a value; ``--values`` and
+    the other comma lists would otherwise fail on a leading minus sign.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-") and _is_number_list(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pvarlab", description=__doc__)
+    ap = _Parser(prog="pvarlab", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, function=True):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,35 +94,65 @@ def _swing_count(values: np.ndarray) -> int:
     return int(1 + np.sum(d[1:] * d[:-1] < 0))
 
 
+def _padded(prof: np.ndarray, n: int) -> np.ndarray:
+    # v_p(n, f) stays constant once n reaches the swing count
+    if n > prof.size:
+        prof = np.concatenate([prof, np.full(n - prof.size, prof[-1])])
+    return prof
+
+
+def _check_p(p: float):
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+
+
+def _backtrack(table: np.ndarray, diff: np.ndarray) -> list[tuple[int, int]]:
+    """One optimal selection (start, end) from ``_kernels.dp_with_parents``.
+
+    At (k, i) the walk first moves i left to the first index of row k holding
+    the same value (skipping wins ties), then takes the smallest start j whose
+    pair sum reproduces the cell exactly (the smallest start wins).
+    """
+    pairs = []
+    k, i = table.shape[0] - 1, table.shape[1] - 1
+    while k > 0 and i > 0:
+        row = table[k]
+        i = int(row.searchsorted(row[i]))
+        if i == 0:
+            break
+        j = int((table[k - 1, :i] + diff[:i, i] == row[i]).argmax())
+        pairs.append((j, i))
+        k, i = k - 1, j
+    pairs.reverse()
+    return pairs
+
+
+def _pvariation_solve(f: SampledFunction, p: float, n: int):
+    """(v_p(n, f), optimal selection, profile v_p(1..n, f)) from one DP table."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_p(p)
+    red = extrema_reduce(f)
+    kept = _kept_indices(f, red)
+    swings = _swing_count(red.values)
+    n_eff = max(1, min(n, swings))
+    table, diff = _kernels.dp_with_parents(red.values, p, n_eff)
+    value = float(table[n_eff, -1] ** (1.0 / p))
+    pairs = [(int(kept[j]), int(kept[i])) for j, i in _backtrack(table, diff)]
+    prof = _padded(table[1:, -1] ** (1.0 / p), n)
+    return value, _selection_from_indices(f, pairs, p), prof
+
+
 def pvariation_dp(f: SampledFunction, p: float, n: int):
     """Exact grid-restricted maximum of (sum |f(I_j)|^p)^(1/p) over <= n intervals.
 
     Runs on the extrema-reduced grid (value-preserving) and backtracks one
-    optimal selection, mapped to original grid indices.  Ties prefer earlier
-    interval placement, making the selection deterministic.
+    optimal selection, mapped to original grid indices.  Ties prefer skipping
+    a point, then the smallest interval start, making the selection
+    deterministic.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    red = extrema_reduce(f)
-    kept = _kept_indices(f, red)
-    swings = _swing_count(red.values)
-    n_eff = max(1, min(n, swings)) if swings else 1
-    table, take = _kernels.dp_with_parents(red.values, p, n_eff)
-    value = float(table[n_eff, -1] ** (1.0 / p))
-    pairs = []
-    k, i = n_eff, len(red) - 1
-    while k > 0 and i > 0:
-        j = take[k, i]
-        if j < 0:
-            i -= 1
-        else:
-            pairs.append((int(kept[j]), int(kept[i])))
-            i = int(j)
-            k -= 1
-    pairs.reverse()
-    return value, _selection_from_indices(f, pairs, p)
+    value, sel, _ = _pvariation_solve(f, p, n)
+    return value, sel
 
 
 def _kept_indices(f: SampledFunction, red: SampledFunction) -> np.ndarray:
@@ -136,6 +167,7 @@ def pvariation_profile(f: SampledFunction, p: float, n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_p(p)
     red = extrema_reduce(f)
     swings = _swing_count(red.values)
     if swings == 0:
@@ -145,10 +177,7 @@ def pvariation_profile(f: SampledFunction, p: float, n_max: int) -> np.ndarray:
         pow_profile = _kernels.dp1_profile(red.values, n_eff)
     else:
         pow_profile = _kernels.dp_profile_pow(red.values, p, n_eff)
-    prof = pow_profile[1:] ** (1.0 / p)
-    if n_max > n_eff:
-        prof = np.concatenate([prof, np.full(n_max - n_eff, prof[-1])])
-    return prof
+    return _padded(pow_profile[1:] ** (1.0 / p), n_max)
 
 
 def vpnu_norm(f: SampledFunction, nu: ModulusOfVariation, p: float, n_max: int):

@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from pvarlab import _kernels
 from pvarlab.cli import main
 
 
@@ -29,6 +31,49 @@ def test_pvar_zigzag_csv(tmp_path):
     payload = json.loads(sel.read_text())
     assert payload["value"] == 4.0
     assert len(payload["intervals"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["pvar", "--values", "0,1,0,1,0", "--p", "0.5", "--n", "3"],
+    ["pvar", "--values", "0,1,0,1,0", "--p", "nan", "--n", "3"],
+    ["kfunc", "--function", "zigzag:5", "--p", "0.5", "--t", "1,0.5"],
+])
+def test_invalid_p_exits_2_before_output(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "p must be finite and >= 1" in err
+
+
+def test_pvar_values_with_leading_minus(capsys):
+    assert main(["pvar", "--values", "-0.3,0.5,0.1", "--p", "1", "--n", "1"]) == 0
+    assert capsys.readouterr().out == "n,value\n1,0.8\n"
+
+
+@pytest.mark.parametrize("p", ["1", "1.5", "2", "3"])
+def test_pvar_runs_one_dp(p, tmp_path, monkeypatch):
+    calls = []
+    parents = _kernels.dp_with_parents
+
+    def counted(*args):
+        calls.append(args)
+        return parents(*args)
+
+    def forbidden(*args):
+        raise AssertionError("pvar ran a second DP")
+
+    monkeypatch.setattr(_kernels, "dp_with_parents", counted)
+    monkeypatch.setattr(_kernels, "dp_profile_pow", forbidden)
+    monkeypatch.setattr(_kernels, "dp1_profile", forbidden)
+    out = tmp_path / "pvar.csv"
+    sel = tmp_path / "sel.json"
+    values = ",".join(f"{v:.6f}" for v in np.random.default_rng(3).uniform(-1, 1, 40))
+    rc = main(["pvar", "--values", values, "--p", p, "--n", "6",
+               "--out", str(out), "--selection-out", str(sel)])
+    assert rc == 0
+    assert len(calls) == 1
+    last = out.read_text().splitlines()[-1]
+    assert last == f"6,{json.loads(sel.read_text())['value']:.12g}"
 
 
 def test_pvar_json_format(tmp_path):

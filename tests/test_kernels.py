@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import backtrack_take, dp_parent_loops
 from pvarlab import _kernels
+from pvarlab.variation import _backtrack
 
 
 @pytest.mark.parametrize("m,p,n", [(8, 2.0, 3), (40, 1.5, 6), (120, 3.0, 10)])
@@ -17,6 +19,28 @@ def test_profile_backends_agree(m, p, n, rng):
     if _kernels.USE_NUMBA:
         c = _kernels._dp_profile_jit(values, p, n)
         assert np.allclose(a, c, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_dp_with_parents_matches_loop_oracle(p, rng):
+    for case in range(40):
+        m = int(rng.integers(2, 61))
+        n = int(rng.integers(1, 13))
+        if case % 2:
+            values = rng.integers(-3, 4, m).astype(np.float64)  # many exact ties
+        else:
+            values = rng.uniform(-2, 2, m)
+        table, diff = _kernels.dp_with_parents(values, p, n)
+        ref_table, take = dp_parent_loops(values, p, n)
+        assert np.allclose(table, ref_table, rtol=0.0, atol=1e-12)
+        assert _backtrack(table, diff) == backtrack_take(take)
+
+
+def test_profile_kernel_is_last_column_of_parent_table(rng):
+    values = rng.uniform(-2, 2, 50)
+    for p in (1.5, 2.0, 3.0):
+        table, _ = _kernels.dp_with_parents(values, p, 9)
+        assert np.array_equal(table[:, -1], _kernels._dp_profile_numpy(values, p, 9))
 
 
 @pytest.mark.parametrize("m,n", [(10, 4), (64, 12), (300, 25)])

@@ -13,6 +13,7 @@ from pvarlab import (
 )
 from pvarlab.functions import make_random, make_zigzag
 from pvarlab.modulus import ModulusOfVariation
+from pvarlab.variation import _pvariation_solve
 
 ZIGZAG = make_zigzag(5)
 MONOTONE = SampledFunction([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
@@ -38,6 +39,27 @@ def test_single_interval_is_max_diff(rng):
         abs(f.values[j] - f.values[i]) for i in range(11) for j in range(i + 1, 11)
     )
     assert v == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.999, float("nan"), float("inf"), -2.0])
+def test_invalid_p_rejected(p):
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        pvariation_dp(ZIGZAG, p, 2)
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        pvariation_profile(ZIGZAG, p, 2)
+
+
+def test_dp_profile_matches_pvariation_profile(rng):
+    # the CLI takes its profile rows from the DP table behind the selection
+    for _ in range(20):
+        f = make_random(rng, int(rng.integers(4, 40)))
+        for p in (1.0, 1.5, 2.0, 3.0):
+            n = int(rng.integers(1, 12))
+            value, sel, prof = _pvariation_solve(f, p, n)
+            assert np.allclose(prof, pvariation_profile(f, p, n), rtol=1e-12, atol=0.0)
+            assert value == pytest.approx(prof[-1], rel=1e-12)
+            dp_value, dp_sel = pvariation_dp(f, p, n)
+            assert (value, sel.intervals) == (dp_value, dp_sel.intervals)
 
 
 def test_bruteforce_budget():
