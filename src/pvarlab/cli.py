@@ -99,10 +99,17 @@ def _load_function(args) -> SampledFunction:
     raise ValueError("provide --values or --function")
 
 
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _write(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -126,9 +133,8 @@ def _cmd_pvar(args) -> int:
     if n_max is None or n_max < 1:
         raise ValueError("pvar needs --n or --n-max >= 1")
     value, sel, prof = _pvariation_solve(f, args.p, n_max)
-    rows = [f"{n},{_fmt(v)}" for n, v in zip(range(1, n_max + 1), prof)]
-    _emit_rows(args, "n,value", rows)
     if args.selection_out:
+        # Written before the rows, so a failed write leaves stdout empty.
         payload = {
             "p": args.p,
             "n": n_max,
@@ -136,8 +142,9 @@ def _cmd_pvar(args) -> int:
             "intervals": [[int(i), int(j)] for i, j in sel.intervals],
             "differences": [float(d) for d in sel.differences],
         }
-        with open(args.selection_out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+        _write_file(args.selection_out, json.dumps(payload, sort_keys=True, indent=1))
+    rows = [f"{n},{_fmt(v)}" for n, v in zip(range(1, n_max + 1), prof)]
+    _emit_rows(args, "n,value", rows)
     return 0
 
 
@@ -398,7 +405,10 @@ def main(argv=None) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 2
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:  # argparse has printed the usage error or the help
+        return e.code
     if getattr(args, "omega", "x") is None and args.cmd == "fourier" and not args.decay:
         print("error: fourier sweep needs --omega (or pass --decay)", file=sys.stderr)
         return 2

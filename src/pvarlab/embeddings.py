@@ -503,7 +503,8 @@ class WitnessBudget:
     n_max: int = 1 << 34          # largest block index searched
     literal_n_max: int = 1 << 27  # scan cap while chasing the full 2^(4k) rate
     max_points: int = 30_000_000  # total materialized grid points
-    dp_ops: float = 6e8           # full-window DP cost cap (value ops)
+    dp_ops: float = 6e8           # full-window DP cost cap (value ops), checked on
+                                  # the closed-form reduced size 2r + 1 before reducing
     prefix_teeth: int = 40        # teeth in the small replica DP check
     criterion_horizon: int = 100_000
 
@@ -739,16 +740,21 @@ def _prefix_dp_check(f: SampledFunction, blk: WitnessBlock, start_idx: int, p: f
 
 def _window_dp_value(f: SampledFunction, blk: WitnessBlock, start_idx: int, p: float,
                      budget: WitnessBudget) -> float | None:
-    lo = start_idx - 1
-    hi = start_idx + 3 * blk.r
-    sub = extrema_reduce(SampledFunction(f.grid[lo:hi], f.values[lo:hi]))
-    m = len(sub)
+    # The window is a leading zero, then (h, h, 0) per tooth: it reduces to the
+    # 2r + 1 alternating points 0, h, 0, ..., h, 0, so the cap is decided first.
+    m = 2 * blk.r + 1
     cost = m * float(blk.n) if p == 1.0 else m * m * float(blk.n)
     if cost > budget.dp_ops:
         return None
+    lo = start_idx - 1
+    hi = start_idx + 3 * blk.r
+    sub = extrema_reduce(SampledFunction(f.grid[lo:hi], f.values[lo:hi]))
+    if len(sub) != m:
+        raise RuntimeError(
+            f"block k = {blk.k}: window reduced to {len(sub)} points, expected {m}"
+        )
     if p == 1.0:
-        prof = _kernels.dp1_profile(sub.values, blk.n)
-        return float(prof[blk.n])
+        return _kernels.dp1_value(sub.values, blk.n)
     prof = _kernels.dp_profile_pow(sub.values, p, blk.n)
     return float(prof[blk.n] ** (1.0 / p))
 

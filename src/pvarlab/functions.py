@@ -58,22 +58,29 @@ def make_random(rng: np.random.Generator, points: int, periodic: bool = False) -
     return SampledFunction(g, rng.uniform(-1, 1, points))
 
 
+# family -> (default point count, builder taking the count and the seed)
+_SPECS = {
+    "linear": (64, lambda n, seed: make_linear(n)),
+    "zigzag": (5, lambda n, seed: make_zigzag(n)),
+    "sine": (256, lambda n, seed: make_sine(n)),
+    "square": (256, lambda n, seed: make_square_wave(n)),
+    "sawtooth": (256, lambda n, seed: make_sawtooth(n)),
+    "random": (13, lambda n, seed: make_random(np.random.default_rng(seed), n)),
+}
+
+
 def from_spec(spec: str, seed: int = 0) -> SampledFunction:
-    """Build a function from a CLI spec like ``zigzag:9`` or ``random:13``."""
+    """Build a function from a CLI spec like ``zigzag:9`` or ``random:13``.
+
+    The point count after the colon defaults per family when absent and must
+    be at least 2.
+    """
     parts = spec.split(":")
     name = parts[0].lower()
-    arg = int(parts[1]) if len(parts) > 1 else None
-    if name == "linear":
-        return make_linear(arg or 64)
-    if name == "zigzag":
-        return make_zigzag(arg or 5)
-    if name == "sine":
-        return make_sine(arg or 256)
-    if name == "square":
-        return make_square_wave(arg or 256)
-    if name == "sawtooth":
-        return make_sawtooth(arg or 256)
-    if name == "random":
-        rng = np.random.default_rng(seed)
-        return make_random(rng, arg or 13)
-    raise ValueError(f"unknown function spec {spec!r}")
+    if name not in _SPECS:
+        raise ValueError(f"unknown function spec {spec!r}")
+    default, build = _SPECS[name]
+    points = int(parts[1]) if len(parts) > 1 else default
+    if points < 2:
+        raise ValueError(f"function spec {spec!r} needs at least 2 points")
+    return build(points, seed)

@@ -137,21 +137,10 @@ def extrema_reduce(f: SampledFunction) -> SampledFunction:
     m = v.size
     if m <= 2:
         return f
-    keep = [0]
-    last = v[0]
-    # Indices where the value changes, keeping direction flips only.
-    direction = 0
-    for i in range(1, m):
-        step = v[i] - last
-        if step == 0.0:
-            continue
-        s = 1 if step > 0 else -1
-        if direction != 0 and s != direction:
-            keep.append(prev_idx)
-        direction = s
-        last = v[i]
-        prev_idx = i
-    if keep[-1] != m - 1:
-        keep.append(m - 1)
-    idx = np.asarray(keep, dtype=np.int64)
+    # Keep both ends and the end of each monotone run: the point reached by the
+    # last nonzero step before the direction flips.  Indices are increasing.
+    d = np.diff(v)
+    nz = np.flatnonzero(d)
+    up = d[nz] > 0
+    idx = np.concatenate(([0], nz[:-1][up[1:] != up[:-1]] + 1, [m - 1]))
     return SampledFunction(f.grid[idx], f.values[idx], f.periodic, f.period)

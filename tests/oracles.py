@@ -1,14 +1,20 @@
-"""Loop oracle for the backtracking DP, beside ``pvariation_bruteforce``.
+"""Loop oracles for the backtracking DP and ``extrema_reduce``.
+
+They sit beside ``pvariation_bruteforce`` as references for the vectorized
+library code.
 
 ``dp_parent_loops`` is the plain O(n m^2) triple loop.  Its strict-improvement
 updates record, for each cell, the start of the interval ending there (-1 for
 skip), so ties prefer skipping and then the smallest start.
-``backtrack_take`` walks that record.
+``backtrack_take`` walks that record.  ``extrema_reduce_loop`` scans the
+values once and keeps the endpoints and the point before each direction flip.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from pvarlab import SampledFunction
 
 
 def dp_parent_loops(values, p, n):
@@ -49,3 +55,27 @@ def backtrack_take(take) -> list[tuple[int, int]]:
             k -= 1
     pairs.reverse()
     return pairs
+
+
+def extrema_reduce_loop(f: SampledFunction) -> SampledFunction:
+    v = f.values
+    m = v.size
+    if m <= 2:
+        return f
+    keep = [0]
+    last = v[0]
+    direction = 0
+    for i in range(1, m):
+        step = v[i] - last
+        if step == 0.0:
+            continue
+        s = 1 if step > 0 else -1
+        if direction != 0 and s != direction:
+            keep.append(prev_idx)
+        direction = s
+        last = v[i]
+        prev_idx = i
+    if keep[-1] != m - 1:
+        keep.append(m - 1)
+    idx = np.asarray(keep, dtype=np.int64)
+    return SampledFunction(f.grid[idx], f.values[idx], f.periodic, f.period)

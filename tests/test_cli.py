@@ -8,6 +8,7 @@ import pytest
 
 from pvarlab import _kernels
 from pvarlab.cli import main
+from pvarlab.functions import from_spec
 
 
 def run_cli(args, env=None):
@@ -154,6 +155,39 @@ def test_seqnorm(tmp_path):
 def test_unknown_subcommand_exits_2():
     proc = run_cli(["frobnicate"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["pvar", "--p"], 2),
+    (["frobnicate"], 2),
+    ([], 2),
+    (["pvar", "--help"], 0),
+])
+def test_main_returns_argparse_exit_code(argv, code, capsys):
+    assert main(argv) == code
+    assert (capsys.readouterr().out != "") == (code == 0)  # only --help prints to stdout
+
+
+@pytest.mark.parametrize("family", ["linear", "zigzag", "sine", "square", "sawtooth", "random"])
+def test_function_spec_sizes(family, capsys):
+    assert len(from_spec(f"{family}:3")) == 3
+    assert len(from_spec(family)) >= 5
+    for size in (0, 1, -4):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            from_spec(f"{family}:{size}")
+    assert main(["pvar", "--function", f"{family}:0", "--p", "1", "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at least 2 points" in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    bad = str(tmp_path / "missing_dir" / "x.csv")
+    # the selection file is written before the rows, which would go to stdout
+    for argv in (["--out", bad], ["--selection-out", bad]):
+        assert main(["pvar", "--values", "0,1,0", "--p", "1", "--n", "2", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {bad}: ")
 
 
 def test_bad_log_level_env():

@@ -12,6 +12,7 @@ from pvarlab import (
     corollary_criteria,
     embedding_criterion,
     exp_orlicz,
+    extrema_reduce,
     phi_partial_inverse,
     power_orlicz,
     pvariation_dp,
@@ -19,6 +20,8 @@ from pvarlab import (
     witness_generate,
     wu_bound_check,
 )
+from pvarlab import _kernels
+from pvarlab.embeddings import WitnessBlock, _window_dp_value
 from pvarlab.functions import make_zigzag
 
 NU_SQRT = ModulusOfVariation.power(0.5)
@@ -225,6 +228,26 @@ def test_witness_small_run_certified():
     # DP on a window confirms the certificate objective independently
     assert cert.window_dp_ran
     assert cert.window_dp_value >= cert.objective * (1 - 1e-9)
+    # the window (leading zero, then (h, h, 0) per tooth) reduces to 2r + 1
+    # points, and its total-variation value is the p = 1 DP value bit for bit
+    hi = 1 + 3 * blk.r
+    window = extrema_reduce(SampledFunction(w.function.grid[:hi], w.function.values[:hi]))
+    assert len(window) == 2 * blk.r + 1
+    assert blk.n >= 2 * blk.r
+    assert cert.window_dp_value == _kernels.dp1_profile(window.values, blk.n)[blk.n]
+
+
+def test_window_value_rejects_a_window_off_its_closed_form():
+    blk = WitnessBlock(k=1, n=8, m=2, s=2, r=2, height=1.0, rate=1.0, literal=True)
+    grid = np.linspace(0.0, 1.0, 7)
+    good = SampledFunction(grid, [0, 1, 1, 0, 1, 1, 0])
+    assert _window_dp_value(good, blk, 1, 1.0, WitnessBudget()) == 4.0
+    # the last tooth never comes back to zero: 4 reduced points, not 2r + 1 = 5
+    bad = SampledFunction(grid, [0, 1, 1, 0, 1, 1, 1])
+    with pytest.raises(RuntimeError, match="expected 5"):
+        _window_dp_value(bad, blk, 1, 1.0, WitnessBudget())
+    # a skipped window is decided before it is reduced
+    assert _window_dp_value(bad, blk, 1, 1.0, WitnessBudget(dp_ops=10.0)) is None
 
 
 def test_witness_json_omits_huge_grids():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import backtrack_take, dp_parent_loops
-from pvarlab import _kernels
+from pvarlab import SampledFunction, _kernels, extrema_reduce
 from pvarlab.variation import _backtrack
 
 
@@ -54,6 +54,24 @@ def test_dp1_backends_agree(m, n, rng):
     if _kernels.USE_NUMBA:
         c = _kernels._dp1_values_jit(values, n)
         assert np.allclose(a, c, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer"])
+def test_dp1_value_total_variation_matches_dp(kind, rng):
+    for _ in range(60):
+        m = int(rng.integers(2, 61))
+        if kind == "integer":
+            raw = rng.integers(-3, 4, m).astype(np.float64)
+        else:
+            raw = rng.uniform(-2, 2, m)
+        values = extrema_reduce(SampledFunction(np.arange(m, dtype=float), raw)).values
+        swings = values.size - 1
+        for n in (swings, swings + 1, 2 * swings + 3):
+            ref = _kernels.dp1_profile(values, n)[n]
+            assert abs(_kernels.dp1_value(values, n) - ref) <= 1e-12 * (1.0 + ref)
+        if swings > 1:
+            n = swings - 1
+            assert _kernels.dp1_value(values, n) == _kernels.dp1_profile(values, n)[n]
 
 
 def test_shift_max_backends_agree(rng):

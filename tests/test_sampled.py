@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import extrema_reduce_loop
 from pvarlab import SampledFunction, extrema_reduce
 
 
@@ -63,3 +65,47 @@ def test_extrema_reduce_plateaus_and_constant():
     assert extrema_reduce(f).values.tolist() == [0.0, 1.0, 0.0]
     c = SampledFunction(np.linspace(0, 1, 5), np.full(5, 3.0))
     assert extrema_reduce(c).values.tolist() == [3.0, 3.0]
+
+
+def _values(kind, m, rng):
+    if kind == "uniform":
+        return rng.uniform(-2, 2, m)
+    if kind == "integer":
+        return rng.integers(-3, 4, m).astype(np.float64)
+    if kind == "plateau":
+        # runs of equal values, so many differences are exactly zero
+        return np.repeat(rng.integers(-2, 3, m), rng.integers(1, 5, m))[:m].astype(np.float64)
+    # leading and trailing plateaus around a random middle
+    v = rng.uniform(-1, 1, m)
+    a, b = sorted(rng.integers(0, m + 1, 2))
+    v[:a] = v[a] if a < m else v[-1]
+    v[b:] = v[b - 1] if b > 0 else v[0]
+    return v
+
+
+def _assert_same_reduction(f):
+    red, ref = extrema_reduce(f), extrema_reduce_loop(f)
+    assert np.array_equal(red.grid, ref.grid)
+    assert np.array_equal(red.values, ref.values)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer", "plateau", "edge-plateaus"])
+def test_extrema_reduce_matches_loop_oracle(kind, rng):
+    for m in range(2, 61):
+        for _ in range(5):
+            v = _values(kind, m, rng)
+            _assert_same_reduction(SampledFunction(np.sort(rng.uniform(0, 1, m)) + np.arange(m), v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3),
+                       min_size=2, max_size=40))
+def test_extrema_reduce_property(values):
+    f = SampledFunction(np.arange(len(values), dtype=float), values)
+    _assert_same_reduction(f)
+    red = extrema_reduce(f).values
+    # endpoints kept, no zero steps, and the direction flips at every interior point
+    assert red[0] == f.values[0] and red[-1] == f.values[-1]
+    d = np.diff(red)
+    if red.size > 2:
+        assert np.all(d != 0) and np.all(np.sign(d[1:]) != np.sign(d[:-1]))
