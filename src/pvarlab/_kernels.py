@@ -178,17 +178,6 @@ def dp1_profile(values: np.ndarray, nmax: int) -> np.ndarray:
     return _dp1_values_numpy(values, int(nmax))
 
 
-def dp1_value(values: np.ndarray, n: int) -> float:
-    """v_1(n) of ``values``; O(m) when ``n`` allows one interval per step.
-
-    With ``n >= m - 1`` the triangle inequality makes the total variation the
-    optimum.  It is summed in order (``cumsum``), not pairwise (``sum``).
-    """
-    if n >= values.shape[0] - 1:
-        return float(np.cumsum(np.abs(np.diff(values)))[-1])
-    return float(dp1_profile(values, n)[n])
-
-
 # ---------------------------------------------------------------------------
 # Windowed maximum of |f(x_j) - f(x_i)| over 0 <= x_j - x_i <= delta.
 # ---------------------------------------------------------------------------

@@ -133,6 +133,7 @@ def _cmd_pvar(args) -> int:
     if n_max is None or n_max < 1:
         raise ValueError("pvar needs --n or --n-max >= 1")
     value, sel, prof = _pvariation_solve(f, args.p, n_max)
+    rows = [f"{n},{_fmt(v)}" for n, v in zip(range(1, n_max + 1), prof)]
     if args.selection_out:
         # Written before the rows, so a failed write leaves stdout empty.
         payload = {
@@ -143,8 +144,12 @@ def _cmd_pvar(args) -> int:
             "differences": [float(d) for d in sel.differences],
         }
         _write_file(args.selection_out, json.dumps(payload, sort_keys=True, indent=1))
-    rows = [f"{n},{_fmt(v)}" for n, v in zip(range(1, n_max + 1), prof)]
-    _emit_rows(args, "n,value", rows)
+    try:
+        _emit_rows(args, "n,value", rows)
+    except ValueError:
+        if args.selection_out:  # no selection file is left without its rows
+            os.remove(args.selection_out)
+        raise
     return 0
 
 

@@ -754,7 +754,9 @@ def _window_dp_value(f: SampledFunction, blk: WitnessBlock, start_idx: int, p: f
             f"block k = {blk.k}: window reduced to {len(sub)} points, expected {m}"
         )
     if p == 1.0:
-        return _kernels.dp1_value(sub.values, blk.n)
+        # The certificate uses 2r <= n intervals, one per swing, so by the
+        # triangle inequality v_1(n) is the total variation, summed in order.
+        return float(np.cumsum(np.abs(np.diff(sub.values)))[-1])
     prof = _kernels.dp_profile_pow(sub.values, p, blk.n)
     return float(prof[blk.n] ** (1.0 / p))
 

@@ -188,6 +188,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: cannot write {bad}: ")
+    # rows that cannot be written take their selection file with them
+    sel = tmp_path / "sel.json"
+    assert main(["pvar", "--values", "0,1,0", "--p", "1", "--n", "2",
+                 "--selection-out", str(sel), "--out", bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {bad}: ")
+    assert not sel.exists()
 
 
 def test_bad_log_level_env():

@@ -250,6 +250,19 @@ def test_window_value_rejects_a_window_off_its_closed_form():
     assert _window_dp_value(bad, blk, 1, 1.0, WitnessBudget(dp_ops=10.0)) is None
 
 
+def test_window_value_is_the_dp_value_on_random_teeth(rng):
+    for _ in range(40):
+        r = int(rng.integers(1, 31))
+        heights = rng.uniform(0.1, 3.0, r)
+        teeth = np.stack([heights, heights, np.zeros(r)], axis=1).ravel()
+        f = SampledFunction(np.linspace(0.0, 1.0, 3 * r + 1), np.concatenate([[0.0], teeth]))
+        reduced = extrema_reduce(f).values
+        for n in (2 * r, 2 * r + 3):
+            blk = WitnessBlock(k=1, n=n, m=2, s=r, r=r, height=1.0, rate=1.0, literal=True)
+            ref = _kernels.dp1_profile(reduced, n)[n]
+            assert abs(_window_dp_value(f, blk, 1, 1.0, WitnessBudget()) - ref) <= 1e-12 * ref
+
+
 def test_witness_json_omits_huge_grids():
     w = witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 1)
     d = w.to_json_dict(max_function_points=10)
