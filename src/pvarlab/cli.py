@@ -9,6 +9,7 @@ byte-identical files.  Exit codes: 0 success, 1 computation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -349,6 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and reused by every ``main`` call."""
+    return build_parser()
+
+
 def config_to_argv(path: str) -> list[str]:
     """Translate a JSON config file into an argument vector.
 
@@ -409,9 +416,8 @@ def main(argv=None) -> int:
         except (OSError, ValueError, json.JSONDecodeError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:  # argparse has printed the usage error or the help
         return e.code
     if getattr(args, "omega", "x") is None and args.cmd == "fourier" and not args.decay:

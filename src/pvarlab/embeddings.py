@@ -185,6 +185,7 @@ class PhiSequence:
         else:
             raise ValueError(f"unknown Phi kind {kind!r}")
         self._lambda_cum: np.ndarray | None = None
+        self._inv_one: np.ndarray = np.empty(0)
         self._validate()
 
     # constructors ----------------------------------------------------------
@@ -276,13 +277,27 @@ class PhiSequence:
         return float(phi_partial_inverse(self, n, y))
 
     def inverse_at_one_table(self, kmax: int) -> np.ndarray:
-        """[Phi_k^{-1}(1) for k = 1..kmax] by vectorized bisection."""
+        """[Phi_k^{-1}(1) for k = 1..kmax] by vectorized bisection (read-only).
+
+        Each entry is bisected on its own, so the longest table computed so
+        far is kept and a shorter one is its prefix, bit for bit; a longer
+        one bisects only the new entries.
+        """
         if self.kind == "custom" and kmax > 4096:
             raise ValueError("custom Phi inverse tables are capped at 4096")
-        ns = np.arange(1, kmax + 1, dtype=np.float64)
-        ones = np.ones(kmax)
-        lo = np.zeros(kmax)
-        hi = np.ones(kmax)
+        have = self._inv_one.size
+        if kmax > have:
+            table = np.concatenate([self._inv_one, self._inverse_at_one(have + 1, kmax)])
+            table.flags.writeable = False
+            self._inv_one = table
+        return self._inv_one[:kmax]
+
+    def _inverse_at_one(self, lo_k: int, hi_k: int) -> np.ndarray:
+        ns = np.arange(lo_k, hi_k + 1, dtype=np.float64)
+        count = ns.size
+        ones = np.ones(count)
+        lo = np.zeros(count)
+        hi = np.ones(count)
         for _ in range(200):
             need = self.partial_rows(ns, hi) < ones
             if not np.any(need):

@@ -68,46 +68,79 @@ def _one_period(f: SampledFunction):
     if abs((g[-1] - g[0]) - f.period) <= 1e-12:  # duplicated endpoint
         g, v = g[:-1], v[:-1]
     steps = np.diff(g)
-    if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
+    if (np.max(steps) - np.min(steps) > 1e-9 * np.max(steps)
+            or abs((g[-1] - g[0]) * g.size / (g.size - 1) - f.period) > 1e-9 * f.period):
         raise ValueError("need a uniform grid over one period")
     return g, v
 
 
 def fourier_coeffs(f: SampledFunction, N: int) -> FourierCoeffs:
-    """Rectangle-rule trigonometric coefficients, exact below the aliasing limit."""
+    """Rectangle-rule trigonometric coefficients, exact below the aliasing limit.
+
+    On the m uniform samples g_j = g_0 + 2 pi j / m of one period the
+    rectangle rule a_n - i b_n = (2/m) sum_j v_j exp(-i n g_j) is the DFT of
+    the samples times exp(-i n g_0), so it is computed with one ``rfft``.
+    """
     g, v = _one_period(f)
     m = g.size
     if 2 * N >= m:
         raise ValueError(f"aliasing limit exceeded: need N < {m}/2")
     ns = np.arange(1, N + 1)
-    phase = np.outer(ns, g)
-    a = (2.0 / m) * (np.cos(phase) @ v)
-    b = (2.0 / m) * (np.sin(phase) @ v)
+    X = np.fft.rfft(v)[1:N + 1] * np.exp(-1j * ns * g[0])
+    a = (2.0 / m) * X.real
+    b = -(2.0 / m) * X.imag
     a0 = float((2.0 / m) * np.sum(v))
     return FourierCoeffs(a0=a0, a=a, b=b, N=int(N))
 
 
-def partial_sum(c: FourierCoeffs, n: int, x_grid) -> np.ndarray:
-    """Pointwise S_n(f, x) on x_grid."""
+def _period_grid_size(x: np.ndarray) -> int:
+    """Number L of distinct points when x is x_0 + 2 pi j / L for j < L
+    (optionally with the endpoint x_0 + 2 pi repeated), else 0."""
+    if x.ndim != 1 or x.size < 2:
+        return 0
+    L = x.size - 1 if abs((x[-1] - x[0]) - TWO_PI) <= 1e-12 else x.size
+    ideal = x[0] + np.arange(L) * (TWO_PI / L)
+    # a few ulps of x: a shift dx moves harmonic k by k dx, so the transform
+    # then agrees with the direct sum to rounding
+    tol = 1e-13 * (TWO_PI + abs(x[0]))
+    return L if float(np.max(np.abs(x[:L] - ideal))) <= tol else 0
+
+
+def _trig_sum(c: FourierCoeffs, n: int, x_grid, weight) -> np.ndarray:
+    """a0/2 + sum_{k<=n} w_k (a_k cos kx + b_k sin kx) on x_grid, w = weight(k).
+
+    A uniform period grid with more than 2n + 1 points takes one weighted
+    ``irfft``; other points are summed harmonic by harmonic in O(len(x))
+    memory.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n > c.N:
         raise ValueError("n exceeds the computed harmonics")
+    ks = np.arange(1, n + 1)
+    w = weight(ks)
     x = np.asarray(x_grid, dtype=np.float64)
+    L = _period_grid_size(x)
+    if L > 2 * n + 1:
+        C = np.zeros(L // 2 + 1, dtype=np.complex128)
+        C[0] = L * c.a0 / 2.0
+        C[1:n + 1] = (L / 2.0) * w * (c.a[:n] - 1j * c.b[:n]) * np.exp(1j * ks * x[0])
+        out = np.fft.irfft(C, L)
+        return np.append(out, out[0]) if x.size > L else out
     out = np.full(x.shape, c.a0 / 2.0)
     for k in range(1, n + 1):
-        out += c.a[k - 1] * np.cos(k * x) + c.b[k - 1] * np.sin(k * x)
+        out += w[k - 1] * (c.a[k - 1] * np.cos(k * x) + c.b[k - 1] * np.sin(k * x))
     return out
+
+
+def partial_sum(c: FourierCoeffs, n: int, x_grid) -> np.ndarray:
+    """Pointwise S_n(f, x) on x_grid."""
+    return _trig_sum(c, n, x_grid, np.ones_like)
 
 
 def fejer_mean(c: FourierCoeffs, n: int, x_grid) -> np.ndarray:
     """F_n = (S_0 + ... + S_n)/(n+1); Cesaro weights 1 - k/(n+1)."""
-    if n > c.N:
-        raise ValueError("n exceeds the computed harmonics")
-    x = np.asarray(x_grid, dtype=np.float64)
-    out = np.full(x.shape, c.a0 / 2.0)
-    for k in range(1, n + 1):
-        w = 1.0 - k / (n + 1.0)
-        out += w * (c.a[k - 1] * np.cos(k * x) + c.b[k - 1] * np.sin(k * x))
-    return out
+    return _trig_sum(c, n, x_grid, lambda ks: 1.0 - ks / (n + 1.0))
 
 
 def fejer_kernel(n: int, t):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampled import SampledFunction
-from .variation import pvariation_profile
+from .variation import _check_p, pvariation_profile
 
 __all__ = [
     "PLFunction",
@@ -73,6 +73,7 @@ def bracket_count(t: float, p: float) -> int:
     """floor(1/t) raised to p, rounded down to an integer (at least 1)."""
     if not (0.0 < t <= 1.0):
         raise ValueError("t must lie in (0, 1]")
+    _check_p(p)
     base = math.floor(1.0 / t + 1e-12)
     return max(1, int(math.floor(base ** p + 1e-9)))
 
@@ -90,22 +91,31 @@ def _first_crossing(xl, vl, xr, vr, center, threshold, after):
         dr = vr - level
         if dl == 0.0:
             cands.append(xl)
-        elif dl * dr < 0.0 or dr == 0.0:
+        elif (dl < 0.0) != (dr < 0.0) or dr == 0.0:  # signs, not a product that may overflow
             cands.append(xl + (dl / (dl - dr)) * (xr - xl))
     good = [x for x in cands if x > after]
     return min(good) if good else None
 
 
-def select_knots(f: SampledFunction, M: int, p: float):
+def _profile_upto(f: SampledFunction, p: float, M: int, profile) -> np.ndarray:
+    """``profile`` (v_p(1, f), ... of length >= M) or a fresh one of length M."""
+    if profile is None:
+        return pvariation_profile(f, p, M)
+    if len(profile) < M:
+        raise ValueError(f"profile has {len(profile)} entries, need M = {M}")
+    return profile
+
+
+def select_knots(f: SampledFunction, M: int, p: float, profile=None):
     """Free-knot selection: each new knot is the first point where the running
     difference reaches v_p(M, f)/M^(1/p).  Returns (knot abscissas, case tag),
-    case ``II`` when fewer than M additional knots are produced.
+    case ``II`` when fewer than M additional knots are produced.  ``profile``
+    is ``pvariation_profile(f, p, n)`` for some n >= M, if already computed.
     """
     _require_unit_domain(f)
     if M < 1:
         raise ValueError("M must be >= 1")
-    prof = pvariation_profile(f, p, M)
-    ups = prof[M - 1]
+    ups = _profile_upto(f, p, M, profile)[M - 1]
     threshold = ups / M ** (1.0 / p)
     knots = [0.0]
     if threshold <= _CROSSING_TOL * (1.0 + f.sup_abs()):
@@ -180,15 +190,19 @@ def _sup_diff(f: SampledFunction, g: PLFunction) -> float:
     return float(np.max(np.abs(np.interp(xs, f.grid, f.values) - g(xs))))
 
 
-def kfunctional_bounds(f: SampledFunction, t: float, p: float) -> KSandwich:
-    """Sandwich t*v_p(M, f) <= K(f, t) <= ||f - g_M||_inf + t*Var_p(g_M) <= 5 lower."""
+def kfunctional_bounds(f: SampledFunction, t: float, p: float, profile=None) -> KSandwich:
+    """Sandwich t*v_p(M, f) <= K(f, t) <= ||f - g_M||_inf + t*Var_p(g_M) <= 5 lower.
+
+    ``profile`` is ``pvariation_profile(f, p, n)`` for some n >= M, if
+    already computed; row n of the DP does not depend on the budget.
+    """
     _require_unit_domain(f)
     M = bracket_count(t, p)
-    prof = pvariation_profile(f, p, M)
+    prof = _profile_upto(f, p, M, profile)
     ups = float(prof[M - 1])
     lower = t * ups
 
-    knot_xs, case = select_knots(f, M, p)
+    knot_xs, case = select_knots(f, M, p, prof)
     g = pl_interpolate(f, knot_xs)
     var_g = varp_pl(g, p)
     err = _sup_diff(f, g)
@@ -206,7 +220,13 @@ def kfunctional_bounds(f: SampledFunction, t: float, p: float) -> KSandwich:
 
 
 def kfunctional_sweep(f: SampledFunction, t_grid, p: float) -> list[KSandwich]:
-    return [kfunctional_bounds(f, float(t), p) for t in t_grid]
+    """``kfunctional_bounds`` at each t, sharing one profile up to the largest M."""
+    _require_unit_domain(f)
+    ts = [float(t) for t in t_grid]
+    if not ts:
+        return []
+    prof = pvariation_profile(f, p, max(bracket_count(t, p) for t in ts))
+    return [kfunctional_bounds(f, t, p, prof) for t in ts]
 
 
 def lower_monotone_in_t(rows: list[KSandwich]) -> bool:

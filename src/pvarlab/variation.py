@@ -91,7 +91,8 @@ def _swing_count(values: np.ndarray) -> int:
     d = d[d != 0]
     if d.size == 0:
         return 0
-    return int(1 + np.sum(d[1:] * d[:-1] < 0))
+    up = d > 0
+    return int(1 + np.sum(up[1:] != up[:-1]))
 
 
 def _padded(prof: np.ndarray, n: int) -> np.ndarray:
@@ -104,6 +105,24 @@ def _padded(prof: np.ndarray, n: int) -> np.ndarray:
 def _check_p(p: float):
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be finite and >= 1, got {p!r}")
+
+
+def _check_scale(values: np.ndarray, p: float, n: int):
+    """Reject samples whose DP sums could overflow.
+
+    A selection of at most n intervals sums at most n (max - min)^p, so that
+    bound must be finite for every cell of the DP to be finite.  Called with
+    n = min(budget, m - 1): no more intervals fit on m points.
+    """
+    spread = float(np.max(values)) - float(np.min(values))
+    try:
+        total = n * spread ** p
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(
+            f"values too large for p = {p:g}: {n} * (max - min)^p overflows; rescale the input"
+        )
 
 
 def _backtrack(table: np.ndarray, diff: np.ndarray) -> list[tuple[int, int]]:
@@ -132,6 +151,7 @@ def _pvariation_solve(f: SampledFunction, p: float, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_p(p)
+    _check_scale(f.values, p, min(n, len(f) - 1))
     red = extrema_reduce(f)
     kept = _kept_indices(f, red)
     swings = _swing_count(red.values)
@@ -168,6 +188,7 @@ def pvariation_profile(f: SampledFunction, p: float, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_p(p)
+    _check_scale(f.values, p, min(n_max, len(f) - 1))
     red = extrema_reduce(f)
     swings = _swing_count(red.values)
     if swings == 0:

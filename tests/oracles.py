@@ -8,6 +8,8 @@ updates record, for each cell, the start of the interval ending there (-1 for
 skip), so ties prefer skipping and then the smallest start.
 ``backtrack_take`` walks that record.  ``extrema_reduce_loop`` scans the
 values once and keeps the endpoints and the point before each direction flip.
+``fourier_coeffs_loop`` is the rectangle rule as an N x m trig matrix product,
+and ``trig_sum_loop`` sums weighted harmonics one at a time at any points.
 """
 
 from __future__ import annotations
@@ -79,3 +81,19 @@ def extrema_reduce_loop(f: SampledFunction) -> SampledFunction:
         keep.append(m - 1)
     idx = np.asarray(keep, dtype=np.int64)
     return SampledFunction(f.grid[idx], f.values[idx], f.periodic, f.period)
+
+
+def fourier_coeffs_loop(g, v, N):
+    """(a_1..a_N, b_1..b_N) = (2/m) sum_j v_j (cos, sin)(n g_j) on one period."""
+    m = g.size
+    phase = np.outer(np.arange(1, N + 1), g)
+    return (2.0 / m) * (np.cos(phase) @ v), (2.0 / m) * (np.sin(phase) @ v)
+
+
+def trig_sum_loop(c, n, x, weights):
+    """a0/2 + sum_{k<=n} weights[k-1] (a_k cos kx + b_k sin kx)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.full(x.shape, c.a0 / 2.0)
+    for k in range(1, n + 1):
+        out += weights[k - 1] * (c.a[k - 1] * np.cos(k * x) + c.b[k - 1] * np.sin(k * x))
+    return out

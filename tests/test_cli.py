@@ -38,12 +38,54 @@ def test_pvar_zigzag_csv(tmp_path):
     ["pvar", "--values", "0,1,0,1,0", "--p", "0.5", "--n", "3"],
     ["pvar", "--values", "0,1,0,1,0", "--p", "nan", "--n", "3"],
     ["kfunc", "--function", "zigzag:5", "--p", "0.5", "--t", "1,0.5"],
+    ["kfunc", "--function", "zigzag:5", "--p", "inf", "--t", "1,0.5"],
 ])
 def test_invalid_p_exits_2_before_output(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "p must be finite and >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pvar", "--values=1e308,-1e308,1e308", "--p", "2", "--n", "2"],
+    ["pvar", "--values=1e200,-1e200,1e200", "--p", "2", "--n", "2"],
+    ["pvar", "--values=1e308,-1e307,1e308", "--p", "1", "--n", "2"],
+    ["kfunc", "--values=1e308,-1e308,1e308", "--p", "2", "--t", "1,0.5"],
+    ["kfunc", "--values=1e200,-1e200,1e200", "--p", "3", "--t", "0.5"],
+])
+def test_overflowing_values_exit_2_before_output(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "overflows" in err
+
+
+def test_large_values_below_overflow_give_finite_rows(capsys):
+    assert main(["pvar", "--values=1e150,-1e150,1e150", "--p", "2", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "n,value\n1,2e+150\n2,2.82842712475e+150\n"
+    assert main(["kfunc", "--values=1e200,-1e200,1e200", "--p", "1", "--t", "1,0.5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2 and all(np.isfinite(float(v)) for r in rows for v in r.split(",")[:5])
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    from pvarlab import cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert main(["pvar", "--values", "0,1,0", "--p", "1", "--n", "1"]) == 0
+        assert main(["pvar", "--p"]) == 2
+        assert main(["kfunc", "--values", "0,1,0", "--p", "1", "--t", "1"]) == 0
+        assert main(["pvar", "--help"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    out, err = capsys.readouterr()
+    assert "usage: pvarlab pvar" in out and "usage: pvarlab pvar" in err
 
 
 def test_pvar_values_with_leading_minus(capsys):

@@ -86,6 +86,37 @@ def test_concave_inverse_scaling(rng):
 
 # -- embedding criterion ---------------------------------------------------------
 
+@pytest.mark.parametrize("Phi", [
+    PhiSequence.power_all(3.0),
+    PhiSequence.orlicz_all(exp_orlicz()),
+    PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.power(1.0)),
+])
+def test_inverse_table_is_kept_and_served_by_prefix(Phi, monkeypatch):
+    ref = Phi._inverse_at_one(1, 5000)  # one bisection over the whole table
+    bisected = []
+    inverse = PhiSequence._inverse_at_one
+    monkeypatch.setattr(PhiSequence, "_inverse_at_one",
+                        lambda self, lo, hi: bisected.append(hi - lo + 1) or inverse(self, lo, hi))
+    for kmax in (40, 5000, 7, 1200, 5000):
+        table = Phi.inverse_at_one_table(kmax)
+        assert table.tobytes() == ref[:kmax].tobytes()
+        assert not table.flags.writeable
+    assert bisected == [40, 4960]  # every entry is bisected once
+
+
+def test_embed_witness_bisects_the_inverse_table_once(monkeypatch, tmp_path):
+    from pvarlab.cli import main
+
+    bisected = []
+    inverse = PhiSequence._inverse_at_one
+    monkeypatch.setattr(PhiSequence, "_inverse_at_one",
+                        lambda self, lo, hi: bisected.append(hi - lo + 1) or inverse(self, lo, hi))
+    out = tmp_path / "w.json"
+    assert main(["embed", "--phi", "lambda:2", "--nu", "power:0.5", "--p", "1", "--horizon", "4096",
+                 "--witness", "--k-max", "1", "--out", str(out)]) == 0
+    assert bisected == [4096]
+
+
 def test_bv2_into_sqrt_embeds_with_unit_trace():
     rep = corollary_criteria("BVq", NU_SQRT, 1.0, 4096, q=2.0)
     assert rep.verdict == "Embeds"

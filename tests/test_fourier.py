@@ -26,6 +26,8 @@ from pvarlab import (
 )
 from pvarlab.functions import make_sawtooth, make_sine, make_square_wave
 
+from oracles import fourier_coeffs_loop, trig_sum_loop
+
 TWO_PI = 2 * np.pi
 
 
@@ -123,6 +125,77 @@ def test_fejer_contraction_on_samples():
             vf, _ = vpnu_norm(f, nu, 2.0, 24)
             vfn, _ = vpnu_norm(fn, nu, 2.0, 24)
             assert vfn <= 1.05 * vf
+
+
+def _random_period_grid(rng, m, duplicated, offset):
+    """m samples of one 2 pi period from g0, optionally with g0 + 2 pi appended."""
+    g0 = rng.uniform(-7.0, 7.0) if offset else 0.0
+    g = np.linspace(g0, g0 + TWO_PI, m + 1)
+    v = rng.uniform(-1, 1, m + 1) * 10.0 ** rng.uniform(-2, 2)
+    v[-1] = v[0]
+    return (g, v) if duplicated else (g[:-1], v[:-1])
+
+
+GRID_CASES = pytest.mark.parametrize(
+    "duplicated,offset", [(False, False), (False, True), (True, False), (True, True)],
+    ids=["from-0", "offset", "endpoint-from-0", "endpoint-offset"])
+
+
+@GRID_CASES
+def test_coefficients_match_the_rectangle_rule_loop(rng, duplicated, offset):
+    for m in (8, 9, 10, 63, 64, 257, 1000, 1024):
+        g, v = _random_period_grid(rng, m, duplicated, offset)
+        N = (m - 1) // 2
+        c = fourier_coeffs(SampledFunction(g, v, periodic=True, period=TWO_PI), N)
+        a, b = fourier_coeffs_loop(g[:m], v[:m], N)
+        scale = 1.0 + float(np.max(np.abs(v)))
+        assert np.max(np.abs(c.a - a)) <= 1e-12 * scale
+        assert np.max(np.abs(c.b - b)) <= 1e-12 * scale
+        assert c.a0 == (2.0 / m) * np.sum(v[:m])
+
+
+@GRID_CASES
+def test_grid_sums_match_the_direct_sum(rng, duplicated, offset, monkeypatch):
+    irfft_calls = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a: irfft_calls.append(1) or irfft(*a))
+    for m in (8, 9, 64, 257, 1024):
+        g, v = _random_period_grid(rng, m, duplicated, offset)
+        N = (m - 1) // 2
+        c = fourier_coeffs(SampledFunction(g, v, periodic=True, period=TWO_PI), N)
+        scale = 1.0 + float(np.max(np.abs(v)))
+        for n in sorted({0, 1, N // 2, m // 2 - 1}):
+            cesaro = 1.0 - np.arange(1, n + 1) / (n + 1.0)
+            for got, weights in ((partial_sum(c, n, g), np.ones(n)),
+                                 (fejer_mean(c, n, g), cesaro)):
+                assert got.shape == g.shape
+                assert np.max(np.abs(got - trig_sum_loop(c, n, g, weights))) <= 1e-12 * scale
+    assert irfft_calls  # the grid went through the transform
+
+
+def test_scattered_points_take_the_direct_sum(rng, monkeypatch):
+    monkeypatch.setattr(np.fft, "irfft", None)  # any transform call would fail
+    g, v = _random_period_grid(rng, 128, False, True)
+    c = fourier_coeffs(SampledFunction(g, v, periodic=True, period=TWO_PI), 20)
+    cesaro = 1.0 - np.arange(1, 21) / 21.0
+    for x in (np.sort(rng.uniform(0, TWO_PI, 300)), np.array([math.pi / 2]),
+              np.linspace(0, math.pi, 64), g[:100], rng.uniform(-9, 9, (3, 4))):
+        assert np.array_equal(partial_sum(c, 20, x), trig_sum_loop(c, 20, x, np.ones(20)))
+        assert np.array_equal(fejer_mean(c, 20, x), trig_sum_loop(c, 20, x, cesaro))
+    # a period grid of only 2n + 1 points cannot carry n harmonics
+    few = np.linspace(0, TWO_PI, 41, endpoint=False)
+    assert np.array_equal(partial_sum(c, 20, few), trig_sum_loop(c, 20, few, np.ones(20)))
+
+
+def test_coefficients_need_a_grid_over_one_period():
+    half = np.linspace(0, math.pi, 64, endpoint=False)
+    with pytest.raises(ValueError, match="one period"):
+        fourier_coeffs(SampledFunction(half, np.cos(half), periodic=True, period=TWO_PI), 8)
+    c = fourier_coeffs(make_square_wave(64), 8)
+    with pytest.raises(ValueError):
+        partial_sum(c, -1, [0.0])
+    with pytest.raises(ValueError):
+        fejer_mean(c, 9, [0.0])
 
 
 # -- modulus of continuity ----------------------------------------------------

@@ -160,6 +160,36 @@ def test_sweep_shapes():
     assert kfunctional_sweep(LINEAR, [], 1.0) == []
 
 
+def test_sweep_shares_one_profile(rng, monkeypatch):
+    from pvarlab import kfunctional
+
+    ts = [1.0, 0.5, 0.3, 0.25, 0.2, 0.1, 0.07]
+    profiled = []
+    profile = kfunctional.pvariation_profile
+
+    def counted(g, p, n_max):
+        profiled.append(g)
+        return profile(g, p, n_max)
+
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for values in (rng.uniform(-1, 1, 60), rng.integers(-3, 4, 40).astype(float)):
+            f = SampledFunction(np.linspace(0.0, 1.0, values.size), values)
+            separate = [kfunctional_bounds(f, t, p) for t in ts]
+            monkeypatch.setattr(kfunctional, "pvariation_profile", counted)
+            profiled.clear()
+            assert kfunctional_sweep(f, ts, p) == separate
+            monkeypatch.undo()
+            assert sum(g is f for g in profiled) == 1  # varp_pl profiles the approximants
+            # row M of the DP does not depend on the budget it was run with
+            full = pvariation_profile(f, p, max(bracket_count(t, p) for t in ts))
+            for t in ts:
+                M = bracket_count(t, p)
+                assert np.array_equal(pvariation_profile(f, p, M), full[:M])
+    M = bracket_count(0.25, 2.0)
+    with pytest.raises(ValueError, match="profile has"):
+        kfunctional_bounds(ZIGZAG, 0.25, 2.0, pvariation_profile(ZIGZAG, 2.0, M - 1))
+
+
 def test_zigzag_log_spaced_ratios():
     ts = np.geomspace(0.05, 1.0, 8)
     rows = kfunctional_sweep(ZIGZAG, ts, 2.0)

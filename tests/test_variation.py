@@ -140,6 +140,27 @@ def test_triangle_and_homogeneity(rng):
         assert vcf == pytest.approx(c * vf, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e-160, 1e150])
+def test_profile_homogeneous_at_extreme_scales(c):
+    # swings are counted by sign, so products of tiny differences cannot
+    # underflow to zero and cut the DP short
+    z = ZIGZAG.scaled(c)
+    expected = c * np.array([1, 2, 3, 4, 4, 4])
+    assert pvariation_profile(z, 1.0, 6) == pytest.approx(expected, rel=1e-15, abs=0)
+    assert pvariation_dp(z, 1.0, 4)[0] == pytest.approx(4 * c, rel=1e-15, abs=0)
+
+
+def test_overflowing_values_rejected():
+    f = SampledFunction([0.0, 0.5, 1.0], [1e308, -1e308, 1e308])
+    for p, call in ((1.0, pvariation_profile), (2.0, pvariation_profile), (2.0, pvariation_dp)):
+        with pytest.raises(ValueError, match="overflows"):
+            call(f, p, 2)
+    big = f.scaled(1e-160)  # spread 2e148: its cube overflows, 2 * spread does not
+    assert pvariation_profile(big, 1.0, 2) == pytest.approx([2e148, 4e148], rel=1e-15)
+    with pytest.raises(ValueError, match="overflows"):
+        pvariation_profile(big, 3.0, 2)
+
+
 def test_profile_monotone_and_stabilizes():
     prof = pvariation_profile(ZIGZAG, 1.0, 8)
     assert prof.tolist() == [1.0, 2.0, 3.0, 4.0, 4.0, 4.0, 4.0, 4.0]
