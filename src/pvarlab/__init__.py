@@ -7,7 +7,6 @@ and decides (and witnesses) embeddings of generalized-variation and
 symmetric sequence spaces.
 """
 
-from ._kernels import backend_name
 from .embeddings import (
     CriterionReport,
     LambdaSequence,

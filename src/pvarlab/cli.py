@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,7 @@ from .embeddings import (
 )
 from .functions import from_spec
 from .kfunctional import kfunctional_sweep, lower_monotone_in_t
-from .modulus import ModulusOfVariation
+from .modulus import parse_modulus
 from .sampled import SampledFunction
 from .variation import _pvariation_solve
 from .verify import run_battery
@@ -49,17 +50,6 @@ def _setup_logging():
     if level not in levels:
         raise ValueError(f"PVARLAB_LOG must be one of {sorted(levels)}, got {level!r}")
     logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
-
-
-def _parse_nu(spec: str) -> ModulusOfVariation:
-    s = spec.strip().lower()
-    if s.startswith("power:"):
-        return ModulusOfVariation.power(float(s.split(":", 1)[1]))
-    if s == "log":
-        return ModulusOfVariation.log()
-    if s.startswith("table:"):
-        return ModulusOfVariation.from_table([float(v) for v in s.split(":", 1)[1].split(",")])
-    raise ValueError(f"unknown nu spec {spec!r} (power:<alpha>, log, table:v1,v2,...)")
 
 
 def _parse_omega(spec: str):
@@ -115,10 +105,21 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
+def _json_cell(cell: str):
+    """A CSV cell as a JSON number when it is a finite number, else the string."""
+    for kind in (int, float):
+        try:
+            value = kind(cell)
+        except ValueError:
+            continue
+        return value if math.isfinite(value) else cell
+    return cell
+
+
 def _emit_rows(args, header: str, rows: list[str]):
     if args.format == "json":
         cols = header.split(",")
-        data = [dict(zip(cols, r.split(","))) for r in rows]
+        data = [{c: _json_cell(v) for c, v in zip(cols, r.split(","))} for r in rows]
         _write(args, json.dumps(data, sort_keys=True, indent=1) + "\n")
     else:
         _write(args, header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
@@ -160,11 +161,7 @@ def _cmd_kfunc(args) -> int:
     for t in ts:
         if not (0.0 < t <= 1.0):
             raise ValueError(f"t = {t:g} outside (0, 1]")
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            sandwiches = list(ex.map(lambda t: kfunctional_sweep(f, [t], args.p)[0], ts))
-    else:
-        sandwiches = kfunctional_sweep(f, ts, args.p)
+    sandwiches = kfunctional_sweep(f, ts, args.p, args.jobs)
     rows = [
         f"{_fmt(s.t)},{s.M},{_fmt(s.lower)},{_fmt(s.upper)},{_fmt(s.ratio)},{s.case}"
         for s in sandwiches
@@ -177,7 +174,7 @@ def _cmd_kfunc(args) -> int:
 def _cmd_fourier(args) -> int:
     if args.decay:
         f = _load_function(args)
-        nu = _parse_nu(args.nu)
+        nu = parse_modulus(args.nu)
         n_max = args.n_max or 64
         c = fr.fourier_coeffs(f, n_max)
         mags = np.hypot(c.a, c.b)
@@ -186,7 +183,7 @@ def _cmd_fourier(args) -> int:
         rows = [f"{n},{_fmt(r)}" for n, r in zip(range(1, n_max + 1), ratios)]
         _emit_rows(args, "n,coeff_ratio", rows)
         return 0
-    nu = _parse_nu(args.nu)
+    nu = parse_modulus(args.nu)
     omega = _parse_omega(args.omega)
     ns = sorted({int(v) for v in args.n_list.split(",")})
     if any(n < 2 for n in ns):
@@ -206,7 +203,7 @@ def _cmd_fourier(args) -> int:
 
 def _cmd_embed(args) -> int:
     Phi = _parse_phi(args.phi)
-    nu = _parse_nu(args.nu)
+    nu = parse_modulus(args.nu)
     report = embedding_criterion(Phi, nu, args.p, args.horizon,
                                  growth_factor=args.growth_factor,
                                  ref_fraction=args.ref_fraction)
@@ -233,7 +230,7 @@ def _cmd_seqnorm(args) -> int:
         x = np.ones(args.n)
         label = str(args.n)
     if space == "marcinkiewicz":
-        nu = _parse_nu(args.nu)
+        nu = parse_modulus(args.nu)
         val = sq.marcinkiewicz_norm(x, nu, args.p)
         params = f"nu={args.nu};p={_fmt(args.p)}"
     elif space == "lorentz":

@@ -46,10 +46,13 @@ class OrliczFunction:
         return self._fn(np.asarray(x, dtype=np.float64))
 
     def inverse(self, y):
+        """phi^{-1}(y): the closed form if given, else the float where phi reaches y."""
         y = np.asarray(y, dtype=np.float64)
         if self._inv is not None:
             return self._inv(y)
-        return _bisect_increasing(lambda x: self._fn(x), y)
+        if np.any(y < 0):
+            raise ValueError("inverse needs y >= 0")
+        return _bisect_increasing(self._fn, y)
 
 
 def power_orlicz(q: float) -> OrliczFunction:
@@ -62,31 +65,36 @@ def exp_orlicz() -> OrliczFunction:
     return OrliczFunction("exp", np.expm1, np.log1p)
 
 
-def _bisect_increasing(fn, y, rel=1e-13, max_iter=200):
-    """Vectorized inverse of an increasing fn with fn(0) = 0."""
+def _bisect_increasing(fn, y):
+    """Where a nondecreasing vectorized fn crosses each target y.
+
+    ``fn`` maps an array of x to an array of the same shape, entry i against
+    target y[i].  The bracket grows geometrically from 1, doubling hi or
+    halving lo until fn(lo) < y <= fn(hi); halving then runs until lo and hi
+    are adjacent floats, and their midpoint (rounded, so one of the two) is
+    returned.  A fn monotone in floats has exactly one such adjacent pair per
+    target, so every bracket ends on the same floats.  lo stops at 0 when
+    fn(0) >= y; a target fn does not reach below 2^1024 is a ValueError.
+    """
     y = np.asarray(y, dtype=np.float64)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
-    if np.any(y < 0):
-        raise ValueError("inverse needs y >= 0")
-    lo = np.zeros_like(y)
     hi = np.ones_like(y)
-    for _ in range(max_iter):
-        need = np.asarray(fn(hi)) < y
-        if not np.any(need):
-            break
-        hi[need] *= 2.0
-    else:
-        raise RuntimeError("bisection bracket did not close")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(fn(mid)) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if float(np.max((hi - lo) / np.maximum(hi, 1e-300))) <= rel:
-            break
+    with np.errstate(over="ignore", divide="ignore"):  # fn may run to inf off the root
+        while (short := fn(hi) < y).any():
+            hi[short] *= 2.0
+            if np.isinf(hi).any():
+                raise ValueError("inverse exceeds the float range")
+        lo = 0.5 * hi
+        while (over := (fn(lo) >= y) & (lo > 0)).any():
+            hi[over] = lo[over]
+            lo[over] *= 0.5
+        while (np.nextafter(lo, np.inf) < hi).any():
+            mid = 0.5 * (lo + hi)
+            below = fn(mid) < y
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
     out = 0.5 * (lo + hi)
-    out[y == 0] = 0.0
     return float(out[0]) if scalar else out
 
 
@@ -232,18 +240,22 @@ class PhiSequence:
             self._lambda_cum = self.lam.reciprocal_cumsum(max(n, 1024))
         return self._lambda_cum
 
-    def phi(self, j: int, x):
-        """phi_j(x)."""
+    def phi(self, j, x):
+        """phi_j(x), elementwise over an array of j the way ``partial_rows`` takes n."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "power_all":
             return x ** self.q
         if self.kind == "orlicz_all":
             return self.phi_fn(x)
         if self.kind == "orlicz_over_lambda":
-            return self.phi_fn(x) / float(self.lam.value(j))
-        if j > len(self._phis):
+            return self.phi_fn(x) / self.lam.value(j)
+        if np.any(np.asarray(j) > len(self._phis)):
             raise ValueError("index beyond the custom Phi list")
-        return np.asarray(self._phis[j - 1](x), dtype=np.float64)
+        if np.ndim(j) == 0:
+            return np.asarray(self._phis[int(j) - 1](x), dtype=np.float64)
+        js, x = np.broadcast_arrays(j, x)
+        out = [self._phis[int(jj) - 1](xx) for jj, xx in zip(js.flat, x.flat)]
+        return np.array(out, dtype=np.float64).reshape(js.shape)
 
     def partial(self, n: int, x):
         """Phi_n(x) = sum_{j<=n} phi_j(x)."""
@@ -273,7 +285,7 @@ class PhiSequence:
         return out
 
     def inverse_at(self, n: int, y: float) -> float:
-        """Phi_n^{-1}(y) by monotone bisection (1e-12 relative)."""
+        """Phi_n^{-1}(y), the float where Phi_n reaches y (see ``phi_partial_inverse``)."""
         return float(phi_partial_inverse(self, n, y))
 
     def inverse_at_one_table(self, kmax: int) -> np.ndarray:
@@ -294,21 +306,7 @@ class PhiSequence:
 
     def _inverse_at_one(self, lo_k: int, hi_k: int) -> np.ndarray:
         ns = np.arange(lo_k, hi_k + 1, dtype=np.float64)
-        count = ns.size
-        ones = np.ones(count)
-        lo = np.zeros(count)
-        hi = np.ones(count)
-        for _ in range(200):
-            need = self.partial_rows(ns, hi) < ones
-            if not np.any(need):
-                break
-            hi[need] *= 2.0
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            below = self.partial_rows(ns, mid) < ones
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        return _bisect_increasing(lambda x: self.partial_rows(ns, x), np.ones(ns.size))
 
     def inverse_at_one_closed(self, ks: np.ndarray) -> np.ndarray | None:
         """Closed-form Phi_k^{-1}(1) for scan-scale work, or None."""
@@ -322,13 +320,21 @@ class PhiSequence:
         return None
 
 
-def phi_partial_inverse(Phi: PhiSequence, n: int, y: float) -> float:
-    """x with Phi_n(x) = y, via monotone bisection to 1e-12 relative."""
-    if y < 0:
+def phi_partial_inverse(Phi: PhiSequence, n, y):
+    """x with Phi_n(x) = y, elementwise over arrays of n and y.
+
+    The result is the adjacent-float transition of the monotone bisection:
+    the smallest float x with Phi_n(x) >= y, or the float just below it.
+    """
+    scalar = np.ndim(n) == 0 and np.ndim(y) == 0
+    ns, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(n, dtype=np.float64)),
+                                 np.atleast_1d(np.asarray(y, dtype=np.float64)))
+    if np.any(ns < 1):
+        raise ValueError("n must be >= 1")
+    if np.any(ys < 0):
         raise ValueError("y must be >= 0")
-    if y == 0:
-        return 0.0
-    return float(_bisect_increasing(lambda x: Phi.partial(n, x), y, rel=1e-13))
+    x = _bisect_increasing(lambda x: Phi.partial_rows(ns, x), ys)
+    return float(x[0]) if scalar else x
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +504,12 @@ def wu_bound_check(Phi: PhiSequence, x, p: float, var_budget: float):
     xs = np.asarray(x, dtype=np.float64)
     if np.any(xs < 0) or np.any(np.diff(xs) > 1e-12):
         raise ValueError("x must be nonincreasing and nonnegative")
-    total = sum(float(Phi.phi(j + 1, xj)) for j, xj in enumerate(xs))
+    total = float(np.sum(Phi.phi(np.arange(1, xs.size + 1), xs)))
     if total > var_budget * (1.0 + 1e-12) + 1e-15:
         raise ValueError("sum phi_j(x_j) exceeds the variation budget")
     lhs = float(np.sum(xs ** p) ** (1.0 / p)) if xs.size else 0.0
-    n = max(1, xs.size)
-    ms = np.arange(1, n + 1, dtype=np.float64)
-    invs = np.array([Phi.inverse_at(int(m), var_budget) for m in range(1, n + 1)])
-    rhs = 16.0 * float(np.max(ms ** (1.0 / p) * invs))
+    ms = np.arange(1, max(1, xs.size) + 1, dtype=np.float64)
+    rhs = 16.0 * float(np.max(ms ** (1.0 / p) * phi_partial_inverse(Phi, ms, var_budget)))
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-12))
 
 

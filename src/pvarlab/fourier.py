@@ -224,23 +224,25 @@ def omega_of(f: SampledFunction):
 # Convergence criterion sequences
 # ---------------------------------------------------------------------------
 
-def _criterion_prefixes(nu: ModulusOfVariation, p: float, n: int):
+def _split_objective(nu: ModulusOfVariation, omega, p: float, n: int):
+    """(omega(1/n), H_r, objective) for r = 1..n-1, and the minimizing split index.
+
+    The objective is omega(1/n) H_r + sum_{k>r} nu(k)/k^(1+1/p); ties go to
+    the smallest r.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    w = omega(1.0 / n)
     ks = np.arange(1, n, dtype=np.float64)  # 1..n-1
     harm = np.cumsum(1.0 / ks)
-    tail_terms = nu.table(n - 1) / ks ** (1.0 + 1.0 / p)
-    tail_cum = np.cumsum(tail_terms)
-    return harm, tail_cum
+    tail_cum = np.cumsum(nu.table(n - 1) / ks ** (1.0 + 1.0 / p))
+    obj = w * harm + (tail_cum[-1] - tail_cum)
+    return w, harm, obj, int(np.argmin(obj)) + 1
 
 
 def theta(nu: ModulusOfVariation, omega, p: float, n: int) -> int:
     """Smallest r in [1, n-1] minimizing omega(1/n) H_r + sum_{k>r} nu(k)/k^(1+1/p)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    w = omega(1.0 / n)
-    harm, tail_cum = _criterion_prefixes(nu, p, n)
-    total = tail_cum[-1]
-    obj = w * harm + (total - tail_cum)
-    return int(np.argmin(obj)) + 1
+    return _split_objective(nu, omega, p, n)[3]
 
 
 @dataclass(frozen=True)
@@ -255,13 +257,7 @@ class ConvergenceSequences:
 
 def convergence_sequences(nu: ModulusOfVariation, omega, p: float, n: int) -> ConvergenceSequences:
     """rho, sigma, tau, eta at n; tails are empty at n = 2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    w = omega(1.0 / n)
-    harm, tail_cum = _criterion_prefixes(nu, p, n)
-    total = tail_cum[-1]
-    obj = w * harm + (total - tail_cum)
-    th = int(np.argmin(obj)) + 1
+    w, harm, obj, th = _split_objective(nu, omega, p, n)
     head = w * harm[th - 1]
     rho = float(obj[th - 1])
 

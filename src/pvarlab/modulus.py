@@ -122,7 +122,12 @@ class ModulusValidation:
     ratio_vanishes: bool
 
 
-def _parse_candidate(candidate) -> ModulusOfVariation:
+def parse_modulus(candidate) -> ModulusOfVariation:
+    """Modulus from a spec string, a modulus, or a table of values.
+
+    Specs are ``power:<alpha>``, ``log`` and ``table:v1,v2,...``; the API and
+    the CLI both parse them here.
+    """
     if isinstance(candidate, ModulusOfVariation):
         return candidate
     if isinstance(candidate, str):
@@ -134,7 +139,9 @@ def _parse_candidate(candidate) -> ModulusOfVariation:
         if s.startswith("table:"):
             vals = [float(x) for x in s.split(":", 1)[1].split(",")]
             return ModulusOfVariation.from_table(vals)
-        raise ValueError(f"unknown modulus spec {candidate!r}")
+        raise ValueError(
+            f"unknown modulus spec {candidate!r} (power:<alpha>, log, table:v1,v2,...)"
+        )
     return ModulusOfVariation.from_table(candidate)
 
 
@@ -147,7 +154,7 @@ def validate_modulus(candidate, p: float, horizon: int = 4096) -> ModulusValidat
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    nu = _parse_candidate(candidate)  # constructors enforce the hard axioms
+    nu = parse_modulus(candidate)  # constructors enforce the hard axioms
 
     if nu.kind == "power":
         ratio_noninc = nu.alpha <= 1.0 / p

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import OrliczFunction, PhiSequence
+from .embeddings import OrliczFunction, PhiSequence, _bisect_increasing
 from .modulus import ModulusOfVariation, epsilon_p_table
 
 __all__ = [
@@ -56,56 +56,32 @@ def lorentz_norm(x, w, q: float) -> float:
     return float(np.sum(xs ** q * ws[: xs.size]) ** (1.0 / q))
 
 
-def orlicz_norm(x, phi: OrliczFunction) -> float:
-    """Luxemburg norm inf{c > 0 : sum phi(|x_j|/c) <= 1}; 0 for x = 0."""
+def _support(x) -> np.ndarray:
     xs = rearrange(x)
-    xs = xs[xs > 0]
+    return xs[xs > 0]
+
+
+def _luxemburg(xs: np.ndarray, modular) -> float:
+    """inf{c > 0 : modular(xs / c) <= 1}; ``modular`` sums down axis 0.
+
+    The modular decreases in c, so its negation goes through the increasing
+    inverse, one column of xs / c per target c.
+    """
     if xs.size == 0:
         return 0.0
-    # The modular c -> sum phi(x_j/c) decreases; bracket its crossing of 1.
-    hi = float(np.max(xs))
-    while float(np.sum(phi(xs / hi))) > 1.0:
-        hi *= 2.0
-    lo = hi
-    while float(np.sum(phi(xs / lo))) < 1.0 and lo > 1e-280:
-        lo /= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(phi(xs / mid))) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-11 * hi:
-            break
-    return float(hi)
+    return _bisect_increasing(lambda c: -modular(xs[:, None] / c), -1.0)
+
+
+def orlicz_norm(x, phi: OrliczFunction) -> float:
+    """Luxemburg norm inf{c > 0 : sum phi(|x_j|/c) <= 1}; 0 for x = 0."""
+    return _luxemburg(_support(x), lambda u: phi(u).sum(axis=0))
 
 
 def modular_norm(x, Phi: PhiSequence) -> float:
     """inf{c > 0 : sum phi_j(x*_j / c) <= 1} on the rearrangement."""
-    xs = rearrange(x)
-    xs = xs[xs > 0]
-    if xs.size == 0:
-        return 0.0
-    js = np.arange(1, xs.size + 1)
-
-    def modular(c):
-        return float(sum(float(Phi.phi(int(j), xj / c)) for j, xj in zip(js, xs)))
-
-    hi = float(np.max(xs))
-    while modular(hi) > 1.0:
-        hi *= 2.0
-    lo = hi
-    while modular(lo) < 1.0 and lo > 1e-280:
-        lo /= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if modular(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-11 * hi:
-            break
-    return float(hi)
+    xs = _support(x)
+    js = np.arange(1, xs.size + 1)[:, None]
+    return _luxemburg(xs, lambda u: Phi.phi(js, u).sum(axis=0))
 
 
 def fundamental_sequence(space: str, n: int, *, nu: ModulusOfVariation | None = None,

@@ -1,8 +1,11 @@
-"""Loop oracles for the backtracking DP and ``extrema_reduce``.
+"""Loop oracles for the DP kernels, ``extrema_reduce``, the Fourier layer
+and the inverse table.
 
 They sit beside ``pvariation_bruteforce`` as references for the vectorized
 library code.
 
+``dp_profile_loops``, ``dp1_profile_loops`` and ``shift_max_loops`` are the
+plain loop forms of the three ``_kernels`` profile and window kernels.
 ``dp_parent_loops`` is the plain O(n m^2) triple loop.  Its strict-improvement
 updates record, for each cell, the start of the interval ending there (-1 for
 skip), so ties prefer skipping and then the smallest start.
@@ -10,6 +13,8 @@ skip), so ties prefer skipping and then the smallest start.
 values once and keeps the endpoints and the point before each direction flip.
 ``fourier_coeffs_loop`` is the rectangle rule as an N x m trig matrix product,
 and ``trig_sum_loop`` sums weighted harmonics one at a time at any points.
+``inverse_at_one_loop`` is the fixed 120-halving bisection of
+Phi_k^{-1}(1) from the bracket [0, 2^j].
 """
 
 from __future__ import annotations
@@ -17,6 +22,69 @@ from __future__ import annotations
 import numpy as np
 
 from pvarlab import SampledFunction
+
+
+def dp_profile_loops(values, p, nmax):
+    m = values.shape[0]
+    prev = np.zeros(m)
+    out = np.zeros(nmax + 1)
+    for k in range(1, nmax + 1):
+        cur = np.zeros(m)
+        for i in range(1, m):
+            best = cur[i - 1]
+            for j in range(i):
+                d = values[i] - values[j]
+                if d < 0.0:
+                    d = -d
+                c = prev[j] + d ** p
+                if c > best:
+                    best = c
+            cur[i] = best
+        out[k] = cur[m - 1]
+        prev = cur
+    return out
+
+
+def dp1_profile_loops(values, nmax):
+    # p = 1: the inner max is carried as two running maxima, O(m * nmax).
+    m = values.shape[0]
+    prev = np.zeros(m)
+    out = np.zeros(nmax + 1)
+    for k in range(1, nmax + 1):
+        cur = np.zeros(m)
+        a = prev[0] - values[0]  # max_j prev[j] - v_j
+        b = prev[0] + values[0]  # max_j prev[j] + v_j
+        for i in range(1, m):
+            best = cur[i - 1]
+            c1 = a + values[i]
+            c2 = b - values[i]
+            if c1 > best:
+                best = c1
+            if c2 > best:
+                best = c2
+            cur[i] = best
+            if prev[i] - values[i] > a:
+                a = prev[i] - values[i]
+            if prev[i] + values[i] > b:
+                b = prev[i] + values[i]
+        out[k] = cur[m - 1]
+        prev = cur
+    return out
+
+
+def shift_max_loops(grid, values, delta, limit):
+    best = 0.0
+    m = grid.shape[0]
+    for i in range(limit):
+        j = i + 1
+        while j < m and grid[j] - grid[i] <= delta * (1.0 + 1e-15) + 1e-15:
+            d = values[j] - values[i]
+            if d < 0.0:
+                d = -d
+            if d > best:
+                best = d
+            j += 1
+    return best
 
 
 def dp_parent_loops(values, p, n):
@@ -97,3 +165,22 @@ def trig_sum_loop(c, n, x, weights):
     for k in range(1, n + 1):
         out += weights[k - 1] * (c.a[k - 1] * np.cos(k * x) + c.b[k - 1] * np.sin(k * x))
     return out
+
+
+def inverse_at_one_loop(Phi, lo_k, hi_k):
+    """[Phi_k^{-1}(1) for k = lo_k..hi_k]: double hi from 1, then 120 halvings from 0."""
+    ns = np.arange(lo_k, hi_k + 1, dtype=np.float64)
+    ones = np.ones(ns.size)
+    lo = np.zeros(ns.size)
+    hi = np.ones(ns.size)
+    for _ in range(200):
+        need = Phi.partial_rows(ns, hi) < ones
+        if not np.any(need):
+            break
+        hi[need] *= 2.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        below = Phi.partial_rows(ns, mid) < ones
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)

@@ -56,7 +56,7 @@ from pvarlab import (
 )
 from pvarlab.functions import make_random, make_square_wave, make_zigzag
 from pvarlab.kfunctional import bracket_count, kfunctional_bounds
-from pvarlab.verify import run_battery
+from pvarlab.cli import main
 
 SEED = 987654321
 
@@ -347,8 +347,9 @@ def test_norm_batteries():
             f"{'exact' if fund_ok else 'FAILED'}, square-wave decay sup {decay:.4f}")
 
 
-def test_verify_determinism():
-    r1, ok1 = run_battery(424242)
-    r2, ok2 = run_battery(424242)
-    _report("verify-determinism", ok1 and ok2 and r1 == r2,
-            f"battery {'passes' if ok1 else 'fails'}, reports identical: {r1 == r2}")
+def test_verify_determinism(tmp_path):
+    paths = [tmp_path / "r1.txt", tmp_path / "r2.txt"]
+    codes = [main(["verify", "--seed", "424242", "--out", str(path)]) for path in paths]
+    same = paths[0].read_bytes() == paths[1].read_bytes()
+    _report("verify-determinism", codes == [0, 0] and same,
+            f"exit codes {codes}, reports identical: {same}")

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from pvarlab import _kernels
+from pvarlab import _kernels, validate_modulus
 from pvarlab.cli import main
 from pvarlab.functions import from_spec
 
@@ -125,7 +125,67 @@ def test_pvar_json_format(tmp_path):
                "--format", "json", "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
-    assert data[0]["n"] == "1"
+    assert data[0]["n"] == 1
+
+
+def test_json_cells_are_numbers_when_finite(capsys):
+    argv = ["kfunc", "--function", "random:40", "--p", "1.5", "--t", "1,0.3,0.1"]
+    assert main(argv) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+    assert main(argv + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    for row, rec in zip(rows, data):
+        assert rec["case"] == row[5]
+        assert type(rec["M"]) is int and rec["M"] == int(row[1])
+        for col, cell in zip(("t", "lower", "upper", "ratio"), (row[0], *row[2:5])):
+            assert f"{rec[col]:.12g}" == cell
+    # a zero lower bound gives ratio inf, which JSON cannot hold as a number
+    assert main(["kfunc", "--values", "1,1,1", "--p", "1", "--t", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["ratio"] == "inf"
+
+
+def test_kfunc_jobs_profile_the_input_once(monkeypatch, capsys):
+    from pvarlab import kfunctional
+
+    values = from_spec("random:200").values
+    widths = []
+    profile = kfunctional.pvariation_profile
+
+    def counted(f, p, n_max):
+        if np.array_equal(f.values, values):
+            widths.append(n_max)
+        return profile(f, p, n_max)
+
+    monkeypatch.setattr(kfunctional, "pvariation_profile", counted)
+    argv = ["kfunc", "--function", "random:200", "--p", "2", "--t", "1,0.5,0.25,0.1,0.05"]
+    assert main(argv) == 0
+    one = capsys.readouterr().out
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == one
+    assert widths == [400, 400]
+
+
+@pytest.mark.parametrize("spec", ["LOG", " log ", "power:", "table:", "table:1,x", "banana",
+                                  "power:0.5", "table:1,2,3"])
+def test_nu_specs_same_in_api_and_cli(spec, capsys):
+    accepted = spec in ("LOG", " log ", "power:0.5", "table:1,2,3")
+    if accepted:
+        validate_modulus(spec, 1.0)
+    else:
+        with pytest.raises(ValueError):
+            validate_modulus(spec, 1.0)
+    rc = main(["seqnorm", "--space", "marcinkiewicz", "--n", "3", "--nu", spec, "--p", "1"])
+    out, err = capsys.readouterr()
+    assert rc == (0 if accepted else 2)
+    assert (out == "") != accepted
+    if spec == "banana":
+        assert "(power:<alpha>, log, table:v1,v2,...)" in err
+
+
+@pytest.mark.parametrize("space", [["orlicz", "--q", "2"], ["modular", "--phi", "power:2"]])
+def test_seqnorm_at_tiny_scale(space, capsys):
+    assert main(["seqnorm", "--space", *space, "--x", "3e-300,4e-300"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",x,5e-300")
 
 
 def test_kfunc_validation_exit_code():
@@ -244,14 +304,6 @@ def test_bad_log_level_env():
     assert proc.returncode == 2
     assert "PVARLAB_LOG" in proc.stderr
     assert proc.stdout == ""
-
-
-def test_verify_deterministic(tmp_path):
-    a = tmp_path / "r1.txt"
-    b = tmp_path / "r2.txt"
-    assert main(["verify", "--seed", "7", "--out", str(a)]) == 0
-    assert main(["verify", "--seed", "7", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_embed_witness_cheap_pair(tmp_path):

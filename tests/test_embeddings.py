@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import inverse_at_one_loop
 from pvarlab import (
     LambdaSequence,
     ModulusOfVariation,
+    OrliczFunction,
     PhiSequence,
     SampledFunction,
     WitnessBudget,
@@ -59,6 +61,41 @@ def test_phi_partial_inverse_closed_forms():
     assert phi_partial_inverse(Phe, 3, 0.0) == 0.0
     with pytest.raises(ValueError):
         phi_partial_inverse(Phe, 1, -1.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_phi_partial_inverse_across_magnitudes(n):
+    Phi = PhiSequence.power_all(2.0)
+    ys = 10.0 ** np.arange(-300, 301, 25)
+    xs = phi_partial_inverse(Phi, n, ys)
+    for x, y in zip(xs, ys):
+        assert abs(x / math.sqrt(y / n) - 1.0) <= 1e-15
+        assert phi_partial_inverse(Phi, n, y) == x  # one target at a time, same float
+    ms = np.unique(np.geomspace(1, n, 12).astype(int))
+    assert np.array_equal(phi_partial_inverse(Phi, ms, 1.0),
+                          [phi_partial_inverse(Phi, int(m), 1.0) for m in ms])
+
+
+def test_bisected_orlicz_inverse_across_magnitudes():
+    cube = OrliczFunction("cube", lambda x: x ** 3)
+    ys = np.array([1e-200, 8.0, 1e200])
+    xs = cube.inverse(ys)
+    assert xs[1] == 2.0
+    assert np.all(np.abs(xs / np.cbrt(ys) - 1.0) <= 1e-15)
+    with pytest.raises(ValueError, match="float range"):
+        OrliczFunction("capped", lambda x: np.minimum(x, 1.0)).inverse(2.0)
+
+
+@pytest.mark.parametrize("Phi", [
+    PhiSequence.power_all(1.0),
+    PhiSequence.power_all(2.0),
+    PhiSequence.orlicz_all(exp_orlicz()),
+    PhiSequence.orlicz_over_lambda(power_orlicz(3.0), LambdaSequence.harmonic()),
+    PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.power(0.5)),
+], ids=["power1", "power2", "exp", "harmonic-power3", "lambda0.5-power2"])
+def test_inverse_table_matches_the_120_halving_oracle(Phi):
+    table = Phi.inverse_at_one_table(100_000)
+    assert table.tobytes() == inverse_at_one_loop(Phi, 1, 100_000).tobytes()
 
 
 @pytest.mark.parametrize("Phi", [

@@ -1,11 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from oracles import backtrack_take, dp_parent_loops
+from oracles import (backtrack_take, dp1_profile_loops, dp_parent_loops, dp_profile_loops,
+                     shift_max_loops)
 from pvarlab import SampledFunction, _kernels, extrema_reduce
 from pvarlab.variation import _backtrack
 
@@ -13,12 +10,9 @@ from pvarlab.variation import _backtrack
 @pytest.mark.parametrize("m,p,n", [(8, 2.0, 3), (40, 1.5, 6), (120, 3.0, 10)])
 def test_profile_backends_agree(m, p, n, rng):
     values = rng.uniform(-2, 2, m)
-    a = _kernels._dp_profile_numpy(values, p, n)
-    b = _kernels._dp_profile_loops(values, p, n)
+    a = _kernels.dp_profile_pow(values, p, n)
+    b = dp_profile_loops(values, p, n)
     assert np.allclose(a, b, atol=1e-12)
-    if _kernels.USE_NUMBA:
-        c = _kernels._dp_profile_jit(values, p, n)
-        assert np.allclose(a, c, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -40,20 +34,17 @@ def test_profile_kernel_is_last_column_of_parent_table(rng):
     values = rng.uniform(-2, 2, 50)
     for p in (1.5, 2.0, 3.0):
         table, _ = _kernels.dp_with_parents(values, p, 9)
-        assert np.array_equal(table[:, -1], _kernels._dp_profile_numpy(values, p, 9))
+        assert np.array_equal(table[:, -1], _kernels.dp_profile_pow(values, p, 9))
 
 
 @pytest.mark.parametrize("m,n", [(10, 4), (64, 12), (300, 25)])
 def test_dp1_backends_agree(m, n, rng):
     values = rng.uniform(-2, 2, m)
-    a = _kernels._dp1_values_numpy(values, n)
-    b = _kernels._dp1_values_loops(values, n)
+    a = _kernels.dp1_profile(values, n)
+    b = dp1_profile_loops(values, n)
     assert np.allclose(a, b, atol=1e-12)
-    full = _kernels._dp_profile_numpy(values, 1.0, n)
+    full = _kernels.dp_profile_pow(values, 1.0, n)
     assert np.allclose(a, full, atol=1e-10)
-    if _kernels.USE_NUMBA:
-        c = _kernels._dp1_values_jit(values, n)
-        assert np.allclose(a, c, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "integer"])
@@ -77,37 +68,6 @@ def test_shift_max_backends_agree(rng):
     g = np.sort(rng.uniform(0, 1, 60))
     v = rng.uniform(-1, 1, 60)
     for delta in (0.05, 0.2, 0.9):
-        a = _kernels._shift_max_numpy(g, v, delta, 60)
-        b = _kernels._shift_max_loops(g, v, delta, 60)
+        a = _kernels.shift_max(g, v, delta, 60)
+        b = shift_max_loops(g, v, delta, 60)
         assert a == pytest.approx(b, abs=1e-15)
-
-
-def test_env_flag_selects_numpy_backend():
-    code = "import pvarlab; print(pvarlab.backend_name())"
-    env = dict(os.environ, PVARLAB_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_numpy_backend_full_pipeline():
-    code = (
-        "import numpy as np, pvarlab as pv\n"
-        "f = pv.SampledFunction(np.linspace(0,1,5), [0,1,0,1,0])\n"
-        "v, _ = pv.pvariation_dp(f, 2.0, 3)\n"
-        "assert abs(v - 3**0.5) < 1e-12, v\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, PVARLAB_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "ok"
-
-
-def test_bench_runs_both_paths():
-    from pvarlab import bench
-
-    rows = bench.run(sizes=(32,), n_max=4)
-    assert len(rows) == 2
-    for r in rows:
-        assert r["max_abs_gap"] <= 1e-12

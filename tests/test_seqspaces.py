@@ -67,6 +67,16 @@ def test_modular_examples():
     Phi_lam = PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic())
     assert modular_norm([1, 1], Phi_lam) == pytest.approx(math.sqrt(1.5), rel=1e-10)
     assert modular_norm([1, 0], PhiSequence.power_all(2.0)) == pytest.approx(1.0, rel=1e-10)
+    Phi_custom = PhiSequence.custom([lambda u: u ** 2] * 3)  # evaluated one phi_j at a time
+    assert modular_norm(x, Phi_custom) == pytest.approx(modular_norm(x, Phi_sq), rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_luxemburg_norms_across_magnitudes(s):
+    for a, b, c in ((3.0, 4.0, 5.0), (5.0, 12.0, 13.0)):
+        x = np.array([a, b]) * s
+        assert abs(orlicz_norm(x, power_orlicz(2.0)) / (c * s) - 1.0) <= 1e-15
+        assert abs(modular_norm(x, PhiSequence.power_all(2.0)) / (c * s) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("norm", [
