@@ -306,6 +306,14 @@ def test_bad_log_level_env():
     assert proc.stdout == ""
 
 
+def test_verify_deterministic(tmp_path):
+    a = tmp_path / "r1.txt"
+    b = tmp_path / "r2.txt"
+    assert main(["verify", "--seed", "7", "--out", str(a)]) == 0
+    assert main(["verify", "--seed", "7", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_embed_witness_cheap_pair(tmp_path):
     out = tmp_path / "w.json"
     rc = main(["embed", "--phi", "lambda:2", "--nu", "power:0.5", "--p", "1",
