@@ -176,10 +176,7 @@ def _cmd_fourier(args) -> int:
         f = _load_function(args)
         nu = parse_modulus(args.nu)
         n_max = args.n_max or 64
-        c = fr.fourier_coeffs(f, n_max)
-        mags = np.hypot(c.a, c.b)
-        ns = np.arange(1, n_max + 1, dtype=np.float64)
-        ratios = mags * ns ** (1.0 / args.p) / nu.table(n_max)
+        ratios = fr.coeff_decay_ratios(f, nu, args.p, n_max)
         rows = [f"{n},{_fmt(r)}" for n, r in zip(range(1, n_max + 1), ratios)]
         _emit_rows(args, "n,coeff_ratio", rows)
         return 0

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .modulus import ModulusOfVariation
+from .modulus import ModulusOfVariation, _check_p
 from .sampled import SampledFunction, extrema_reduce
 from .variation import pvariation_dp
 
@@ -398,6 +398,7 @@ def embedding_criterion(Phi: PhiSequence, nu: ModulusOfVariation, p: float, hori
     attained over the first ``ref_fraction`` of the horizon; Embeds when the
     tail has stopped increasing; otherwise Inconclusive.
     """
+    _check_p(p)
     if horizon < 8:
         raise ValueError("horizon must be >= 8")
     ks = np.arange(1, horizon + 1, dtype=np.float64)
@@ -415,6 +416,7 @@ def corollary_criteria(case: str, nu: ModulusOfVariation, p: float, horizon: int
                        tail_tol: float = 1e-9) -> CriterionReport:
     """Case-specific embedding expressions, cross-checked against the generic
     criterion on the induced Phi-sequence (max gap must stay within 1e-9)."""
+    _check_p(p)
     if case not in _COROLLARY_CASES:
         raise ValueError(f"case must be one of {_COROLLARY_CASES}")
     ks = np.arange(1, horizon + 1, dtype=np.float64)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import _kernels
-from .modulus import ModulusOfVariation, epsilon_p_table
+from .modulus import ModulusOfVariation, _check_p, epsilon_p_table
 from .sampled import SampledFunction
 
 TWO_PI = 2.0 * math.pi
@@ -230,6 +230,7 @@ def _split_objective(nu: ModulusOfVariation, omega, p: float, n: int):
     The objective is omega(1/n) H_r + sum_{k>r} nu(k)/k^(1+1/p); ties go to
     the smallest r.
     """
+    _check_p(p)
     if n < 2:
         raise ValueError("n must be >= 2")
     w = omega(1.0 / n)
@@ -337,6 +338,7 @@ def unif2_verdicts(nu: ModulusOfVariation, p: float, horizon: int) -> Unif2Repor
     boundary at finite horizons); the raw partials make this auditable.
     Table moduli fall back to the increment heuristic.
     """
+    _check_p(p)
     if horizon < 16:
         raise ValueError("horizon must be >= 16")
     terms = _series_terms(nu, p, horizon)
@@ -362,12 +364,18 @@ def unif2_verdicts(nu: ModulusOfVariation, p: float, horizon: int) -> Unif2Repor
     )
 
 
+def coeff_decay_ratios(f: SampledFunction, nu: ModulusOfVariation, p: float,
+                       N: int) -> np.ndarray:
+    """|f^(n)| n^(1/p) / nu(n) for 1 <= n <= N."""
+    _check_p(p)
+    c = fourier_coeffs(f, N)
+    ns = np.arange(1, N + 1, dtype=np.float64)
+    return np.hypot(c.a, c.b) * ns ** (1.0 / p) / nu.table(N)
+
+
 def coeff_decay_report(f: SampledFunction, nu: ModulusOfVariation, p: float, N: int) -> float:
     """sup over 1 <= n <= N of |f^(n)| n^(1/p) / nu(n)."""
-    c = fourier_coeffs(f, N)
-    mags = np.hypot(c.a, c.b)
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    return float(np.max(mags * ns ** (1.0 / p) / nu.table(N)))
+    return float(np.max(coeff_decay_ratios(f, nu, p, N)))
 
 
 def sine_integral_lower(a: int, b: int, n: int):

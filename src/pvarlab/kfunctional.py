@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampled import SampledFunction
-from .variation import _check_p, pvariation_profile
+from .modulus import _check_p
+from .variation import pvariation_profile
 
 __all__ = [
     "PLFunction",
@@ -119,7 +120,7 @@ def select_knots(f: SampledFunction, M: int, p: float, profile=None):
     ups = _profile_upto(f, p, M, profile)[M - 1]
     threshold = ups / M ** (1.0 / p)
     knots = [0.0]
-    if threshold <= _CROSSING_TOL * (1.0 + f.sup_abs()):
+    if threshold <= _CROSSING_TOL * f.sup_abs():  # relative: K(cf, t) = c K(f, t)
         knots.append(1.0)
         return np.asarray(knots), "II"
 
@@ -209,7 +210,7 @@ def kfunctional_bounds(f: SampledFunction, t: float, p: float, profile=None) -> 
     err = _sup_diff(f, g)
     upper = err + t * var_g
 
-    tol = 1e-9 * (1.0 + ups)
+    tol = 1e-9 * ups  # relative, so the certificates keep their meaning at any scale
     if var_g > ups + tol:
         raise RuntimeError("approximant variation exceeds v_p(M, f)")
     if err > 2.0 * ups / M ** (1.0 / p) + tol:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,12 @@ __all__ = [
 ]
 
 _CONCAVITY_SLACK = 1e-12
+
+
+def _check_p(p: float, name: str = "p"):
+    """The one rule for an exponent such as p, shared by the API and the CLI."""
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"{name} must be finite and >= 1, got {p!r}")
 
 
 class ModulusOfVariation:
@@ -152,8 +159,7 @@ def validate_modulus(candidate, p: float, horizon: int = 4096) -> ModulusValidat
     nu(k)/k^(1/p) provably fails to decrease to zero (closed-form families).
     For tables the ratio is checked over the table only.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     nu = parse_modulus(candidate)  # constructors enforce the hard axioms
 
     if nu.kind == "power":

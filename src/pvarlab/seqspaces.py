@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .embeddings import OrliczFunction, PhiSequence, _bisect_increasing
-from .modulus import ModulusOfVariation, epsilon_p_table
+from .modulus import ModulusOfVariation, _check_p, epsilon_p_table
 
 __all__ = [
     "rearrange",
@@ -38,6 +38,7 @@ def rearrange(x) -> np.ndarray:
 
 def marcinkiewicz_norm(x, nu: ModulusOfVariation, p: float) -> float:
     """sup_n (sum_{j<=n} (x*_j)^p)^(1/p) / nu(n) over the support length."""
+    _check_p(p)
     xs = rearrange(x)
     if xs.size == 0 or xs[0] == 0.0:
         return 0.0
@@ -46,7 +47,8 @@ def marcinkiewicz_norm(x, nu: ModulusOfVariation, p: float) -> float:
 
 
 def lorentz_norm(x, w, q: float) -> float:
-    """(sum (x*_j)^q w_j)^(1/q) for a nonincreasing positive weight."""
+    """(sum (x*_j)^q w_j)^(1/q) for a nonincreasing positive weight and finite q >= 1."""
+    _check_p(q, "q")
     xs = rearrange(x)
     ws = _as_seq(w)
     if np.any(ws <= 0) or np.any(np.diff(ws) > 1e-15):
@@ -119,6 +121,7 @@ def dual_harmonic_estimate(nu: ModulusOfVariation, p: float, horizon: int):
     The first sum is the pairing of {1/k} with the extremal unit vector
     {eps_p(k)} of the Marcinkiewicz ball, the second the dual-norm bound.
     """
+    _check_p(p)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     ks = np.arange(1, horizon + 1, dtype=np.float64)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .modulus import ModulusOfVariation
+from .modulus import ModulusOfVariation, _check_p
 from .sampled import SampledFunction, extrema_reduce
 
 __all__ = [
@@ -100,11 +100,6 @@ def _padded(prof: np.ndarray, n: int) -> np.ndarray:
     if n > prof.size:
         prof = np.concatenate([prof, np.full(n - prof.size, prof[-1])])
     return prof
-
-
-def _check_p(p: float):
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError(f"p must be finite and >= 1, got {p!r}")
 
 
 def _check_scale(values: np.ndarray, p: float, n: int):

@@ -1,7 +1,9 @@
 """Acceptance battery: one test per criterion, each printing a PASS/FAIL line.
 
-Tolerances and budgets are pinned here.  Two constants differ from naive
-expectations and are deliberate (see notes in the repository history):
+Each criterion is computed by its one function in ``pvarlab.verify``; this
+module draws the cases and pins the tolerances and budgets.  Two constants
+differ from naive expectations and are deliberate (see notes in the
+repository history):
 
 * The K-functional sandwich is certified as lower/2 <= upper <= 5*lower with
   lower = t*v_p(M, f).  The constant 1/2 is forced by |h(b)-h(a)| <= 2*sup|h|
@@ -18,7 +20,6 @@ expectations and are deliberate (see notes in the repository history):
 import time
 
 import numpy as np
-import pytest
 
 from pvarlab import (
     LambdaSequence,
@@ -28,34 +29,12 @@ from pvarlab import (
     PhiSequence,
     SampledFunction,
     coeff_decay_report,
-    corollary_criteria,
-    dual_harmonic_estimate,
-    embedding_criterion,
     exp_orlicz,
-    fejer_kernel_integral,
-    fejer_mean,
-    fourier_coeffs,
-    lorentz_norm,
-    marcinkiewicz_norm,
-    modular_norm,
-    orlicz_norm,
-    pl_interpolate,
     power_orlicz,
-    pvariation_bruteforce,
-    pvariation_dp,
-    pvariation_profile,
-    q_sequence,
-    rearrange,
-    sine_integral_lower,
-    theta,
-    unif2_verdicts,
-    varp_pl,
-    vpnu_norm,
     witness_generate,
-    wu_bound_check,
 )
+from pvarlab import verify as inv
 from pvarlab.functions import make_random, make_square_wave, make_zigzag
-from pvarlab.kfunctional import bracket_count, kfunctional_bounds
 from pvarlab.cli import main
 
 SEED = 987654321
@@ -69,38 +48,29 @@ def _report(name: str, ok: bool, detail: str):
 def test_dp_oracle_equivalence():
     rng = np.random.default_rng(SEED)
     t0 = time.perf_counter()
-    worst = 0.0
-    cases = 0
+    cases = []
     for _ in range(520):
         f = make_random(rng, int(rng.integers(4, 14)))
         n = int(rng.integers(1, 6))
-        for p in (1.0, 1.5, 2.0, 3.0):
-            bf, _ = pvariation_bruteforce(f, p, n)
-            dp, _ = pvariation_dp(f, p, n)
-            worst = max(worst, abs(bf - dp) / (1.0 + bf))
-            cases += 1
+        cases += [(f, p, n) for p in (1.0, 1.5, 2.0, 3.0)]
+    worst = float(np.max(inv.dp_oracle_gaps(cases)))
     elapsed = time.perf_counter() - t0
     _report(
         "dp-oracle-equivalence",
-        worst <= 1e-12 and elapsed < 60.0 and cases >= 2000,
-        f"{cases} cases, worst gap {worst:.3e}, {elapsed:.1f}s",
+        worst <= 1e-12 and elapsed < 60.0 and len(cases) >= 2000,
+        f"{len(cases)} cases, worst gap {worst:.3e}, {elapsed:.1f}s",
     )
 
 
 def test_holder_chain():
     rng = np.random.default_rng(SEED + 1)
-    violations = 0
-    cases = 0
+    cases = []
     for _ in range(520):
         f = make_random(rng, int(rng.integers(4, 14)))
         n = int(rng.integers(1, 6))
-        u1, _ = pvariation_dp(f, 1.0, n)
-        for p in (1.5, 2.0, 3.0):
-            up, _ = pvariation_dp(f, p, n)
-            if up > u1 + 1e-12 or u1 > up * n ** (1.0 - 1.0 / p) + 1e-12:
-                violations += 1
-            cases += 1
-    _report("holder-chain", violations == 0, f"{cases} cases, {violations} violations")
+        cases += [(f, p, n) for p in (1.5, 2.0, 3.0)]
+    violations = int(np.sum(inv.holder_chain_excess(cases) > 1e-12))
+    _report("holder-chain", violations == 0, f"{len(cases)} cases, {violations} violations")
 
 
 def test_kfunctional_sandwich():
@@ -109,32 +79,16 @@ def test_kfunctional_sandwich():
           SampledFunction(np.linspace(0, 1, 33), np.sin(9 * np.linspace(0, 1, 33)))]
     fs += [make_random(rng, int(rng.integers(5, 40))) for _ in range(47)]
     ts = [1.0, 0.77, 0.5, 0.33, 0.25, 0.17, 0.11, 0.06]
-    min_ratio, max_ratio = np.inf, -np.inf
-    cert_ok = True
-    for f in fs:
-        for t in ts:
-            p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-            try:
-                ks = kfunctional_bounds(f, t, p)  # raises on pVarEst/LInfEst failure
-            except RuntimeError:
-                cert_ok = False
-                continue
-            if ks.lower > 0:
-                min_ratio = min(min_ratio, ks.ratio)
-                max_ratio = max(max_ratio, ks.ratio)
-    comp_ok = True
+    ratios = inv.kfunctional_ratios(
+        [(f, t, float(rng.choice([1.0, 1.5, 2.0, 3.0]))) for f in fs for t in ts])
+    cert_ok = not np.any(np.isinf(ratios))
+    ratios = ratios[np.isfinite(ratios)]
+    min_ratio, max_ratio = np.min(ratios, initial=np.inf), np.max(ratios, initial=-np.inf)
     f = make_random(rng, 31)
-    for t in (0.9, 0.41, 0.13):
-        p = 2.0
-        M = bracket_count(t, p)
-        prof = pvariation_profile(f, p, M)
-        lower = t * prof[M - 1]
-        for _ in range(200):
-            idx = np.unique(np.concatenate([[0, 30], rng.choice(31, int(rng.integers(2, 10)))]))
-            g = pl_interpolate(f, idx)
-            cost = float(np.max(np.abs(f.values - g(f.grid)))) + t * varp_pl(g, p)
-            if cost < 0.5 * lower - 1e-10:
-                comp_ok = False
+    knot_sets = {t: [np.unique(np.concatenate([[0, 30], rng.choice(31, int(rng.integers(2, 10)))]))
+                     for _ in range(200)] for t in (0.9, 0.41, 0.13)}
+    comp_ok = bool(np.max(inv.competitor_excess(
+        [(f, t, 2.0, idxs) for t, idxs in knot_sets.items()])) <= 1e-10)
     ok = cert_ok and comp_ok and max_ratio <= 5.0 + 1e-9 and min_ratio >= 0.5 - 1e-9
     _report(
         "kfunctional-sandwich",
@@ -147,18 +101,10 @@ def test_kfunctional_sandwich():
 
 def test_q_weight_bounds():
     t0 = time.perf_counter()
-    ks = np.arange(1, 1_000_001, dtype=np.float64)
-    ok = True
-    worst = 0.0
-    for p in (1.0, 1.5, 2.0, 4.0):
-        q = q_sequence(p, ks)
-        hi_gap = float(np.max(q) - 2.0 ** (-1.0 / p))
-        lo_gap = float((1.0 - 1.0 / p) - np.min(q))
-        inc = float(np.max(np.diff(q)))
-        worst = max(worst, hi_gap, lo_gap, inc)
-        ok = ok and hi_gap <= 1e-12 and lo_gap <= 1e-12 and inc <= 1e-12
+    worst = float(np.max(inv.q_bound_excess((1.0, 1.5, 2.0, 4.0), 1_000_000)))
     elapsed = time.perf_counter() - t0
-    _report("q-weight-bounds", ok and elapsed < 5.0, f"worst excess {worst:.2e}, {elapsed:.2f}s")
+    _report("q-weight-bounds", worst <= 1e-12 and elapsed < 5.0,
+            f"worst excess {worst:.2e}, {elapsed:.2f}s")
 
 
 def test_sine_integral_matrix():
@@ -172,68 +118,42 @@ def test_sine_integral_matrix():
         a = int(rng.integers(2, 40))
         b = a + int(rng.integers(1, a + 1))
         cases.append((a, b, int(rng.integers(1, 4)) * b))
-    worst = np.inf
-    for a, b, n in cases:
-        lhs, rhs = sine_integral_lower(a, b, n)
-        worst = min(worst, lhs - rhs)
+    worst = -float(np.max(inv.sine_integral_excess(cases)))
     _report("sine-integral", worst >= -1e-12, f"50 cases, min(lhs-rhs) = {worst:.3e}")
 
 
 def test_theta_bracket_sweep():
     families = [
-        (OmegaLog(), ModulusOfVariation.power(0.25), 2.0),
-        (OmegaLog(), ModulusOfVariation.power(0.5), 1.0),
-        (OmegaLog(), ModulusOfVariation.log(), 1.0),
-        (OmegaPower(0.2), ModulusOfVariation.power(0.25), 2.0),
-        (OmegaPower(1 / 3), ModulusOfVariation.power(1 / 8), 2.0),
-        (OmegaPower(0.5), ModulusOfVariation.power(0.25), 2.0),
+        (ModulusOfVariation.power(0.25), OmegaLog(), 2.0),
+        (ModulusOfVariation.power(0.5), OmegaLog(), 1.0),
+        (ModulusOfVariation.log(), OmegaLog(), 1.0),
+        (ModulusOfVariation.power(0.25), OmegaPower(0.2), 2.0),
+        (ModulusOfVariation.power(1 / 8), OmegaPower(1 / 3), 2.0),
+        (ModulusOfVariation.power(0.25), OmegaPower(0.5), 2.0),
     ]
-    worst = 0.0
-    checked = 0
-    for om, nu, p in families:
-        for n in range(2, 1025):
-            th = theta(nu, om, p, n)
-            w = om(1.0 / n)
-            if th < n - 1:
-                worst = max(worst, nu.value(th + 1) / (th + 1) ** (1.0 / p) - w)
-                checked += 1
-            if th >= 2:
-                worst = max(worst, w - nu.value(th) / th ** (1.0 / p))
-                checked += 1
-    _report("theta-bracket", worst <= 1e-12, f"{checked} bracket sides, worst excess {worst:.2e}")
+    sides = inv.theta_bracket_excess(families, range(2, 1025))
+    worst = float(np.max(sides, initial=0.0))
+    _report("theta-bracket", worst <= 1e-12,
+            f"{sides.size} bracket sides, worst excess {worst:.2e}")
 
 
 def test_unif2_agreement():
-    ok = True
-    sandwich_ok = True
-    for nu in (ModulusOfVariation.power(1 / 8), ModulusOfVariation.power(1 / 4),
-               ModulusOfVariation.power(1 / 2), ModulusOfVariation.log()):
-        for p in (1.0, 2.0):
-            rep = unif2_verdicts(nu, p, 100_000)
-            ok = ok and rep.agree
-            for h in (64, 1_000, 50_000, 100_000):
-                lo, up = dual_harmonic_estimate(nu, p, h)
-                sandwich_ok = sandwich_ok and lo <= up + 1e-12
+    nus = (ModulusOfVariation.power(1 / 8), ModulusOfVariation.power(1 / 4),
+           ModulusOfVariation.power(1 / 2), ModulusOfVariation.log())
+    ok = not np.any(inv.unif2_disagreements([(nu, p, 100_000) for nu in nus for p in (1.0, 2.0)]))
+    sandwich_ok = bool(np.max(inv.dual_gaps(
+        [(nu, p, h) for nu in nus for p in (1.0, 2.0) for h in (64, 1_000, 50_000, 100_000)]))
+        <= 1e-12)
     _report("unif2-verdicts", ok and sandwich_ok,
             f"verdict agreement {'ok' if ok else 'FAILED'}, "
             f"dual sandwich {'ok' if sandwich_ok else 'FAILED'}")
 
 
 def test_fejer_identities():
-    worst = 0.0
-    for n in range(0, 51):
-        worst = max(worst, abs(fejer_kernel_integral(n) - np.pi))
-    nu = ModulusOfVariation.power(0.5)
-    contraction = 0.0
-    for f in (make_square_wave(256), make_square_wave(512), make_zigzag_periodic()):
-        c = fourier_coeffs(f, 24)
-        for n in (8, 24):
-            fn = SampledFunction(f.grid, fejer_mean(c, n, f.grid), periodic=True,
-                                 period=f.period)
-            vf, _ = vpnu_norm(f, nu, 2.0, 16)
-            vfn, _ = vpnu_norm(fn, nu, 2.0, 16)
-            if vf > 0:
-                contraction = max(contraction, vfn / vf)
+    worst = float(np.max(inv.fejer_kernel_gaps(range(0, 51))))
+    contraction = float(np.max(inv.fejer_contraction(
+        [(f, 24, n) for f in (make_square_wave(256), make_square_wave(512),
+                              make_zigzag_periodic()) for n in (8, 24)], 16), initial=0.0))
     _report("fejer-identities", worst <= 1e-8 and contraction <= 1.05,
             f"kernel gap {worst:.2e}, contraction factor {contraction:.4f}")
 
@@ -246,23 +166,19 @@ def make_zigzag_periodic():
 
 def test_embedding_consistency():
     lam = LambdaSequence.harmonic()
-    nu = ModulusOfVariation.power(0.5)
-    gap = 0.0
-    for case, kw in [("BVq", {"q": 2.0}),
-                     ("Salem", {"phi": power_orlicz(2.0)}),
-                     ("LambdaBV", {"lam": lam}),
-                     ("WatermanShiba", {"lam": lam, "q": 2.0}),
-                     ("PhiLambda", {"lam": lam, "phi": exp_orlicz()})]:
-        rep = corollary_criteria(case, nu, 2.0, 4096, **kw)
-        gap = max(gap, rep.crosscheck_gap or 0.0)
-    known = corollary_criteria("BVq", nu, 1.0, 4096, q=2.0)
-    trace_one = bool(np.allclose(known.trace, 1.0, atol=1e-12))
-    fails = embedding_criterion(PhiSequence.power_all(2.0), ModulusOfVariation.log(),
-                                1.0, 100_000)
-    ok = gap <= 1e-9 and known.verdict == "Embeds" and trace_one and fails.verdict == "Fails"
+    gap = float(np.max(inv.crosscheck_gaps(
+        [("BVq", {"q": 2.0}),
+         ("Salem", {"phi": power_orlicz(2.0)}),
+         ("LambdaBV", {"lam": lam}),
+         ("WatermanShiba", {"lam": lam, "q": 2.0}),
+         ("PhiLambda", {"lam": lam, "phi": exp_orlicz()})],
+        ModulusOfVariation.power(0.5), 2.0, 4096), initial=0.0))
+    excess, (known, fails) = inv.known_embedding_answers()
+    trace_one = bool(np.max(excess) <= 1e-12)
+    ok = gap <= 1e-9 and trace_one
     _report("embedding-consistency", ok,
             f"max crosscheck gap {gap:.2e}, known answers "
-            f"({known.verdict}, trace==1: {trace_one}; {fails.verdict})")
+            f"({known}, trace==1: {trace_one}; {fails})")
 
 
 def test_witness_soundness():
@@ -298,48 +214,27 @@ def test_wu_inequality():
         PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic()),
         PhiSequence.custom([lambda x, j=j: x ** 2 / (j + 1) for j in range(12)]),
     ]
-    violations = 0
-    cases = 0
-    for Phi in kinds:
-        for _ in range(300):
-            n = int(rng.integers(1, 12))
-            x = np.sort(rng.uniform(0, 2, n))[::-1]
-            budget = sum(float(Phi.phi(j + 1, v)) for j, v in enumerate(x)) * \
-                float(rng.uniform(1.0, 2.0)) + 1e-12
-            p = float(rng.choice([1.5, 2.0, 3.0]))
-            _, _, holds = wu_bound_check(Phi, x, p, budget)
-            violations += 0 if holds else 1
-            cases += 1
-    _report("wu-inequality", violations == 0, f"{cases} instances, {violations} violations")
+    cases = [(Phi, np.sort(rng.uniform(0, 2, int(rng.integers(1, 12))))[::-1],
+              float(rng.uniform(1.0, 2.0)), float(rng.choice([1.5, 2.0, 3.0])))
+             for Phi in kinds for _ in range(300)]
+    violations = int(np.sum(inv.wu_violations(
+        [(Phi, x, p, factor) for Phi, x, factor, p in cases], 1e-12)))
+    _report("wu-inequality", violations == 0, f"{len(cases)} instances, {violations} violations")
 
 
 def test_norm_batteries():
     rng = np.random.default_rng(SEED + 5)
-    nu = ModulusOfVariation.power(0.5)
-    w = 1.0 / np.arange(1, 40, dtype=np.float64)
-    Phi = PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic())
-    norms = {
-        "marcinkiewicz": lambda v: marcinkiewicz_norm(v, nu, 2.0),
-        "lorentz": lambda v: lorentz_norm(v, w, 1.0),
-        "orlicz": lambda v: orlicz_norm(v, power_orlicz(2.0)),
-        "modular": lambda v: modular_norm(v, Phi),
-    }
     worst = 0.0
-    for name, norm in norms.items():
+    for norm in inv.SEQUENCE_NORMS:
+        cases = []
         for _ in range(200):
             n = int(rng.integers(1, 14))
             x = rng.uniform(-2, 2, n)
             y = rng.uniform(-2, 2, n)
-            perm = rng.permutation(x) * rng.choice([-1.0, 1.0], n)
-            worst = max(worst, abs(norm(perm) - norm(x)))
-            worst = max(worst, norm(x + y) - norm(x) - norm(y))
-            xs, ys = rearrange(x), rearrange(y)
-            worst = max(worst, norm(np.minimum(xs, ys)) - norm(xs))
-    fund_ok = True
-    for n in (1, 4, 9, 64, 256):
-        got = marcinkiewicz_norm(np.ones(n), nu, 1.0)
-        if abs(got - n / nu.value(n)) > 1e-12 * (1 + got):
-            fund_ok = False
+            cases.append((x, y, rng.permutation(x) * rng.choice([-1.0, 1.0], n)))
+        worst = max(worst, float(np.max(inv.norm_axiom_excess(norm, cases))))
+    nu = ModulusOfVariation.power(0.5)
+    fund_ok = bool(np.max(inv.fundamental_excess(nu, 1.0, (1, 4, 9, 64, 256))) <= 1e-12)
     decay = coeff_decay_report(make_square_wave(1024), ModulusOfVariation.log(), 1.0, 256)
     ok = worst <= 1e-9 and fund_ok and np.isfinite(decay)
     _report("norm-batteries", ok,

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from pvarlab import _kernels, validate_modulus
 from pvarlab.cli import main
 from pvarlab.functions import from_spec
 
+DATA = pathlib.Path(__file__).parent / "data"
 
 def run_cli(args, env=None):
     # A sealed env still needs PYTHONPATH to find a source-checkout pvarlab.
@@ -39,12 +41,21 @@ def test_pvar_zigzag_csv(tmp_path):
     ["pvar", "--values", "0,1,0,1,0", "--p", "nan", "--n", "3"],
     ["kfunc", "--function", "zigzag:5", "--p", "0.5", "--t", "1,0.5"],
     ["kfunc", "--function", "zigzag:5", "--p", "inf", "--t", "1,0.5"],
+    ["fourier", "--p", "nan", "--nu", "log", "--omega", "log", "--n-list", "8"],
+    ["fourier", "--p", "nan", "--nu", "log", "--decay", "--function", "square:64"],
+    ["fourier", "--p", "0.5", "--nu", "log", "--omega", "log", "--n-list", "8"],
+    ["embed", "--phi", "power:2", "--nu", "log", "--p", "nan", "--horizon", "64"],
+    ["embed", "--phi", "power:2", "--nu", "log", "--p", "0.5", "--horizon", "64"],
+    ["seqnorm", "--space", "marcinkiewicz", "--x", "1,2", "--p", "0.5"],
+    ["seqnorm", "--space", "marcinkiewicz", "--x", "1,2", "--p", "inf"],
+    ["seqnorm", "--space", "lorentz", "--x", "1,2", "--q", "0"],
+    ["seqnorm", "--space", "lorentz", "--x", "1,2", "--q", "inf"],
 ])
 def test_invalid_p_exits_2_before_output(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "p must be finite and >= 1" in err
+    assert "must be finite and >= 1" in err  # p, or the Lorentz q of seqnorm
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,6 +323,7 @@ def test_verify_deterministic(tmp_path):
     assert main(["verify", "--seed", "7", "--out", str(a)]) == 0
     assert main(["verify", "--seed", "7", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes() == (DATA / "verify_seed7.txt").read_bytes()
 
 
 def test_embed_witness_cheap_pair(tmp_path):

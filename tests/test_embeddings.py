@@ -23,6 +23,7 @@ from pvarlab import (
     wu_bound_check,
 )
 from pvarlab import _kernels
+from pvarlab import verify as inv
 from pvarlab.embeddings import WitnessBlock, _window_dp_value
 from pvarlab.functions import make_zigzag
 
@@ -104,10 +105,8 @@ def test_inverse_table_matches_the_120_halving_oracle(Phi):
     PhiSequence.orlicz_over_lambda(power_orlicz(3.0), LambdaSequence.harmonic()),
 ])
 def test_inverse_roundtrip(Phi):
-    for n in (1, 13, 257, 10_000):
-        for y in (0.25, 1.0, 9.0):
-            x = phi_partial_inverse(Phi, n, y)
-            assert float(Phi.partial(n, x)) == pytest.approx(y, rel=1e-10)
+    cases = [(Phi, n, y) for n in (1, 13, 257, 10_000) for y in (0.25, 1.0, 9.0)]
+    assert np.max(inv.phi_inverse_roundtrip(cases)) <= 1e-10
 
 
 def test_concave_inverse_scaling(rng):
@@ -155,15 +154,12 @@ def test_embed_witness_bisects_the_inverse_table_once(monkeypatch, tmp_path):
 
 
 def test_bv2_into_sqrt_embeds_with_unit_trace():
-    rep = corollary_criteria("BVq", NU_SQRT, 1.0, 4096, q=2.0)
-    assert rep.verdict == "Embeds"
-    assert np.allclose(rep.trace, 1.0, atol=1e-12)
-    assert rep.running_sup == pytest.approx(1.0, abs=1e-12)
+    excess, (verdict, _) = inv.known_embedding_answers()
+    assert verdict == "Embeds" and np.max(excess) <= 1e-12
 
 
 def test_bv2_into_log_fails():
-    rep = embedding_criterion(PhiSequence.power_all(2.0), NU_LOG, 1.0, 100_000)
-    assert rep.verdict == "Fails"
+    assert inv.known_embedding_answers()[1][1] == "Fails"
 
 
 def test_power_q_equals_p_embeds():
@@ -181,8 +177,7 @@ def test_power_q_equals_p_embeds():
     ("PhiLambda", {"lam": LambdaSequence.harmonic(), "phi": exp_orlicz()}),
 ])
 def test_corollary_crosscheck(case, kw):
-    rep = corollary_criteria(case, NU_SQRT, 2.0, 2048, **kw)
-    assert rep.crosscheck_gap is not None and rep.crosscheck_gap <= 1e-9
+    assert inv.crosscheck_gaps([(case, kw)], NU_SQRT, 2.0, 2048)[0] <= 1e-9
 
 
 def test_salem_power_matches_bvq():
@@ -260,14 +255,13 @@ def test_wu_requires_admissible_input():
 
 
 def test_wu_randomized(rng):
-    for Phi in (PhiSequence.power_all(2.0), PhiSequence.orlicz_all(exp_orlicz()),
-                PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic())):
-        for _ in range(100):
-            n = int(rng.integers(1, 10))
-            x = np.sort(rng.uniform(0, 2, n))[::-1]
-            budget = sum(float(Phi.phi(j + 1, v)) for j, v in enumerate(x)) + 1e-12
-            lhs, rhs, ok = wu_bound_check(Phi, x, float(rng.uniform(1.0, 3.0)), budget)
-            assert ok
+    cases = [(Phi, np.sort(rng.uniform(0, 2, int(rng.integers(1, 10))))[::-1],
+              float(rng.uniform(1.0, 3.0)), 1.0)
+             for Phi in (PhiSequence.power_all(2.0), PhiSequence.orlicz_all(exp_orlicz()),
+                         PhiSequence.orlicz_over_lambda(power_orlicz(2.0),
+                                                        LambdaSequence.harmonic()))
+             for _ in range(100)]
+    assert not np.any(inv.wu_violations(cases, 1e-12))
 
 
 # -- witness -----------------------------------------------------------------------

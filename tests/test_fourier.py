@@ -12,7 +12,6 @@ from pvarlab import (
     convergence_sequences,
     epsilon_p_table,
     fejer_kernel,
-    fejer_kernel_integral,
     fejer_mean,
     fourier_coeffs,
     modulus_of_continuity,
@@ -22,8 +21,8 @@ from pvarlab import (
     sine_integral_lower,
     theta,
     unif2_verdicts,
-    vpnu_norm,
 )
+from pvarlab import verify as inv
 from pvarlab.functions import make_sawtooth, make_sine, make_square_wave
 
 from oracles import fourier_coeffs_loop, trig_sum_loop
@@ -110,21 +109,13 @@ def test_fejer_mean_weights():
 def test_fejer_kernel_values_and_integral():
     assert fejer_kernel(0, 0.7) == pytest.approx(0.5, abs=1e-12)
     assert fejer_kernel(3, 0.0) == pytest.approx(2.0, abs=1e-12)
-    assert fejer_kernel_integral(0) == pytest.approx(math.pi, abs=1e-10)
-    assert fejer_kernel_integral(1) == pytest.approx(math.pi, abs=1e-9)
-    assert fejer_kernel_integral(10) == pytest.approx(math.pi, abs=1e-8)
+    assert np.all(inv.fejer_kernel_gaps((0, 1, 10)) <= [1e-10, 1e-9, 1e-8])
 
 
 def test_fejer_contraction_on_samples():
-    nu = ModulusOfVariation.power(0.5)
-    for f in (make_square_wave(256), make_square_wave(512)):
-        c = fourier_coeffs(f, 32)
-        for n in (4, 16, 32):
-            fn = SampledFunction(f.grid, fejer_mean(c, n, f.grid), periodic=True,
-                                 period=f.period)
-            vf, _ = vpnu_norm(f, nu, 2.0, 24)
-            vfn, _ = vpnu_norm(fn, nu, 2.0, 24)
-            assert vfn <= 1.05 * vf
+    fs = (make_square_wave(256), make_square_wave(512))
+    cases = [(f, 32, n) for f in fs for n in (4, 16, 32)]
+    assert np.all(inv.fejer_contraction(cases, 24) <= 1.05)
 
 
 def _random_period_grid(rng, m, duplicated, offset):
@@ -235,11 +226,7 @@ def test_theta_exhaustive_scan_oracle():
             best, best_r = obj, r
     th = theta(nu, om, p, n)
     assert th == best_r
-    # bracket property where applicable
-    if th < n - 1:
-        assert nu.value(th + 1) / (th + 1) ** (1 / p) <= w + 1e-12
-    if th >= 2:
-        assert w <= nu.value(th) / th ** (1 / p) + 1e-12
+    assert np.all(inv.theta_bracket_excess([(nu, om, p)], [n]) <= 1e-12)
 
 
 def test_theta_large_omega_forces_one():
@@ -278,12 +265,8 @@ def test_tau_eta_reconciliation(nu, p):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
 def test_q_sequence_bounds_and_monotone(p):
-    ks = np.arange(1, 1_000_001, dtype=np.float64)
-    q = q_sequence(p, ks)
-    assert q[0] == pytest.approx(2.0 ** (-1.0 / p), abs=1e-14)
-    assert float(np.max(q)) <= 2.0 ** (-1.0 / p) + 1e-12
-    assert float(np.min(q)) >= 1.0 - 1.0 / p - 1e-12
-    assert float(np.max(np.diff(q))) <= 1e-12
+    # the bounds and monotonicity up to k = 10^6: test_acceptance::test_q_weight_bounds
+    assert q_sequence(p, [1.0])[0] == pytest.approx(2.0 ** (-1.0 / p), abs=1e-14)
 
 
 def test_equivalence_inequalities_finite_n():
@@ -357,10 +340,8 @@ def test_coeff_decay_examples():
 def test_sine_integral_examples():
     lhs, rhs = sine_integral_lower(1, 2, 4)
     assert rhs == pytest.approx(0.125, abs=1e-15)
-    assert lhs >= rhs
-    for a, b, n in [(2, 3, 6), (1, 100, 200), (5, 9, 11), (10, 13, 40)]:
-        lhs, rhs = sine_integral_lower(a, b, n)
-        assert lhs >= rhs
+    cases = [(1, 2, 4), (2, 3, 6), (1, 100, 200), (5, 9, 11), (10, 13, 40)]
+    assert np.all(inv.sine_integral_excess(cases) <= 0.0)
     with pytest.raises(ValueError):
         sine_integral_lower(3, 2, 5)
 

@@ -12,6 +12,7 @@ from pvarlab import (
     select_knots,
     varp_pl,
 )
+from pvarlab import verify as inv
 from pvarlab.functions import make_linear, make_random, make_zigzag
 
 LINEAR = make_linear(9)
@@ -130,28 +131,36 @@ def test_kfunctional_rejects_bad_t():
 
 
 def test_sandwich_and_certificates(rng):
-    for _ in range(40):
-        f = make_random(rng, int(rng.integers(5, 35)))
-        t = float(rng.uniform(0.05, 1.0))
-        p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-        ks = kfunctional_bounds(f, t, p)  # raises if any certificate fails
-        if ks.lower > 0:
-            assert 0.5 - 1e-9 <= ks.ratio <= 5.0 + 1e-9
+    cases = [(make_random(rng, int(rng.integers(5, 35))), float(rng.uniform(0.05, 1.0)),
+              float(rng.choice([1.0, 1.5, 2.0, 3.0]))) for _ in range(40)]
+    ratios = inv.kfunctional_ratios(cases)  # inf where a certificate fails
+    ratios = ratios[~np.isnan(ratios)]
+    assert np.all((0.5 - 1e-9 <= ratios) & (ratios <= 5.0 + 1e-9))
 
 
 def test_random_competitors_respect_half_lower(rng):
     f = make_random(rng, 25)
-    for t in (0.9, 0.5, 0.21):
+
+    def knots():
+        return np.unique(np.concatenate([[0, 24], rng.choice(25, int(rng.integers(2, 9)))]))
+
+    cases = [(f, t, p, [knots() for _ in range(200)]) for t in (0.9, 0.5, 0.21) for p in (1.0, 2.0)]
+    assert np.max(inv.competitor_excess(cases)) <= 1e-10
+
+
+def test_sandwich_homogeneous_under_powers_of_two():
+    # K(cf, t) = c K(f, t); a power of two scales every float exactly, so the
+    # bounds scale bit for bit and the case tags stay, far from scale 1 too
+    rng = np.random.default_rng(5)
+    for f in (make_zigzag(9), make_random(rng, 17), make_random(rng, 30)):
         for p in (1.0, 2.0):
-            M = bracket_count(t, p)
-            prof = pvariation_profile(f, p, M)
-            lower = t * prof[M - 1]
-            for _ in range(200):
-                sz = int(rng.integers(2, 9))
-                idx = np.unique(np.concatenate([[0, 24], rng.choice(25, sz)]))
-                g = pl_interpolate(f, idx)
-                cost = float(np.max(np.abs(f.values - g(f.grid)))) + t * varp_pl(g, p)
-                assert cost >= 0.5 * lower - 1e-10
+            for t in (1.0, 0.5, 0.25, 0.11):
+                base = kfunctional_bounds(f, t, p)
+                for k in range(-490, 491, 35):
+                    c = 2.0 ** k
+                    ks = kfunctional_bounds(f.scaled(c), t, p)
+                    got = (ks.lower / c, ks.upper / c, ks.case)
+                    assert got == (base.lower, base.upper, base.case), (k, p, t)
 
 
 def test_sweep_shapes():

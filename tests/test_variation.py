@@ -4,13 +4,23 @@ from hypothesis import given, settings, strategies as st
 
 from pvarlab import (
     IntervalSelection,
+    OmegaLog,
+    PhiSequence,
     SampledFunction,
-    extrema_reduce,
+    coeff_decay_report,
+    corollary_criteria,
+    dual_harmonic_estimate,
+    embedding_criterion,
+    marcinkiewicz_norm,
     pvariation_bruteforce,
     pvariation_dp,
     pvariation_profile,
+    theta,
+    unif2_verdicts,
+    validate_modulus,
     vpnu_norm,
 )
+from pvarlab import verify as inv
 from pvarlab.functions import make_random, make_zigzag
 from pvarlab.modulus import ModulusOfVariation
 from pvarlab.variation import _pvariation_solve
@@ -43,10 +53,15 @@ def test_single_interval_is_max_diff(rng):
 
 @pytest.mark.parametrize("p", [0.5, 0.999, float("nan"), float("inf"), -2.0])
 def test_invalid_p_rejected(p):
-    with pytest.raises(ValueError, match="p must be finite and >= 1"):
-        pvariation_dp(ZIGZAG, p, 2)
-    with pytest.raises(ValueError, match="p must be finite and >= 1"):
-        pvariation_profile(ZIGZAG, p, 2)
+    nu = ModulusOfVariation.log()
+    for call in (lambda: pvariation_dp(ZIGZAG, p, 2), lambda: pvariation_profile(ZIGZAG, p, 2),
+                 lambda: validate_modulus(nu, p), lambda: marcinkiewicz_norm([1.0], nu, p),
+                 lambda: dual_harmonic_estimate(nu, p, 8), lambda: theta(nu, OmegaLog(), p, 8),
+                 lambda: unif2_verdicts(nu, p, 16), lambda: coeff_decay_report(ZIGZAG, nu, p, 2),
+                 lambda: embedding_criterion(PhiSequence.power_all(2.0), nu, p, 8),
+                 lambda: corollary_criteria("BVq", nu, p, 8, q=2.0)):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            call()
 
 
 def test_dp_profile_matches_pvariation_profile(rng):
@@ -104,9 +119,7 @@ def test_selection_deterministic(rng):
 )
 def test_dp_matches_bruteforce(values, p, n):
     f = SampledFunction(np.arange(len(values), dtype=float), values)
-    bf, _ = pvariation_bruteforce(f, p, n)
-    dp, _ = pvariation_dp(f, p, n)
-    assert abs(dp - bf) <= 1e-12 * (1.0 + bf)
+    assert inv.dp_oracle_gaps([(f, p, n)])[0] <= 1e-12
 
 
 @settings(max_examples=80, deadline=None)
@@ -117,27 +130,20 @@ def test_dp_matches_bruteforce(values, p, n):
 )
 def test_holder_chain(values, n, p):
     f = SampledFunction(np.arange(len(values), dtype=float), values)
-    up, _ = pvariation_dp(f, p, n)
-    u1, _ = pvariation_dp(f, 1.0, n)
-    assert up <= u1 + 1e-10
-    assert u1 <= up * n ** (1.0 - 1.0 / p) + 1e-10
+    assert inv.holder_chain_excess([(f, p, n)])[0] <= 1e-10
 
 
 def test_triangle_and_homogeneity(rng):
+    cases = []
     for _ in range(30):
         m = int(rng.integers(4, 12))
         grid = np.arange(m, dtype=float)
-        fv = rng.uniform(-1, 1, m)
-        gv = rng.uniform(-1, 1, m)
-        p = float(rng.choice([1.0, 2.0, 3.0]))
-        n = int(rng.integers(1, 5))
-        vsum, _ = pvariation_dp(SampledFunction(grid, fv + gv), p, n)
-        vf, _ = pvariation_dp(SampledFunction(grid, fv), p, n)
-        vg, _ = pvariation_dp(SampledFunction(grid, gv), p, n)
-        assert vsum <= vf + vg + 1e-10
-        c = float(rng.uniform(0.1, 4.0))
-        vcf, _ = pvariation_dp(SampledFunction(grid, c * fv), p, n)
-        assert vcf == pytest.approx(c * vf, rel=1e-12, abs=1e-12)
+        f = SampledFunction(grid, rng.uniform(-1, 1, m))
+        g = SampledFunction(grid, rng.uniform(-1, 1, m))
+        cases.append((f, g, float(rng.choice([1.0, 2.0, 3.0])), int(rng.integers(1, 5)),
+                      float(rng.uniform(0.1, 4.0))))
+    excess = inv.triangle_homogeneity_excess(cases)
+    assert np.all(excess[:, 0] <= 1e-10) and np.all(excess[:, 1] <= 1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e150])
@@ -179,14 +185,9 @@ def test_profile_lp_bound(rng):
 
 
 def test_extrema_reduce_preserves_dp(rng):
-    for _ in range(30):
-        f = make_random(rng, int(rng.integers(5, 13)))
-        red = extrema_reduce(f)
-        for n in (1, 2, 3, 5):
-            for p in (1.0, 2.0):
-                a, _ = pvariation_dp(f, p, n)
-                b, _ = pvariation_dp(red, p, n)
-                assert a == pytest.approx(b, abs=1e-12)
+    fs = [make_random(rng, int(rng.integers(5, 13))) for _ in range(30)]
+    cases = [(f, p, n) for f in fs for n in (1, 2, 3, 5) for p in (1.0, 2.0)]
+    assert np.max(inv.extrema_reduce_gaps(cases)) <= 1e-12
 
 
 def test_vpnu_norm_zigzag():

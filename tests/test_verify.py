@@ -1,0 +1,17 @@
+from pvarlab.verify import Battery
+
+# The benchmark's span tracer wraps each of these methods on the class, by name.
+CHECKS = (
+    "dp_oracle", "holder_chain", "triangle_homogeneity", "extrema_reduce",
+    "epsilon_properties", "kfunctional", "fejer", "lemma_q", "theta_bracket",
+    "unif2", "sine_integral", "embedding", "inverse", "wu", "norms",
+)
+
+
+def test_battery_runs_each_check_once_in_order(monkeypatch):
+    assert [k for k in vars(Battery) if k.startswith("check_")] == [f"check_{c}" for c in CHECKS]
+    calls = []
+    for c in CHECKS:
+        monkeypatch.setattr(Battery, f"check_{c}", lambda self, c=c: calls.append(c))
+    Battery(1).run()
+    assert calls == list(CHECKS)
