@@ -69,7 +69,9 @@ from .seqspaces import (
     lorentz_norm,
     marcinkiewicz_norm,
     modular_norm,
+    modular_norms,
     orlicz_norm,
+    orlicz_norms,
     rearrange,
 )
 from .variation import (

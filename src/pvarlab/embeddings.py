@@ -75,6 +75,11 @@ def _bisect_increasing(fn, y):
     returned.  A fn monotone in floats has exactly one such adjacent pair per
     target, so every bracket ends on the same floats.  lo stops at 0 when
     fn(0) >= y; a target fn does not reach below 2^1024 is a ValueError.
+
+    Targets never interact: entry i of each step reads only fn's entry i, and
+    a closed pair keeps its midpoint through further steps (it rounds to lo
+    or hi, which keep their sides of y), so batching cannot move any target's
+    float.
     """
     y = np.asarray(y, dtype=np.float64)
     scalar = y.ndim == 0
@@ -503,6 +508,7 @@ def var_phi(f: SampledFunction, Phi: PhiSequence, n_budget: int = 13, exact: boo
 
 def wu_bound_check(Phi: PhiSequence, x, p: float, var_budget: float):
     """((sum x_j^p)^(1/p), 16 max_m m^(1/p) Phi_m^{-1}(var_budget), lhs <= rhs)."""
+    _check_p(p)
     xs = np.asarray(x, dtype=np.float64)
     if np.any(xs < 0) or np.any(np.diff(xs) > 1e-12):
         raise ValueError("x must be nonincreasing and nonnegative")

@@ -283,6 +283,7 @@ def q_sequence(p: float, ks) -> np.ndarray:
 
     Q_k = 1 - k(1 - (k/(k+1))^(1/p)); bounds 1 - 1/p <= Q_k <= 2^(-1/p).
     """
+    _check_p(p)
     k = np.asarray(ks, dtype=np.float64)
     eps = 1.0 / (k + 1.0)
     return 1.0 + k * np.expm1(np.log1p(-eps) / p)

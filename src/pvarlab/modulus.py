@@ -203,6 +203,7 @@ def validate_modulus(candidate, p: float, horizon: int = 4096) -> ModulusValidat
 
 def epsilon_p(nu: ModulusOfVariation, p: float, k: int) -> float:
     """(nu(k)^p - nu(k-1)^p)^(1/p) for k >= 1."""
+    _check_p(p)
     if k < 1:
         raise ValueError("k must be >= 1")
     a = nu.value(k) ** p
@@ -212,5 +213,6 @@ def epsilon_p(nu: ModulusOfVariation, p: float, k: int) -> float:
 
 def epsilon_p_table(nu: ModulusOfVariation, p: float, n: int) -> np.ndarray:
     """Array of epsilon_p(1), ..., epsilon_p(n)."""
+    _check_p(p)
     t = np.concatenate(([0.0], nu.table(n))) ** p
     return np.diff(t) ** (1.0 / p)

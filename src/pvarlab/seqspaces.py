@@ -1,7 +1,11 @@
 """Symmetric sequence-space norms on finitely supported sequences.
 
 Every norm is applied to the nonincreasing rearrangement, which makes
-permutation and sign invariance definitional.
+permutation and sign invariance definitional.  The Luxemburg norms (Orlicz
+and modular) are evaluated as a batch: ``orlicz_norms`` and
+``modular_norms`` run one bisection over all their sequences, and
+``orlicz_norm``/``modular_norm`` are the one-sequence case of the same code,
+so each value is bit-identical to its own call.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ __all__ = [
     "marcinkiewicz_norm",
     "lorentz_norm",
     "orlicz_norm",
+    "orlicz_norms",
     "modular_norm",
+    "modular_norms",
     "fundamental_sequence",
     "dual_harmonic_estimate",
 ]
@@ -63,27 +69,57 @@ def _support(x) -> np.ndarray:
     return xs[xs > 0]
 
 
-def _luxemburg(xs: np.ndarray, modular) -> float:
-    """inf{c > 0 : modular(xs / c) <= 1}; ``modular`` sums down axis 0.
+def _luxemburg(supports: list[np.ndarray], modular) -> np.ndarray:
+    """inf{c > 0 : modular(x / c) <= 1} per support x; 0 for an empty one.
 
-    The modular decreases in c, so its negation goes through the increasing
-    inverse, one column of xs / c per target c.
+    ``modular`` maps a C-contiguous (k, n) matrix of rows x / c to its k row
+    sums along axis 1, so each row sums in the same (pairwise) order as a
+    lone sequence does.  Supports are grouped by length, never padded.  The
+    modular decreases in c, so its negation goes through the increasing
+    inverse, one target per nonempty support.
     """
-    if xs.size == 0:
-        return 0.0
-    return _bisect_increasing(lambda c: -modular(xs[:, None] / c), -1.0)
+    groups: dict[int, list[int]] = {}
+    for i, xs in enumerate(supports):
+        if xs.size:
+            groups.setdefault(xs.size, []).append(i)
+    out = np.zeros(len(supports))
+    if not groups:
+        return out
+    order = [i for idx in groups.values() for i in idx]
+    rows = [np.stack([supports[i] for i in idx]) for idx in groups.values()]
+    cuts = np.cumsum([0] + [len(x) for x in rows])
+
+    def neg_modular(c):
+        return -np.concatenate([modular(x / c[lo:hi, None])
+                                for x, lo, hi in zip(rows, cuts, cuts[1:])])
+
+    out[order] = _bisect_increasing(neg_modular, np.full(len(order), -1.0))
+    return out
+
+
+def orlicz_norms(seqs, phi: OrliczFunction) -> np.ndarray:
+    """Luxemburg norm inf{c > 0 : sum phi(|x_j|/c) <= 1} of each x in ``seqs``
+    (0 for x = 0), by one bisection over all of them; each value is
+    bit-identical to ``orlicz_norm(x, phi)``."""
+    return _luxemburg([_support(x) for x in seqs], lambda u: phi(u).sum(axis=1))
 
 
 def orlicz_norm(x, phi: OrliczFunction) -> float:
     """Luxemburg norm inf{c > 0 : sum phi(|x_j|/c) <= 1}; 0 for x = 0."""
-    return _luxemburg(_support(x), lambda u: phi(u).sum(axis=0))
+    return float(orlicz_norms([x], phi)[0])
+
+
+def modular_norms(seqs, Phi: PhiSequence) -> np.ndarray:
+    """inf{c > 0 : sum phi_j(x*_j / c) <= 1} on the rearrangement of each x in
+    ``seqs``, by one bisection over all of them; each value is bit-identical
+    to ``modular_norm(x, Phi)``."""
+    return _luxemburg([_support(x) for x in seqs],
+                      lambda u: Phi.phi(np.arange(1, u.shape[1] + 1), u).sum(axis=1))
 
 
 def modular_norm(x, Phi: PhiSequence) -> float:
     """inf{c > 0 : sum phi_j(x*_j / c) <= 1} on the rearrangement."""
-    xs = _support(x)
-    js = np.arange(1, xs.size + 1)[:, None]
-    return _luxemburg(xs, lambda u: Phi.phi(js, u).sum(axis=0))
+    return float(modular_norms([x], Phi)[0])
 
 
 def fundamental_sequence(space: str, n: int, *, nu: ModulusOfVariation | None = None,

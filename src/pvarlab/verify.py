@@ -36,12 +36,13 @@ _FAMILIES = [
 _HARMONIC_W = 1.0 / np.arange(1, 40, dtype=np.float64)
 _PHI_HARMONIC = PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic())
 
-# The four symmetric norms whose axioms ``norm_axiom_excess`` checks.
+# The four symmetric norms whose axioms ``norm_axiom_excess`` checks, each
+# mapping a list of sequences to their norms (the Luxemburg two in one bisection).
 SEQUENCE_NORMS = (
-    lambda v: seqspaces.marcinkiewicz_norm(v, _NU_SQRT, 2.0),
-    lambda v: seqspaces.lorentz_norm(v, _HARMONIC_W, 1.0),
-    lambda v: seqspaces.orlicz_norm(v, power_orlicz(2.0)),
-    lambda v: seqspaces.modular_norm(v, _PHI_HARMONIC),
+    lambda vs: np.array([seqspaces.marcinkiewicz_norm(v, _NU_SQRT, 2.0) for v in vs]),
+    lambda vs: np.array([seqspaces.lorentz_norm(v, _HARMONIC_W, 1.0) for v in vs]),
+    lambda vs: seqspaces.orlicz_norms(vs, power_orlicz(2.0)),
+    lambda vs: seqspaces.modular_norms(vs, _PHI_HARMONIC),
 )
 
 
@@ -215,12 +216,14 @@ def wu_violations(cases, slack: float) -> np.ndarray:
 
 def norm_axiom_excess(norm, cases) -> np.ndarray:
     """Rows (|N(x) - N(perm)|, N(x+y) - N(x) - N(y), N(min(x*, y*)) - N(x*)) per
-    case (x, y, perm), perm a signed permutation of x and * the rearrangement."""
-    def one(x, y, perm):
+    case (x, y, perm), perm a signed permutation of x and * the rearrangement;
+    ``norm`` maps a list of sequences to their norms and is called once."""
+    seqs = []
+    for x, y, perm in cases:
         xs, ys = seqspaces.rearrange(x), seqspaces.rearrange(y)
-        return (abs(norm(x) - norm(perm)), norm(x + y) - norm(x) - norm(y),
-                norm(np.minimum(xs, ys)) - norm(xs))
-    return np.array([one(*c) for c in cases])
+        seqs += [x, perm, x + y, y, np.minimum(xs, ys), xs]
+    nx, nperm, nsum, ny, nmin, nxs = norm(seqs).reshape(-1, 6).T
+    return np.column_stack((np.abs(nx - nperm), nsum - nx - ny, nmin - nxs))
 
 
 def fundamental_excess(nu, p: float, ns) -> np.ndarray:

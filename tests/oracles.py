@@ -14,7 +14,8 @@ values once and keeps the endpoints and the point before each direction flip.
 ``fourier_coeffs_loop`` is the rectangle rule as an N x m trig matrix product,
 and ``trig_sum_loop`` sums weighted harmonics one at a time at any points.
 ``inverse_at_one_loop`` is the fixed 120-halving bisection of
-Phi_k^{-1}(1) from the bracket [0, 2^j].
+Phi_k^{-1}(1) from the bracket [0, 2^j].  ``luxemburg_column`` is the
+Luxemburg norm of one support with its modular summed down an (n, 1) column.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from pvarlab import SampledFunction
+from pvarlab.embeddings import _bisect_increasing
 
 
 def dp_profile_loops(values, p, nmax):
@@ -184,3 +186,11 @@ def inverse_at_one_loop(Phi, lo_k, hi_k):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def luxemburg_column(xs, phi_j) -> float:
+    """inf{c > 0 : sum_j phi_j(j, xs_j / c) <= 1} for one support xs (0 if empty)."""
+    if xs.size == 0:
+        return 0.0
+    js = np.arange(1, xs.size + 1)[:, None]
+    return _bisect_increasing(lambda c: -phi_j(js, xs[:, None] / c).sum(axis=0), -1.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import luxemburg_column
 from pvarlab import (
     LambdaSequence,
     ModulusOfVariation,
@@ -15,7 +16,9 @@ from pvarlab import (
     lorentz_norm,
     marcinkiewicz_norm,
     modular_norm,
+    modular_norms,
     orlicz_norm,
+    orlicz_norms,
     power_orlicz,
     pvariation_profile,
     rearrange,
@@ -78,6 +81,40 @@ def test_luxemburg_norms_across_magnitudes(s):
         x = np.array([a, b]) * s
         assert abs(orlicz_norm(x, power_orlicz(2.0)) / (c * s) - 1.0) <= 1e-15
         assert abs(modular_norm(x, PhiSequence.power_all(2.0)) / (c * s) - 1.0) <= 1e-15
+
+
+_LUXEMBURG = [(orlicz_norms, orlicz_norm, g)
+              for g in (power_orlicz(2.0), power_orlicz(3.0), exp_orlicz())] + [
+    (modular_norms, modular_norm, Phi)
+    for Phi in (PhiSequence.power_all(2.0), PhiSequence.orlicz_all(exp_orlicz()),
+                PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic()),
+                PhiSequence.custom([lambda u, j=j: u ** 2 / (1.0 + 0.1 * j) for j in range(20)]))]
+
+
+@pytest.mark.parametrize("norms, norm, gauge", _LUXEMBURG,
+                         ids=[f"{n.__name__}-{g.name}" for n, _, g in _LUXEMBURG])
+def test_batched_norms_bit_identical(norms, norm, gauge, rng):
+    def draw(n, s):
+        x = rng.uniform(-1, 1, n) * s
+        x[rng.random(n) < 0.25] = 0.0
+        return x
+
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    # lengths 0..20 straddle numpy's 8-element pairwise block; the extreme
+    # scales, whose brackets take about 1000 steps, form a batch of their own
+    seqs = [draw(n, 10.0 ** rng.uniform(-3, 3)) for n in range(21)] + [[], np.zeros(3)]
+    extreme = [draw(n, s) for n in (3, 17) for s in (1e-300, 1e300)]
+    phi_j = gauge.phi if norms is modular_norms else (lambda js, u: gauge(u))
+    for batch in (extreme, seqs):
+        single = hexes(norm(x, gauge) for x in batch)
+        supports = (xs[xs > 0] for xs in map(rearrange, batch))
+        assert single == hexes(luxemburg_column(xs, phi_j) for xs in supports)
+        assert hexes(norms(batch, gauge)) == single
+    assert single[-2:] == hexes([0.0, 0.0])
+    perm = rng.permutation(len(seqs))
+    assert hexes(norms([seqs[i] for i in perm], gauge)) == [single[i] for i in perm]
 
 
 @pytest.mark.parametrize("norm", inv.SEQUENCE_NORMS)

@@ -1,4 +1,10 @@
-from pvarlab.verify import Battery
+from pathlib import Path
+
+import pytest
+
+from pvarlab.verify import Battery, run_battery
+
+DATA = Path(__file__).parent / "data"
 
 # The benchmark's span tracer wraps each of these methods on the class, by name.
 CHECKS = (
@@ -15,3 +21,8 @@ def test_battery_runs_each_check_once_in_order(monkeypatch):
         monkeypatch.setattr(Battery, f"check_{c}", lambda self, c=c: calls.append(c))
     Battery(1).run()
     assert calls == list(CHECKS)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_report_matches_pinned_bytes(seed):
+    assert run_battery(seed)[0].encode() == (DATA / f"verify_seed{seed}.txt").read_bytes()
