@@ -52,32 +52,43 @@ def _setup_logging():
     logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_omega(spec: str):
+def _spec_fields(spec: str, what: str, forms: dict, grammar: str) -> tuple[str, list[float]]:
+    """The head and the numeric fields of ``spec``, which must match one of ``forms``.
+
+    ``forms`` maps a head such as ``orlicz:power`` to its allowed field counts.
+    A missing, extra or non-numeric field is a ValueError naming the grammar.
+    """
     s = spec.strip().lower()
-    if s.startswith("power:"):
-        return fr.OmegaPower(float(s.split(":", 1)[1]))
-    if s == "log":
-        return fr.OmegaLog()
-    raise ValueError(f"unknown omega spec {spec!r} (power:<alpha> or log)")
+    head = next((h for h in forms if s == h or s.startswith(h + ":")), None)
+    if head is not None:
+        try:
+            fields = [float(v) for v in s[len(head) + 1:].split(":")] if s != head else []
+        except ValueError:
+            fields = None
+        if fields is not None and len(fields) in forms[head]:
+            return head, fields
+    raise ValueError(f"unknown {what} spec {spec!r} ({grammar})")
+
+
+def _parse_omega(spec: str):
+    head, fields = _spec_fields(spec, "omega", {"power": (1,), "log": (0,)},
+                                "power:<alpha> or log")
+    return fr.OmegaPower(fields[0]) if head == "power" else fr.OmegaLog()
 
 
 def _parse_phi(spec: str) -> PhiSequence:
-    s = spec.strip().lower()
-    if s.startswith("power:"):
-        return PhiSequence.power_all(float(s.split(":", 1)[1]))
-    if s == "orlicz:exp":
+    head, fields = _spec_fields(
+        spec, "phi", {"power": (1,), "orlicz:exp": (0,), "orlicz:power": (1,), "lambda": (1, 2)},
+        "power:<q>, orlicz:exp, orlicz:power:<q>, lambda:<q>[:<beta>]")
+    if head == "power":
+        return PhiSequence.power_all(fields[0])
+    if head == "orlicz:exp":
         return PhiSequence.orlicz_all(exp_orlicz())
-    if s.startswith("orlicz:power:"):
-        return PhiSequence.orlicz_all(power_orlicz(float(s.rsplit(":", 1)[1])))
-    if s.startswith("lambda:"):
-        # lambda:<q>:<beta> -> phi_j(x) = x^q / j^beta
-        parts = s.split(":")
-        q = float(parts[1])
-        beta = float(parts[2]) if len(parts) > 2 else 1.0
-        return PhiSequence.orlicz_over_lambda(power_orlicz(q), LambdaSequence.power(beta))
-    raise ValueError(
-        f"unknown phi spec {spec!r} (power:<q>, orlicz:exp, orlicz:power:<q>, lambda:<q>[:<beta>])"
-    )
+    if head == "orlicz:power":
+        return PhiSequence.orlicz_all(power_orlicz(fields[0]))
+    # lambda:<q>:<beta> -> phi_j(x) = x^q / j^beta
+    beta = fields[1] if len(fields) > 1 else 1.0
+    return PhiSequence.orlicz_over_lambda(power_orlicz(fields[0]), LambdaSequence.power(beta))
 
 
 def _load_function(args) -> SampledFunction:
@@ -86,7 +97,7 @@ def _load_function(args) -> SampledFunction:
         grid = np.linspace(0.0, 1.0, len(vals))
         return SampledFunction(grid, vals)
     if getattr(args, "function", None):
-        return from_spec(args.function, seed=getattr(args, "seed", 0))
+        return from_spec(args.function, seed=args.seed)
     raise ValueError("provide --values or --function")
 
 
@@ -131,16 +142,13 @@ def _emit_rows(args, header: str, rows: list[str]):
 
 def _cmd_pvar(args) -> int:
     f = _load_function(args)
-    n_max = args.n or args.n_max
-    if n_max is None or n_max < 1:
-        raise ValueError("pvar needs --n or --n-max >= 1")
-    value, sel, prof = _pvariation_solve(f, args.p, n_max)
-    rows = [f"{n},{_fmt(v)}" for n, v in zip(range(1, n_max + 1), prof)]
+    value, sel, prof = _pvariation_solve(f, args.p, args.n)
+    rows = [f"{n},{_fmt(v)}" for n, v in zip(range(1, args.n + 1), prof)]
     if args.selection_out:
         # Written before the rows, so a failed write leaves stdout empty.
         payload = {
             "p": args.p,
-            "n": n_max,
+            "n": args.n,
             "value": float(value),
             "intervals": [[int(i), int(j)] for i, j in sel.intervals],
             "differences": [float(d) for d in sel.differences],
@@ -158,9 +166,6 @@ def _cmd_pvar(args) -> int:
 def _cmd_kfunc(args) -> int:
     f = _load_function(args)
     ts = [float(t) for t in args.t.split(",")]
-    for t in ts:
-        if not (0.0 < t <= 1.0):
-            raise ValueError(f"t = {t:g} outside (0, 1]")
     sandwiches = kfunctional_sweep(f, ts, args.p, args.jobs)
     rows = [
         f"{_fmt(s.t)},{s.M},{_fmt(s.lower)},{_fmt(s.upper)},{_fmt(s.ratio)},{s.case}"
@@ -175,16 +180,13 @@ def _cmd_fourier(args) -> int:
     if args.decay:
         f = _load_function(args)
         nu = parse_modulus(args.nu)
-        n_max = args.n_max or 64
-        ratios = fr.coeff_decay_ratios(f, nu, args.p, n_max)
-        rows = [f"{n},{_fmt(r)}" for n, r in zip(range(1, n_max + 1), ratios)]
+        ratios = fr.coeff_decay_ratios(f, nu, args.p, args.n_max)
+        rows = [f"{n},{_fmt(r)}" for n, r in zip(range(1, args.n_max + 1), ratios)]
         _emit_rows(args, "n,coeff_ratio", rows)
         return 0
     nu = parse_modulus(args.nu)
     omega = _parse_omega(args.omega)
     ns = sorted({int(v) for v in args.n_list.split(",")})
-    if any(n < 2 for n in ns):
-        raise ValueError("sweep indices must be >= 2")
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as ex:
             seqs = list(ex.map(lambda n: fr.convergence_sequences(nu, omega, args.p, n), ns))
@@ -201,13 +203,8 @@ def _cmd_fourier(args) -> int:
 def _cmd_embed(args) -> int:
     Phi = _parse_phi(args.phi)
     nu = parse_modulus(args.nu)
-    report = embedding_criterion(Phi, nu, args.p, args.horizon,
-                                 growth_factor=args.growth_factor,
-                                 ref_fraction=args.ref_fraction)
-    payload = report.to_json_dict()
+    payload = embedding_criterion(Phi, nu, args.p, args.horizon).to_json_dict()
     if args.witness:
-        if report.verdict != "Fails":
-            raise ValueError(f"cannot generate a witness: verdict is {report.verdict}")
         witness = witness_generate(Phi, nu, args.p, args.k_max,
                                    WitnessBudget(criterion_horizon=args.horizon))
         payload["witness"] = None if witness is None else witness.to_json_dict()
@@ -283,18 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, function=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         if function:
             p.add_argument("--values", default=None, help="comma list sampled on [0,1]")
             p.add_argument("--function", default=None,
                            help="zigzag[:n] | square[:n] | sine[:n] | sawtooth[:n] | linear[:n] | random[:n]")
+            p.add_argument("--seed", type=int, default=0, help="seed of a random[:n] function")
 
     p = sub.add_parser("pvar", help="modulus of p-variation profile")
     common(p)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--selection-out", default=None, help="write the optimal selection JSON here")
     p.set_defaults(fn=_cmd_pvar)
 
@@ -302,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--t", required=True, help="comma list of t values in (0,1]")
+    p.add_argument("--jobs", type=int, default=1, help="threads over the t values")
     p.set_defaults(fn=_cmd_kfunc)
 
     p = sub.add_parser("fourier", help="convergence-criterion sweep or coefficient decay")
@@ -310,8 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
     p.add_argument("--omega", default=None)
     p.add_argument("--n-list", dest="n_list", default="8,16,32,64,128,256,512")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p.add_argument("--n-max", dest="n_max", type=int, default=64,
+                   help="largest coefficient index of the decay report")
     p.add_argument("--decay", action="store_true", help="emit the coefficient-decay report")
+    p.add_argument("--jobs", type=int, default=1, help="threads over the sweep indices")
     p.set_defaults(fn=_cmd_fourier)
 
     p = sub.add_parser("embed", help="embedding criterion and optional witness")
@@ -322,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=100_000)
     p.add_argument("--k-max", dest="k_max", type=int, default=3)
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--growth-factor", dest="growth_factor", type=float, default=10.0)
-    p.add_argument("--ref-fraction", dest="ref_fraction", type=float, default=0.25)
     p.set_defaults(fn=_cmd_embed)
 
     p = sub.add_parser("seqnorm", help="symmetric sequence-space norms")
@@ -340,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant battery")
     common(p, function=False)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
     return ap
 

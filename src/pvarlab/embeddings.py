@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -246,7 +247,7 @@ class PhiSequence:
         return self._lambda_cum
 
     def phi(self, j, x):
-        """phi_j(x), elementwise over an array of j the way ``partial_rows`` takes n."""
+        """phi_j(x), elementwise over an array of j the way ``partial`` takes n."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "power_all":
             return x ** self.q
@@ -262,36 +263,23 @@ class PhiSequence:
         out = [self._phis[int(jj) - 1](xx) for jj, xx in zip(js.flat, x.flat)]
         return np.array(out, dtype=np.float64).reshape(js.shape)
 
-    def partial(self, n: int, x):
-        """Phi_n(x) = sum_{j<=n} phi_j(x)."""
+    def partial(self, n, x):
+        """Phi_n(x) = sum_{j<=n} phi_j(x), elementwise over arrays of n and x."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "power_all":
             return n * x ** self.q
         if self.kind == "orlicz_all":
             return n * self.phi_fn(x)
         if self.kind == "orlicz_over_lambda":
-            return float(self._lam_cum(n)[n - 1]) * self.phi_fn(x)
-        if n > len(self._phis):
+            cum = self._lam_cum(int(np.max(n)))
+            return cum[np.asarray(n).astype(np.int64) - 1] * self.phi_fn(x)
+        if np.any(np.asarray(n) > len(self._phis)):
             raise ValueError("index beyond the custom Phi list")
-        return sum(np.asarray(p(x), dtype=np.float64) for p in self._phis[:n])
-
-    def partial_rows(self, ns: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Phi_{ns[i]}(x[i]) elementwise, used by the vectorized inverse."""
-        if self.kind == "power_all":
-            return ns * x ** self.q
-        if self.kind == "orlicz_all":
-            return ns * self.phi_fn(x)
-        if self.kind == "orlicz_over_lambda":
-            cum = self._lam_cum(int(np.max(ns)))
-            return cum[ns.astype(np.int64) - 1] * self.phi_fn(x)
-        out = np.empty(x.shape)
-        for i, (n, xi) in enumerate(zip(ns.astype(int), x)):
-            out[i] = float(self.partial(n, xi))
-        return out
-
-    def inverse_at(self, n: int, y: float) -> float:
-        """Phi_n^{-1}(y), the float where Phi_n reaches y (see ``phi_partial_inverse``)."""
-        return float(phi_partial_inverse(self, n, y))
+        if np.ndim(n) == 0:
+            return sum(np.asarray(p(x), dtype=np.float64) for p in self._phis[:int(n)])
+        ns, xs = np.broadcast_arrays(np.asarray(n).astype(np.int64), x)
+        out = [float(self.partial(nn, xx)) for nn, xx in zip(ns.flat, xs.flat)]
+        return np.array(out, dtype=np.float64).reshape(ns.shape)
 
     def inverse_at_one_table(self, kmax: int) -> np.ndarray:
         """[Phi_k^{-1}(1) for k = 1..kmax] by vectorized bisection (read-only).
@@ -310,8 +298,7 @@ class PhiSequence:
         return self._inv_one[:kmax]
 
     def _inverse_at_one(self, lo_k: int, hi_k: int) -> np.ndarray:
-        ns = np.arange(lo_k, hi_k + 1, dtype=np.float64)
-        return _bisect_increasing(lambda x: self.partial_rows(ns, x), np.ones(ns.size))
+        return phi_partial_inverse(self, np.arange(lo_k, hi_k + 1), 1.0)
 
     def inverse_at_one_closed(self, ks: np.ndarray) -> np.ndarray | None:
         """Closed-form Phi_k^{-1}(1) for scan-scale work, or None."""
@@ -338,7 +325,7 @@ def phi_partial_inverse(Phi: PhiSequence, n, y):
         raise ValueError("n must be >= 1")
     if np.any(ys < 0):
         raise ValueError("y must be >= 0")
-    x = _bisect_increasing(lambda x: Phi.partial_rows(ns, x), ys)
+    x = _bisect_increasing(lambda x: Phi.partial(ns, x), ys)
     return float(x[0]) if scalar else x
 
 
@@ -366,22 +353,26 @@ class CriterionReport:
         return d
 
 
-def _verdict_from_trace(trace: np.ndarray, growth_factor: float, ref_fraction: float,
-                        tail_tol: float) -> str:
+# The one verdict rule; ``embedding_criterion`` documents it.
+_GROWTH_FACTOR = 10.0
+_REF_FRACTION = 0.25
+_TAIL_TOL = 1e-9
+
+
+def _verdict_from_trace(trace: np.ndarray) -> str:
     h = trace.size
-    ref = max(1, int(h * ref_fraction))
+    ref = max(1, int(h * _REF_FRACTION))
     floor = float(np.min(trace[:ref]))
     end = float(trace[-1])
     mid = float(trace[h // 2 - 1])
-    if floor > 0 and end > growth_factor * floor:
+    if floor > 0 and end > _GROWTH_FACTOR * floor:
         return "Fails"
-    if end <= mid * (1.0 + tail_tol):
+    if end <= mid * (1.0 + _TAIL_TOL):
         return "Embeds"
     return "Inconclusive"
 
 
-def _report_from_scores(scores: np.ndarray, nu: ModulusOfVariation, growth_factor: float,
-                        ref_fraction: float, tail_tol: float,
+def _report_from_scores(scores: np.ndarray, nu: ModulusOfVariation,
                         crosscheck_gap: float | None = None) -> CriterionReport:
     horizon = scores.size
     trace = np.maximum.accumulate(scores) / nu.table(horizon)
@@ -389,26 +380,27 @@ def _report_from_scores(scores: np.ndarray, nu: ModulusOfVariation, growth_facto
         horizon=horizon,
         trace=trace,
         running_sup=float(np.max(trace)),
-        verdict=_verdict_from_trace(trace, growth_factor, ref_fraction, tail_tol),
+        verdict=_verdict_from_trace(trace),
         crosscheck_gap=crosscheck_gap,
     )
 
 
-def embedding_criterion(Phi: PhiSequence, nu: ModulusOfVariation, p: float, horizon: int,
-                        growth_factor: float = 10.0, ref_fraction: float = 0.25,
-                        tail_tol: float = 1e-9) -> CriterionReport:
-    """Trace of (1/nu(n)) max_{k<=n} k^(1/p) Phi_k^{-1}(1) with a verdict.
+def embedding_criterion(Phi: PhiSequence, nu: ModulusOfVariation, p: float,
+                        horizon: int) -> CriterionReport:
+    """Trace of (1/nu(n)) max_{k<=n} k^(1/p) Phi_k^{-1}(1) for n <= horizon, with a verdict.
 
-    Fails when the trace ends above ``growth_factor`` times the minimum it
-    attained over the first ``ref_fraction`` of the horizon; Embeds when the
-    tail has stopped increasing; otherwise Inconclusive.
+    The verdict rule is fixed: Fails when the trace at the horizon exceeds 10
+    times its minimum over the first quarter of the horizon; Embeds when the
+    trace at the horizon is at most (1 + 1e-9) times its value at half the
+    horizon; otherwise Inconclusive.  ``witness_generate`` reads the same
+    verdict.
     """
     _check_p(p)
     if horizon < 8:
         raise ValueError("horizon must be >= 8")
     ks = np.arange(1, horizon + 1, dtype=np.float64)
     scores = ks ** (1.0 / p) * Phi.inverse_at_one_table(horizon)
-    return _report_from_scores(scores, nu, growth_factor, ref_fraction, tail_tol)
+    return _report_from_scores(scores, nu)
 
 
 _COROLLARY_CASES = ("BVq", "Salem", "LambdaBV", "WatermanShiba", "PhiLambda")
@@ -416,9 +408,7 @@ _COROLLARY_CASES = ("BVq", "Salem", "LambdaBV", "WatermanShiba", "PhiLambda")
 
 def corollary_criteria(case: str, nu: ModulusOfVariation, p: float, horizon: int, *,
                        q: float | None = None, phi: OrliczFunction | None = None,
-                       lam: LambdaSequence | None = None,
-                       growth_factor: float = 10.0, ref_fraction: float = 0.25,
-                       tail_tol: float = 1e-9) -> CriterionReport:
+                       lam: LambdaSequence | None = None) -> CriterionReport:
     """Case-specific embedding expressions, cross-checked against the generic
     criterion on the induced Phi-sequence (max gap must stay within 1e-9)."""
     _check_p(p)
@@ -456,7 +446,7 @@ def corollary_criteria(case: str, nu: ModulusOfVariation, p: float, horizon: int
     gap = float(np.max(np.abs(expr - generic) / np.maximum(1.0, np.abs(expr))))
     if gap > 1e-9:
         raise RuntimeError(f"corollary expression disagrees with the generic criterion (gap {gap:g})")
-    return _report_from_scores(expr, nu, growth_factor, ref_fraction, tail_tol, crosscheck_gap=gap)
+    return _report_from_scores(expr, nu, crosscheck_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +583,7 @@ class _ScoreScan:
     def __init__(self, Phi: PhiSequence, p: float):
         self.Phi = Phi
         self.p = p
-        self._scanned = 0
-        self._best_m = 0
-        self._best_g = -np.inf
+        # (k scanned up to, argmax over 1..k, max over 1..k), one per chunk
         self._checkpoints: list[tuple[int, int, float]] = [(0, 0, -np.inf)]
 
     def _g_chunk(self, lo: int, hi: int) -> np.ndarray:
@@ -608,24 +596,18 @@ class _ScoreScan:
         return ks ** (1.0 / self.p) * inv
 
     def argmax_upto(self, n: int) -> tuple[int, float]:
-        while self._scanned < n:
-            lo = self._scanned + 1
-            hi = min(self._scanned + self._CHUNK, n)
+        while (last := self._checkpoints[-1])[0] < n:
+            scanned, best_m, best_g = last
+            lo = scanned + 1
+            hi = min(scanned + self._CHUNK, n)
             g = self._g_chunk(lo, hi)
             i = int(np.argmax(g))
-            if g[i] > self._best_g:
-                self._best_g = float(g[i])
-                self._best_m = lo + i
-            self._scanned = hi
-            self._checkpoints.append((hi, self._best_m, self._best_g))
+            if g[i] > best_g:
+                best_m, best_g = lo + i, float(g[i])
+            self._checkpoints.append((hi, best_m, best_g))
         # best over a strict prefix of the scanned range
-        base_m, base_g = 0, -np.inf
-        last_cp = 0
-        for cp, m, gval in self._checkpoints:
-            if cp <= n:
-                base_m, base_g, last_cp = m, gval, cp
-            else:
-                break
+        at = bisect.bisect_right(self._checkpoints, n, key=lambda cp: cp[0]) - 1
+        last_cp, base_m, base_g = self._checkpoints[at]
         if last_cp < n:
             g = self._g_chunk(last_cp + 1, n)
             i = int(np.argmax(g))
@@ -636,7 +618,7 @@ class _ScoreScan:
 
 def _block_geometry(k: int, n: int, m: int, Phi: PhiSequence):
     s = int((2.0 ** (-k) * n + 1.0) // 2)
-    height = 2.0 ** (-k) * Phi.inverse_at(m, 1.0)
+    height = 2.0 ** (-k) * phi_partial_inverse(Phi, m, 1.0)
     return s, height
 
 

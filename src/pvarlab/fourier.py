@@ -232,7 +232,7 @@ def _split_objective(nu: ModulusOfVariation, omega, p: float, n: int):
     """
     _check_p(p)
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ValueError(f"n must be >= 2, got {n}")
     w = omega(1.0 / n)
     ks = np.arange(1, n, dtype=np.float64)  # 1..n-1
     harm = np.cumsum(1.0 / ks)
@@ -369,6 +369,8 @@ def coeff_decay_ratios(f: SampledFunction, nu: ModulusOfVariation, p: float,
                        N: int) -> np.ndarray:
     """|f^(n)| n^(1/p) / nu(n) for 1 <= n <= N."""
     _check_p(p)
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     c = fourier_coeffs(f, N)
     ns = np.arange(1, N + 1, dtype=np.float64)
     return np.hypot(c.a, c.b) * ns ** (1.0 / p) / nu.table(N)

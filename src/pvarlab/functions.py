@@ -73,14 +73,15 @@ def from_spec(spec: str, seed: int = 0) -> SampledFunction:
     """Build a function from a CLI spec like ``zigzag:9`` or ``random:13``.
 
     The point count after the colon defaults per family when absent and must
-    be at least 2.
+    be at least 2; any other field is rejected.
     """
-    parts = spec.split(":")
-    name = parts[0].lower()
-    if name not in _SPECS:
-        raise ValueError(f"unknown function spec {spec!r}")
-    default, build = _SPECS[name]
-    points = int(parts[1]) if len(parts) > 1 else default
+    name, *fields = spec.split(":")
+    try:
+        default, build = _SPECS[name.lower()]
+        (points,) = [int(v) for v in fields] or [default]
+    except (KeyError, ValueError):
+        grammar = " | ".join(f"{family}[:<points>]" for family in _SPECS)
+        raise ValueError(f"unknown function spec {spec!r} ({grammar})") from None
     if points < 2:
         raise ValueError(f"function spec {spec!r} needs at least 2 points")
     return build(points, seed)

@@ -74,7 +74,7 @@ class KSandwich:
 def bracket_count(t: float, p: float) -> int:
     """floor(1/t) raised to p, rounded down to an integer (at least 1)."""
     if not (0.0 < t <= 1.0):
-        raise ValueError("t must lie in (0, 1]")
+        raise ValueError(f"t must lie in (0, 1], got {t!r}")
     _check_p(p)
     base = math.floor(1.0 / t + 1e-12)
     return max(1, int(math.floor(base ** p + 1e-9)))

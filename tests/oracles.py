@@ -176,13 +176,13 @@ def inverse_at_one_loop(Phi, lo_k, hi_k):
     lo = np.zeros(ns.size)
     hi = np.ones(ns.size)
     for _ in range(200):
-        need = Phi.partial_rows(ns, hi) < ones
+        need = Phi.partial(ns, hi) < ones
         if not np.any(need):
             break
         hi[need] *= 2.0
     for _ in range(120):
         mid = 0.5 * (lo + hi)
-        below = Phi.partial_rows(ns, mid) < ones
+        below = Phi.partial(ns, mid) < ones
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)

@@ -35,7 +35,6 @@ from pvarlab import (
 )
 from pvarlab import verify as inv
 from pvarlab.functions import make_random, make_square_wave, make_zigzag
-from pvarlab.cli import main
 
 SEED = 987654321
 
@@ -242,9 +241,8 @@ def test_norm_batteries():
             f"{'exact' if fund_ok else 'FAILED'}, square-wave decay sup {decay:.4f}")
 
 
-def test_verify_determinism(tmp_path):
-    paths = [tmp_path / "r1.txt", tmp_path / "r2.txt"]
-    codes = [main(["verify", "--seed", "424242", "--out", str(path)]) for path in paths]
+def test_verify_determinism(verify_seed7_pair):
+    codes, paths = verify_seed7_pair
     same = paths[0].read_bytes() == paths[1].read_bytes()
     _report("verify-determinism", codes == [0, 0] and same,
             f"exit codes {codes}, reports identical: {same}")

@@ -193,14 +193,79 @@ def test_nu_specs_same_in_api_and_cli(spec, capsys):
         assert "(power:<alpha>, log, table:v1,v2,...)" in err
 
 
+PHI_HINT = "(power:<q>, orlicz:exp, orlicz:power:<q>, lambda:<q>[:<beta>])"
+FUNCTION_HINT = "zigzag[:<points>] | sine[:<points>]"
+
+
+@pytest.mark.parametrize("argv,hint", [
+    (["embed", "--p", "1", "--nu", "log", "--horizon", "64", "--phi", "orlicz:power:3:4"], PHI_HINT),
+    (["embed", "--p", "1", "--nu", "log", "--horizon", "64", "--phi", "lambda:2:0.5:9"], PHI_HINT),
+    (["embed", "--p", "1", "--nu", "log", "--horizon", "64", "--phi", "power:"], PHI_HINT),
+    (["embed", "--p", "1", "--nu", "log", "--horizon", "64", "--phi", "orlicz:exp:2"], PHI_HINT),
+    (["seqnorm", "--space", "modular", "--x", "1,2", "--phi", "power:2:1"], PHI_HINT),
+    (["fourier", "--p", "1", "--nu", "log", "--n-list", "8", "--omega", "power:0.5:1"],
+     "(power:<alpha> or log)"),
+    (["fourier", "--p", "1", "--nu", "log", "--n-list", "8", "--omega", "log:2"],
+     "(power:<alpha> or log)"),
+    (["kfunc", "--p", "1", "--t", "1", "--function", "zigzag:9:3"], FUNCTION_HINT),
+    (["kfunc", "--p", "1", "--t", "1", "--function", "zigzag:"], FUNCTION_HINT),
+])
+def test_spec_strings_reject_trailing_and_empty_fields(argv, hint, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and hint in err
+    if argv[0] == "kfunc":  # the function specs are library API too
+        with pytest.raises(ValueError, match="unknown function spec"):
+            from_spec(argv[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["pvar", "--values", "0,1,0", "--p", "1", "--n", "2", "--jobs", "2"],
+    ["pvar", "--values", "0,1,0", "--p", "1", "--n-max", "2"],
+    ["pvar", "--values", "0,1,0", "--p", "1"],
+    ["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--horizon", "64", "--jobs", "2"],
+    ["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--horizon", "64", "--seed", "3"],
+    ["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--horizon", "4096",
+     "--growth-factor", "2"],
+    ["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--horizon", "64",
+     "--ref-fraction", "0.5"],
+    ["seqnorm", "--space", "marcinkiewicz", "--n", "3", "--jobs", "2"],
+    ["seqnorm", "--space", "marcinkiewicz", "--n", "3", "--seed", "3"],
+    ["verify", "--seed", "1", "--jobs", "2"],
+])
+def test_removed_options_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: pvarlab" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fourier", "--decay", "--function", "square:64", "--nu", "log", "--p", "1", "--n-max", "0"],
+     "N must be >= 1, got 0"),
+    (["fourier", "--decay", "--function", "square:64", "--nu", "log", "--p", "1", "--n-max", "-3"],
+     "N must be >= 1, got -3"),
+    (["pvar", "--values", "0,1,0", "--p", "1", "--n", "0"], "n must be >= 1"),
+    (["fourier", "--nu", "log", "--omega", "log", "--p", "1", "--n-list", "8,1"],
+     "n must be >= 2, got 1"),
+    (["fourier", "--nu", "log", "--omega", "log", "--p", "1", "--n-list", "8,1", "--jobs", "2"],
+     "n must be >= 2, got 1"),
+])
+def test_zero_and_negative_counts_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 @pytest.mark.parametrize("space", [["orlicz", "--q", "2"], ["modular", "--phi", "power:2"]])
 def test_seqnorm_at_tiny_scale(space, capsys):
     assert main(["seqnorm", "--space", *space, "--x", "3e-300,4e-300"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith(",x,5e-300")
 
 
-def test_kfunc_validation_exit_code():
-    assert main(["kfunc", "--function", "zigzag", "--p", "2", "--t", "1.5"]) == 2
+def test_kfunc_validation_exit_code(capsys):
+    assert main(["kfunc", "--function", "zigzag", "--p", "2", "--t", "0.5,1.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "t must lie in (0, 1], got 1.5" in err
 
 
 def test_kfunc_csv(tmp_path):
@@ -251,10 +316,13 @@ def test_embed_report(tmp_path):
     assert payload["running_sup"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_embed_witness_rejected_when_embedding(tmp_path):
+def test_embed_witness_rejected_when_embedding(capsys):
     rc = main(["embed", "--phi", "power:2", "--nu", "power:0.5", "--p", "1",
                "--horizon", "512", "--witness"])
     assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "embedding criterion verdict is Embeds; witnesses exist only for Fails" in err
 
 
 def test_seqnorm(tmp_path):
@@ -317,11 +385,9 @@ def test_bad_log_level_env():
     assert proc.stdout == ""
 
 
-def test_verify_deterministic(tmp_path):
-    a = tmp_path / "r1.txt"
-    b = tmp_path / "r2.txt"
-    assert main(["verify", "--seed", "7", "--out", str(a)]) == 0
-    assert main(["verify", "--seed", "7", "--out", str(b)]) == 0
+def test_verify_deterministic(verify_seed7_pair):
+    codes, (a, b) = verify_seed7_pair
+    assert codes == [0, 0]
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() == (DATA / "verify_seed7.txt").read_bytes()
 

@@ -77,6 +77,20 @@ def test_phi_partial_inverse_across_magnitudes(n):
                           [phi_partial_inverse(Phi, int(m), 1.0) for m in ms])
 
 
+@pytest.mark.parametrize("Phi", [
+    PhiSequence.power_all(2.5),
+    PhiSequence.orlicz_all(exp_orlicz()),
+    PhiSequence.orlicz_over_lambda(power_orlicz(3.0), LambdaSequence.harmonic()),
+    PhiSequence.custom([lambda x, j=j: x ** 2.5 / (j + 1) for j in range(12)]),
+], ids=["power", "orlicz", "orlicz-over-lambda", "custom"])
+def test_partial_over_arrays_is_the_scalar_calls(Phi, rng):
+    ns = rng.integers(1, 13, 300)
+    xs = 10.0 ** rng.uniform(-6.0, 2.0, 300)
+    scalar = [float(Phi.partial(int(n), x)).hex() for n, x in zip(ns, xs)]
+    for batch_ns in (ns, ns.astype(np.float64)):  # the inverse passes float n
+        assert [float(v).hex() for v in Phi.partial(batch_ns, xs)] == scalar
+
+
 def test_bisected_orlicz_inverse_across_magnitudes():
     cube = OrliczFunction("cube", lambda x: x ** 3)
     ys = np.array([1e-200, 8.0, 1e200])
