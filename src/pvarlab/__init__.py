@@ -13,7 +13,6 @@ from .embeddings import (
     OrliczFunction,
     PhiSequence,
     Witness,
-    WitnessBudget,
     corollary_criteria,
     embedding_criterion,
     exp_orlicz,

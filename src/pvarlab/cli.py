@@ -24,7 +24,6 @@ from . import seqspaces as sq
 from .embeddings import (
     LambdaSequence,
     PhiSequence,
-    WitnessBudget,
     embedding_criterion,
     exp_orlicz,
     power_orlicz,
@@ -205,8 +204,7 @@ def _cmd_embed(args) -> int:
     nu = parse_modulus(args.nu)
     payload = embedding_criterion(Phi, nu, args.p, args.horizon).to_json_dict()
     if args.witness:
-        witness = witness_generate(Phi, nu, args.p, args.k_max,
-                                   WitnessBudget(criterion_horizon=args.horizon))
+        witness = witness_generate(Phi, nu, args.p, args.k_max, horizon=args.horizon)
         payload["witness"] = None if witness is None else witness.to_json_dict()
     _write(args, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "corollary_criteria",
     "var_phi",
     "wu_bound_check",
-    "WitnessBudget",
     "Witness",
     "witness_generate",
 ]
@@ -515,15 +515,13 @@ def wu_bound_check(Phi: PhiSequence, x, p: float, var_budget: float):
 # Witness generation for failed embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessBudget:
-    n_max: int = 1 << 34          # largest block index searched
-    literal_n_max: int = 1 << 27  # scan cap while chasing the full 2^(4k) rate
-    max_points: int = 30_000_000  # total materialized grid points
-    dp_ops: float = 6e8           # full-window DP cost cap (value ops), checked on
-                                  # the closed-form reduced size 2r + 1 before reducing
-    prefix_teeth: int = 40        # teeth in the small replica DP check
-    criterion_horizon: int = 100_000
+# The witness search budget.
+_N_MAX = 1 << 34            # largest block index searched
+_LITERAL_N_MAX = 1 << 27    # scan cap while chasing the full 2^(4k) rate
+_MAX_POINTS = 30_000_000    # total grid points over all blocks
+_DP_OPS = 6e8               # full-window DP cost cap (value ops), checked on
+                            # the closed-form reduced size 2r + 1 before reducing
+_PREFIX_TEETH = 40          # teeth in the small replica DP check
 
 
 @dataclass(frozen=True)
@@ -555,17 +553,23 @@ class BlockCertificate:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    function: SampledFunction
+    """Certified blocks; ``function`` is their step function, built on first read."""
+
     blocks: tuple
     certificates: tuple
     varphi_total: float
     certified: bool
 
+    @cached_property
+    def function(self) -> SampledFunction:
+        return _materialize(self.blocks)
+
     def to_json_dict(self, max_function_points: int = 200_000) -> dict:
-        if len(self.function) <= max_function_points:
+        points = 1 + 3 * sum(b.r for b in self.blocks) + int(_closes_at_one(self.blocks))
+        if points <= max_function_points:
             fn = self.function.to_json_dict()
         else:
-            fn = {"points": len(self.function), "omitted": True}
+            fn = {"points": points, "omitted": True}
         return {
             "function": fn,
             "blocks": [dict(vars(b)) for b in self.blocks],
@@ -622,8 +626,28 @@ def _block_geometry(k: int, n: int, m: int, Phi: PhiSequence):
     return s, height
 
 
-def _search_block(scan: _ScoreScan, nu: ModulusOfVariation, p: float, k: int,
-                  budget: WitnessBudget, point_cap: int):
+def _first_passing(test, n_min: int, n_cap: int, factor: float):
+    """(smallest n >= n_min passing ``test``, ``test`` at the first grown n that passed).
+
+    n grows by ``factor`` up to n_cap until ``test`` passes ((None, None) if it
+    never does); bisection then searches back down to n / factor.
+    """
+    n = n_min
+    while n <= n_cap and not (hit := test(n)):
+        n = max(n + 1, int(n * factor))
+    if n > n_cap:
+        return None, None
+    lo, hi = max(n_min, int(n / factor)), n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, hit
+
+
+def _search_block(scan: _ScoreScan, nu: ModulusOfVariation, p: float, k: int, point_cap: int):
     """Smallest n > 2^(k+2) whose block is certifiable; full growth rate first."""
     Phi = scan.Phi
     n_min = 2 ** (k + 2) + 1
@@ -636,24 +660,8 @@ def _search_block(scan: _ScoreScan, nu: ModulusOfVariation, p: float, k: int,
 
     # Pass 1: the full 2^(4k) rate, if it is reachable within the scan cap
     # and its block fits the point budget.
-    n = n_min
-    found = None
-    while n <= budget.literal_n_max:
-        m, rt = rate(n)
-        if rt > full_rate_target:
-            found = n
-            break
-        n = max(n + 1, int(n * 2))
-    if found is not None:
-        lo, hi = max(n_min, found // 2), found
-        while lo < hi:
-            mid = (lo + hi) // 2
-            _, rt = rate(mid)
-            if rt > full_rate_target:
-                hi = mid
-            else:
-                lo = mid + 1
-        n = lo
+    n, _ = _first_passing(lambda n: rate(n)[1] > full_rate_target, n_min, _LITERAL_N_MAX, 2.0)
+    if n is not None:
         m, rt = rate(n)
         s, height = _block_geometry(k, n, m, Phi)
         r = min(m, s)
@@ -675,89 +683,78 @@ def _search_block(scan: _ScoreScan, nu: ModulusOfVariation, p: float, k: int,
                                 literal=False)
         return None
 
-    n = n_min
-    hit = None
-    while n <= budget.n_max:
-        hit = feasible(n)
-        if hit is not None:
-            break
-        n = max(n + 1, int(n * 1.5))
-    if hit is None:
-        return None
-    lo, hi = max(n_min, int(n / 1.5)), n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return feasible(lo) or hit
+    lo, hit = _first_passing(feasible, n_min, _N_MAX, 1.5)
+    return None if lo is None else feasible(lo) or hit
 
 
-def _materialize(blocks: list[WitnessBlock]):
-    """Step blocks on [0, 1]; three points per tooth, jumps on the left edge."""
-    xs_parts = [np.array([0.0])]
-    vs_parts = [np.array([0.0])]
-    sel_starts: list[np.ndarray] = []
-    sel_ends: list[np.ndarray] = []
-    offset = 1
+def _tooth_lefts(blk: WitnessBlock, j):
+    """(left edges 2^-k + 2j/n of teeth j, tooth width 1/n): the grid's one float expression."""
+    w = 1.0 / blk.n
+    return 2.0 ** (-blk.k) + 2.0 * w * j, w
+
+
+def _tooth_window(blk: WitnessBlock) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, values) of a block's window: a zero at 0, then (h, h, 0) per tooth.
+
+    Tooth j jumps to h at its left edge u_j, holds h at u_j + w/2 and is
+    back to 0 at u_j + w.
+    """
+    us, w = _tooth_lefts(blk, np.arange(blk.r, dtype=np.float64))
+    xs = np.zeros(3 * blk.r + 1)
+    xs[1::3] = us
+    xs[2::3] = us + 0.5 * w
+    xs[3::3] = us + w
+    vs = np.zeros(3 * blk.r + 1)
+    vs[1::3] = blk.height
+    vs[2::3] = blk.height
+    return xs, vs
+
+
+def _closes_at_one(blocks) -> bool:
+    """Whether the grid needs a closing (1, 0): the k = 1 block ends short of 1."""
+    last = min(blocks, key=lambda b: b.k)
+    u, w = _tooth_lefts(last, last.r - 1.0)
+    return u + w < 1.0 - 1e-12
+
+
+def _materialize(blocks) -> SampledFunction:
+    """Step blocks on [0, 1]: their tooth windows in order of position."""
+    xs_parts: list[np.ndarray] = []
+    vs_parts: list[np.ndarray] = []
     for blk in sorted(blocks, key=lambda b: b.k, reverse=True):
-        start = 2.0 ** (-blk.k)
-        w = 1.0 / blk.n
-        j = np.arange(blk.r, dtype=np.float64)
-        us = start + 2.0 * w * j
-        pts = np.empty(3 * blk.r)
-        pts[0::3] = us
-        pts[1::3] = us + 0.5 * w
-        pts[2::3] = us + w
-        vals = np.zeros(3 * blk.r)
-        vals[0::3] = blk.height
-        vals[1::3] = blk.height
-        prev = xs_parts[-1]
-        if prev[-1] >= pts[0]:
-            # A block may end exactly where the next one starts; grid positions
-            # are free between neighbours, so slide the trailing zero left.
-            left_anchor = prev[-2] if prev.size > 1 else 0.0
-            prev[-1] = 0.5 * (left_anchor + pts[0])
-        xs_parts.append(pts)
-        vs_parts.append(vals)
-        idx = offset + 3 * np.arange(blk.r, dtype=np.int64)
-        up = np.stack([idx - 1, idx])          # previous zero -> tooth left edge
-        down = np.stack([idx + 1, idx + 2])    # tooth interior -> right edge
-        sel_starts.append(np.concatenate([up[0], down[0]]))
-        sel_ends.append(np.concatenate([up[1], down[1]]))
-        offset += 3 * blk.r
-    xs = np.concatenate(xs_parts)
-    vs = np.concatenate(vs_parts)
-    if xs[-1] < 1.0 - 1e-12:
-        xs = np.append(xs, 1.0)
-        vs = np.append(vs, 0.0)
-    f = SampledFunction(xs, vs)
-    return f, sel_starts, sel_ends
+        xs, vs = _tooth_window(blk)
+        if xs_parts:
+            prev = xs_parts[-1]
+            if prev[-1] >= xs[1]:
+                # A block may end exactly where the next one starts; grid positions
+                # are free between neighbours, so slide the trailing zero left.
+                prev[-1] = 0.5 * (prev[-2] + xs[1])
+            # the previous block's trailing zero is this window's leading zero
+            xs, vs = xs[1:], vs[1:]
+        xs_parts.append(xs)
+        vs_parts.append(vs)
+    if _closes_at_one(blocks):
+        xs_parts.append(np.array([1.0]))
+        vs_parts.append(np.array([0.0]))
+    return SampledFunction(np.concatenate(xs_parts), np.concatenate(vs_parts))
 
 
-def _prefix_dp_check(f: SampledFunction, blk: WitnessBlock, start_idx: int, p: float,
-                     teeth: int) -> bool:
-    t = min(blk.r, teeth)
-    lo = start_idx - 1
-    hi = start_idx + 3 * t
-    sub = SampledFunction(f.grid[lo:hi], f.values[lo:hi])
+def _prefix_dp_check(window: SampledFunction, blk: WitnessBlock, p: float) -> bool:
+    t = min(blk.r, _PREFIX_TEETH)
+    sub = SampledFunction(window.grid[:1 + 3 * t], window.values[:1 + 3 * t])
     val, _ = pvariation_dp(sub, p, 2 * t)
     expected = (2.0 * t) ** (1.0 / p) * blk.height
     return abs(val - expected) <= 1e-9 * (1.0 + expected)
 
 
-def _window_dp_value(f: SampledFunction, blk: WitnessBlock, start_idx: int, p: float,
-                     budget: WitnessBudget) -> float | None:
+def _window_dp_value(window: SampledFunction, blk: WitnessBlock, p: float) -> float | None:
     # The window is a leading zero, then (h, h, 0) per tooth: it reduces to the
     # 2r + 1 alternating points 0, h, 0, ..., h, 0, so the cap is decided first.
     m = 2 * blk.r + 1
     cost = m * float(blk.n) if p == 1.0 else m * m * float(blk.n)
-    if cost > budget.dp_ops:
+    if cost > _DP_OPS:
         return None
-    lo = start_idx - 1
-    hi = start_idx + 3 * blk.r
-    sub = extrema_reduce(SampledFunction(f.grid[lo:hi], f.values[lo:hi]))
+    sub = extrema_reduce(window)
     if len(sub) != m:
         raise RuntimeError(
             f"block k = {blk.k}: window reduced to {len(sub)} points, expected {m}"
@@ -771,43 +768,41 @@ def _window_dp_value(f: SampledFunction, blk: WitnessBlock, start_idx: int, p: f
 
 
 def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: int,
-                     budget: WitnessBudget | None = None):
+                     horizon: int = 100_000):
     """Build a function in the Phi-variation ball violating the nu growth bound.
 
     Returns a certified :class:`Witness` or ``None`` when no certifiable block
-    configuration fits the search budget.  Requires the embedding criterion to
-    Fail for (Phi, nu, p).
+    configuration fits the search budget (the module constants above).
+    Requires the embedding criterion, run to ``horizon``, to Fail for
+    (Phi, nu, p).  Each block is certified from its own tooth window; the
+    step function is built only when ``Witness.function`` is read.
     """
     if not (1 <= k_max <= 5):
         raise ValueError("k_max must lie in 1..5")
-    budget = budget or WitnessBudget()
-    report = embedding_criterion(Phi, nu, p, budget.criterion_horizon)
+    report = embedding_criterion(Phi, nu, p, horizon)
     if report.verdict != "Fails":
         raise ValueError(
             f"embedding criterion verdict is {report.verdict}; witnesses exist only for Fails"
         )
     scan = _ScoreScan(Phi, p)
     blocks: list[WitnessBlock] = []
-    points_left = budget.max_points
+    points_left = _MAX_POINTS
     for k in range(1, k_max + 1):
-        blk = _search_block(scan, nu, p, k, budget, points_left)
+        blk = _search_block(scan, nu, p, k, points_left)
         if blk is None:
             return None
         points_left -= 3 * blk.r + 2
         blocks.append(blk)
 
-    f, sel_starts, sel_ends = _materialize(blocks)
-    ordered = sorted(blocks, key=lambda b: b.k, reverse=True)
     certs = []
     all_ok = True
     varphi_total = 0.0
-    offset = 1
-    for blk in ordered:
-        i = ordered.index(blk)
-        starts, ends = sel_starts[i], sel_ends[i]
-        diffs = np.abs(f.values[ends] - f.values[starts])
+    for blk in reversed(blocks):
+        window = SampledFunction(*_tooth_window(blk))
+        v = window.values  # up onto each tooth, then down off each tooth
+        diffs = np.abs(np.concatenate([v[1::3] - v[:-1:3], v[3::3] - v[2::3]]))
         objective = float(np.sum(diffs ** p) ** (1.0 / p))
-        count = int(starts.size)
+        count = int(diffs.size)
         if count > blk.n:
             raise RuntimeError("certificate selection uses more intervals than allowed")
         ratio = objective / nu.value(blk.n)
@@ -815,8 +810,8 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
         term = float(Phi.partial(2 * blk.r, blk.height))
         cap = 2.0 * 2.0 ** (-blk.k)
         varphi_total += term
-        prefix_ok = _prefix_dp_check(f, blk, offset, p, budget.prefix_teeth)
-        window_val = _window_dp_value(f, blk, offset, p, budget)
+        prefix_ok = _prefix_dp_check(window, blk, p)
+        window_val = _window_dp_value(window, blk, p)
         ok = (
             ratio >= required
             and term <= cap * (1.0 + 1e-9)
@@ -829,14 +824,12 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
             required=required, varphi_term=term, varphi_cap=cap, prefix_dp_ok=prefix_ok,
             window_dp_ran=window_val is not None, window_dp_value=window_val,
         ))
-        offset += 3 * blk.r
     certified = all_ok and varphi_total <= 2.0 * (1.0 + 1e-9)
     if not certified:
         raise RuntimeError("witness certificates failed; see certificate record")
     certs.sort(key=lambda c: c.k)
     return Witness(
-        function=f,
-        blocks=tuple(sorted(blocks, key=lambda b: b.k)),
+        blocks=tuple(blocks),
         certificates=tuple(certs),
         varphi_total=float(varphi_total),
         certified=certified,

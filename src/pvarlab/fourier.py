@@ -261,15 +261,10 @@ def convergence_sequences(nu: ModulusOfVariation, omega, p: float, n: int) -> Co
     w, harm, obj, th = _split_objective(nu, omega, p, n)
     head = w * harm[th - 1]
     rho = float(obj[th - 1])
-
-    ks = np.arange(1, n, dtype=np.float64)
-    nut = nu.table(n - 1)
-    eps = epsilon_p_table(nu, p, n - 1)
-    nu_prev = np.concatenate(([0.0], nut[:-1]))
-    sigma = head + float(np.sum(eps[th:] / ks[th:]))
-    tau = head + float(np.sum((nut[th:] - nu_prev[th:]) / ks[th:] ** (1.0 / p)))
-    delta_w = ks ** (-1.0 / p) - (ks + 1.0) ** (-1.0 / p)
-    eta = head + float(np.sum(delta_w[th:] * nut[th:]))
+    terms = _series_terms(nu, p, n - 1)
+    sigma = head + float(np.sum(terms["epsp_harmonic"][th:]))
+    tau = head + float(np.sum(terms["nu_increment"][th:]))
+    eta = head + float(np.sum(terms["weighted_delta"][th:]))
     return ConvergenceSequences(n=int(n), theta=th, rho=rho, sigma=float(sigma),
                                 tau=float(tau), eta=float(eta))
 

@@ -133,19 +133,24 @@ def parse_modulus(candidate) -> ModulusOfVariation:
     """Modulus from a spec string, a modulus, or a table of values.
 
     Specs are ``power:<alpha>``, ``log`` and ``table:v1,v2,...``; the API and
-    the CLI both parse them here.
+    the CLI both parse them here, and any other string is a ValueError naming
+    that grammar.
     """
     if isinstance(candidate, ModulusOfVariation):
         return candidate
     if isinstance(candidate, str):
         s = candidate.strip().lower()
-        if s.startswith("power:"):
-            return ModulusOfVariation.power(float(s.split(":", 1)[1]))
+        head, _, body = s.partition(":")
+        try:
+            fields = [float(x) for x in body.split(",")]
+        except ValueError:
+            fields = []
         if s == "log":
             return ModulusOfVariation.log()
-        if s.startswith("table:"):
-            vals = [float(x) for x in s.split(":", 1)[1].split(",")]
-            return ModulusOfVariation.from_table(vals)
+        if head == "power" and len(fields) == 1:
+            return ModulusOfVariation.power(fields[0])
+        if head == "table" and fields:
+            return ModulusOfVariation.from_table(fields)
         raise ValueError(
             f"unknown modulus spec {candidate!r} (power:<alpha>, log, table:v1,v2,...)"
         )

@@ -200,7 +200,8 @@ def test_witness_soundness():
         detail = (
             f"ratios {ratios[1]:.2f}/{ratios[2]:.2f}/{ratios[3]:.2f} vs 2/4/8, "
             f"varphi {w.varphi_total:.4f} <= 2, prefix-DP ok, full-window DP at k={dp_full}, "
-            f"{len(w.function)} points, {elapsed:.1f}s"
+            f"{w.to_json_dict(max_function_points=0)['function']['points']} points, "
+            f"{elapsed:.1f}s"
         )
     _report("witness-soundness", ok, detail)
 

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pvarlab import _kernels, validate_modulus
+from pvarlab import _kernels, embeddings, validate_modulus
 from pvarlab.cli import main
 from pvarlab.functions import from_spec
 
@@ -176,8 +177,8 @@ def test_kfunc_jobs_profile_the_input_once(monkeypatch, capsys):
     assert widths == [400, 400]
 
 
-@pytest.mark.parametrize("spec", ["LOG", " log ", "power:", "table:", "table:1,x", "banana",
-                                  "power:0.5", "table:1,2,3"])
+@pytest.mark.parametrize("spec", ["LOG", " log ", "power:", "power:0.5:2", "table:",
+                                  "table:1,x", "banana", "power:0.5", "table:1,2,3"])
 def test_nu_specs_same_in_api_and_cli(spec, capsys):
     accepted = spec in ("LOG", " log ", "power:0.5", "table:1,2,3")
     if accepted:
@@ -189,7 +190,7 @@ def test_nu_specs_same_in_api_and_cli(spec, capsys):
     out, err = capsys.readouterr()
     assert rc == (0 if accepted else 2)
     assert (out == "") != accepted
-    if spec == "banana":
+    if not accepted:
         assert "(power:<alpha>, log, table:v1,v2,...)" in err
 
 
@@ -401,6 +402,30 @@ def test_embed_witness_cheap_pair(tmp_path):
     assert payload["verdict"] == "Fails"
     assert payload["witness"]["certified"] is True
     assert payload["witness"]["certificates"][0]["ratio"] >= 2.0
+
+
+def test_embed_witness_stdout_is_pinned(capsys):
+    assert main(["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--k-max", "1",
+                 "--witness"]) == 0
+    pinned = gzip.decompress((DATA / "embed_witness_power2_log_k1.json.gz").read_bytes())
+    assert capsys.readouterr().out == pinned.decode()
+
+
+def test_embed_witness_never_builds_an_omitted_function(monkeypatch, capsys):
+    calls = []
+    materialize = embeddings._materialize
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return materialize(blocks)
+
+    monkeypatch.setattr(embeddings, "_materialize", counted)
+    assert main(["embed", "--phi", "power:3", "--nu", "power:0.25", "--p", "1", "--k-max", "2",
+                 "--witness"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["certified"] is True
+    assert witness["function"] == {"points": 226_427, "omitted": True}
+    assert calls == []
 
 
 def test_config_file_fourier_sweep(tmp_path):

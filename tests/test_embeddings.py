@@ -10,7 +10,6 @@ from pvarlab import (
     OrliczFunction,
     PhiSequence,
     SampledFunction,
-    WitnessBudget,
     corollary_criteria,
     embedding_criterion,
     exp_orlicz,
@@ -22,9 +21,9 @@ from pvarlab import (
     witness_generate,
     wu_bound_check,
 )
-from pvarlab import _kernels
+from pvarlab import _kernels, embeddings
 from pvarlab import verify as inv
-from pvarlab.embeddings import WitnessBlock, _window_dp_value
+from pvarlab.embeddings import WitnessBlock, _tooth_window, _window_dp_value
 from pvarlab.functions import make_zigzag
 
 NU_SQRT = ModulusOfVariation.power(0.5)
@@ -282,12 +281,10 @@ def test_wu_randomized(rng):
 
 def test_witness_requires_failing_verdict():
     with pytest.raises(ValueError):
-        witness_generate(PhiSequence.power_all(2.0), NU_SQRT, 1.0, 2,
-                         WitnessBudget(criterion_horizon=4096))
+        witness_generate(PhiSequence.power_all(2.0), NU_SQRT, 1.0, 2, horizon=4096)
     with pytest.raises(ValueError):
         # q = p always embeds
-        witness_generate(PhiSequence.power_all(2.0), NU_LOG, 2.0, 2,
-                         WitnessBudget(criterion_horizon=4096))
+        witness_generate(PhiSequence.power_all(2.0), NU_LOG, 2.0, 2, horizon=4096)
 
 
 def test_witness_small_run_certified():
@@ -317,13 +314,15 @@ def test_window_value_rejects_a_window_off_its_closed_form():
     blk = WitnessBlock(k=1, n=8, m=2, s=2, r=2, height=1.0, rate=1.0, literal=True)
     grid = np.linspace(0.0, 1.0, 7)
     good = SampledFunction(grid, [0, 1, 1, 0, 1, 1, 0])
-    assert _window_dp_value(good, blk, 1, 1.0, WitnessBudget()) == 4.0
+    assert _window_dp_value(good, blk, 1.0) == 4.0
     # the last tooth never comes back to zero: 4 reduced points, not 2r + 1 = 5
     bad = SampledFunction(grid, [0, 1, 1, 0, 1, 1, 1])
     with pytest.raises(RuntimeError, match="expected 5"):
-        _window_dp_value(bad, blk, 1, 1.0, WitnessBudget())
-    # a skipped window is decided before it is reduced
-    assert _window_dp_value(bad, blk, 1, 1.0, WitnessBudget(dp_ops=10.0)) is None
+        _window_dp_value(bad, blk, 1.0)
+    # a skipped window is decided before it is reduced: 5 points times n is over the cap
+    wide = WitnessBlock(k=1, n=int(embeddings._DP_OPS), m=2, s=2, r=2, height=1.0, rate=1.0,
+                        literal=True)
+    assert _window_dp_value(bad, wide, 1.0) is None
 
 
 def test_window_value_is_the_dp_value_on_random_teeth(rng):
@@ -336,7 +335,7 @@ def test_window_value_is_the_dp_value_on_random_teeth(rng):
         for n in (2 * r, 2 * r + 3):
             blk = WitnessBlock(k=1, n=n, m=2, s=r, r=r, height=1.0, rate=1.0, literal=True)
             ref = _kernels.dp1_profile(reduced, n)[n]
-            assert abs(_window_dp_value(f, blk, 1, 1.0, WitnessBudget()) - ref) <= 1e-12 * ref
+            assert abs(_window_dp_value(f, blk, 1.0) - ref) <= 1e-12 * ref
 
 
 def test_witness_json_omits_huge_grids():
@@ -345,6 +344,42 @@ def test_witness_json_omits_huge_grids():
     assert d["function"].get("omitted") is True
     d2 = w.to_json_dict(max_function_points=10 ** 9)
     assert len(d2["function"]["grid"]) == len(w.function)
+
+
+@pytest.mark.parametrize("Phi,nu,k_max", [
+    (PhiSequence.power_all(2.0), NU_LOG, 1),
+    (PhiSequence.power_all(3.0), ModulusOfVariation.power(0.1), 1),
+    (PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic()), NU_SQRT, 2),
+])
+def test_witness_function_is_the_windows_certified(Phi, nu, k_max, monkeypatch):
+    read = {}
+    prefix_dp_check = embeddings._prefix_dp_check
+
+    def recording(window, blk, p):
+        read[blk.k] = window.values.copy()
+        return prefix_dp_check(window, blk, p)
+
+    monkeypatch.setattr(embeddings, "_prefix_dp_check", recording)
+    w = witness_generate(Phi, nu, 1.0, k_max)
+    assert sorted(read) == list(range(1, k_max + 1))
+    # blocks sit in decreasing k; each window's leading zero is the previous trailing zero
+    start = 0
+    for blk in sorted(w.blocks, key=lambda b: b.k, reverse=True):
+        stop = start + 3 * blk.r + 1
+        assert np.array_equal(w.function.values[start:stop], read[blk.k])
+        assert np.array_equal(read[blk.k], _tooth_window(blk)[1])
+        start = stop - 1
+    assert len(w.function) == w.to_json_dict(max_function_points=0)["function"]["points"]
+    assert len(w.function) - start in (1, 2)  # the last trailing zero, then maybe (1, 0)
+
+
+def test_witness_whose_last_tooth_ends_at_one_has_no_closing_point():
+    w = witness_generate(PhiSequence.power_all(3.0), ModulusOfVariation.power(0.1), 1.0, 1)
+    blk = w.blocks[0]
+    assert (blk.n, blk.r, blk.s) == (134, 34, 34)
+    assert w.function.grid[-1] == 1.0 and w.function.values[-1] == 0.0
+    assert len(w.function) == 1 + 3 * blk.r == 103
+    assert w.to_json_dict(max_function_points=0)["function"] == {"points": 103, "omitted": True}
 
 
 def test_witness_lambda_gauge_literal_blocks():
