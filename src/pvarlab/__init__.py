@@ -21,6 +21,7 @@ from .embeddings import (
     var_phi,
     witness_generate,
     wu_bound_check,
+    wu_bound_checks,
 )
 from .fourier import (
     ConvergenceSequences,
@@ -30,7 +31,6 @@ from .fourier import (
     Unif2Report,
     coeff_decay_report,
     convergence_sequences,
-    convergence_sweep,
     fejer_kernel,
     fejer_kernel_integral,
     fejer_mean,

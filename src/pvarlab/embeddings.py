@@ -26,6 +26,7 @@ __all__ = [
     "corollary_criteria",
     "var_phi",
     "wu_bound_check",
+    "wu_bound_checks",
     "Witness",
     "witness_generate",
 ]
@@ -66,42 +67,75 @@ def exp_orlicz() -> OrliczFunction:
     return OrliczFunction("exp", np.expm1, np.log1p)
 
 
-def _bisect_increasing(fn, y):
+# Bit patterns of nonnegative floats, as int64, are ordered like the floats
+# themselves, so the bracket below works on them: a midpoint in bits is
+# geometric across binades and arithmetic within one.
+_TOP = int(np.float64(2.0 ** 1023).view(np.int64))  # the largest bracket end
+_SEEDED_STEP = 1 << 8    # 2^8 ulps: a 2^-44 relative half-width around a seed
+_UNSEEDED_STEP = 1 << 52  # one binade around 1
+_GALLOP = 16
+
+
+def _bisect_increasing(fn, y, start=None):
     """Where a nondecreasing vectorized fn crosses each target y.
 
     ``fn`` maps an array of x to an array of the same shape, entry i against
-    target y[i].  The bracket grows geometrically from 1, doubling hi or
-    halving lo until fn(lo) < y <= fn(hi); halving then runs until lo and hi
-    are adjacent floats, and their midpoint (rounded, so one of the two) is
-    returned.  A fn monotone in floats has exactly one such adjacent pair per
-    target, so every bracket ends on the same floats.  lo stops at 0 when
-    fn(0) >= y; a target fn does not reach below 2^1024 is a ValueError.
+    target y[i].  Each target starts at ``start[i]`` where that is finite and
+    > 0, else at 1.  The bracket gallops out from there (2^8 ulps from a seed,
+    one binade without ``start``, 16 times further each step) until
+    fn(lo) < y <= fn(hi), with lo = 0 when fn reaches y at the smallest
+    positive float, then halves in bit patterns until lo and hi are adjacent
+    floats; their midpoint (rounded, so one of the two) is returned.  A fn
+    monotone in floats has one such pair per target, so every start ends on
+    the same floats: a seed only shortens the search, and a bad one (far off,
+    0, nan, inf) costs steps, never bits.  A target fn does not reach by
+    2^1023 is a ValueError.
 
     Targets never interact: entry i of each step reads only fn's entry i, and
-    a closed pair keeps its midpoint through further steps (it rounds to lo
-    or hi, which keep their sides of y), so batching cannot move any target's
-    float.
+    a closed pair probes its hi again, which keeps its side of y, so batching
+    cannot move any target's float.
     """
     y = np.asarray(y, dtype=np.float64)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
-    hi = np.ones_like(y)
-    with np.errstate(over="ignore", divide="ignore"):  # fn may run to inf off the root
-        while (short := fn(hi) < y).any():
-            hi[short] *= 2.0
-            if np.isinf(hi).any():
-                raise ValueError("inverse exceeds the float range")
-        lo = 0.5 * hi
-        while (over := (fn(lo) >= y) & (lo > 0)).any():
-            hi[over] = lo[over]
-            lo[over] *= 0.5
-        while (np.nextafter(lo, np.inf) < hi).any():
-            mid = 0.5 * (lo + hi)
-            below = fn(mid) < y
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
+    if start is None:
+        probe, step = np.ones_like(y), _UNSEEDED_STEP
+    else:
+        seed = np.broadcast_to(np.asarray(start, dtype=np.float64), y.shape)
+        probe, step = np.where(np.isfinite(seed) & (seed > 0), seed, 1.0), _SEEDED_STEP
+    probe = np.minimum(probe.view(np.int64), _TOP, out=probe.view(np.int64))
+    lo = np.full(y.shape, -1, dtype=np.int64)  # -1: this side is not known yet
+    hi = lo.copy()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # fn may run to inf
+        while _advance(fn(probe.view(np.float64)) < y, probe, lo, hi, step):
+            step = min(step * _GALLOP, _TOP)
+    out = np.add(lo.view(np.float64), hi.view(np.float64), out=probe.view(np.float64))
+    out *= 0.5
     return float(out[0]) if scalar else out
+
+
+def _advance(below, probe, lo, hi, step) -> bool:
+    """One bracket step, in place: record which side of y each probe fell on,
+    then write the next probe (a gallop step out from the known side, or the
+    bit midpoint); False once every pair is adjacent.
+
+    lo, hi and probe are the only full-size arrays the bisection keeps; the
+    masks are local here, so none of them is alive while fn runs.
+    """
+    if (below & (probe == _TOP)).any():
+        raise ValueError("inverse exceeds the float range")
+    np.copyto(lo, probe, where=below)
+    np.copyto(hi, probe, where=~below)
+    lo[(hi == 1) & (lo < 0)] = 0  # fn reaches y at the smallest float
+    up, down = hi < 0, lo < 0
+    np.subtract(hi, lo, out=probe)
+    if not (up.any() or down.any() or (probe > 1).any()):
+        return False
+    probe >>= 1
+    np.subtract(hi, probe, out=probe)  # a closed pair probes hi again
+    probe[up] = np.minimum(lo[up], _TOP - step) + step
+    probe[down] = np.maximum(hi[down], step + 1) - step
+    return True
 
 
 class LambdaSequence:
@@ -298,18 +332,26 @@ class PhiSequence:
         return self._inv_one[:kmax]
 
     def _inverse_at_one(self, lo_k: int, hi_k: int) -> np.ndarray:
-        return phi_partial_inverse(self, np.arange(lo_k, hi_k + 1), 1.0)
+        return phi_partial_inverse(self, np.arange(lo_k, hi_k + 1, dtype=np.float64), 1.0)
 
-    def inverse_at_one_closed(self, ks: np.ndarray) -> np.ndarray | None:
-        """Closed-form Phi_k^{-1}(1) for scan-scale work, or None."""
+    def closed_inverse(self, n, y):
+        """Closed-form estimate of Phi_n^{-1}(y), elementwise over arrays of n and
+        y, or None (``custom``, or a gauge without a closed inverse).
+
+        ``phi_partial_inverse`` starts its bisection here, so the estimate
+        only needs to be near the root: its floats come from the bisection,
+        not from this value.  The score scan reads it directly at y = 1, as
+        n^(-1/q) (times 1^(1/q) = 1), phi^{-1}(1/n) and phi^{-1}(1/Lambda_n).
+        """
         if self.kind == "power_all":
-            return ks ** (-1.0 / self.q)
-        if self.kind == "orlicz_all" and self.phi_fn._inv is not None:
-            return self.phi_fn.inverse(1.0 / ks)
-        if self.kind == "orlicz_over_lambda" and self.phi_fn._inv is not None:
-            cum = self._lam_cum(int(np.max(ks)))
-            return self.phi_fn.inverse(1.0 / cum[ks.astype(np.int64) - 1])
-        return None
+            q = self.q
+            return np.asarray(n, dtype=np.float64) ** (-1.0 / q) * np.asarray(y) ** (1.0 / q)
+        if self.phi_fn is None or self.phi_fn._inv is None:
+            return None
+        if self.kind == "orlicz_all":
+            return self.phi_fn.inverse(y / np.asarray(n, dtype=np.float64))
+        cum = self._lam_cum(int(np.max(n)))
+        return self.phi_fn.inverse(y / cum[np.asarray(n).astype(np.int64) - 1])
 
 
 def phi_partial_inverse(Phi: PhiSequence, n, y):
@@ -317,6 +359,8 @@ def phi_partial_inverse(Phi: PhiSequence, n, y):
 
     The result is the adjacent-float transition of the monotone bisection:
     the smallest float x with Phi_n(x) >= y, or the float just below it.
+    The bisection starts at ``Phi.closed_inverse(n, y)`` where there is one,
+    which shortens it but cannot move that transition.
     """
     scalar = np.ndim(n) == 0 and np.ndim(y) == 0
     ns, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(n, dtype=np.float64)),
@@ -325,7 +369,7 @@ def phi_partial_inverse(Phi: PhiSequence, n, y):
         raise ValueError("n must be >= 1")
     if np.any(ys < 0):
         raise ValueError("y must be >= 0")
-    x = _bisect_increasing(lambda x: Phi.partial(ns, x), ys)
+    x = _bisect_increasing(lambda x: Phi.partial(ns, x), ys, Phi.closed_inverse(ns, ys))
     return float(x[0]) if scalar else x
 
 
@@ -496,19 +540,42 @@ def var_phi(f: SampledFunction, Phi: PhiSequence, n_budget: int = 13, exact: boo
     return best
 
 
+def wu_bound_checks(Phi: PhiSequence, xs, p: float, budgets) -> list[tuple[float, float, bool]]:
+    """``wu_bound_check`` for each case (x, var_budget) of ``zip(xs, budgets)``.
+
+    Every case is validated first, in order, with the same messages.  The
+    inverses Phi_m^{-1}(budget) of all cases then run as one
+    ``phi_partial_inverse`` call over the concatenated (m, budget) pairs.
+    Targets never interact in the bisection and each case's max is taken
+    over its own slice, so every result is bit-identical to its own call.
+    """
+    _check_p(p)
+    cases = []
+    for x, budget in zip(xs, budgets):
+        x = np.asarray(x, dtype=np.float64)
+        if np.any(x < 0) or np.any(np.diff(x) > 1e-12):
+            raise ValueError("x must be nonincreasing and nonnegative")
+        total = float(np.sum(Phi.phi(np.arange(1, x.size + 1), x)))
+        if total > budget * (1.0 + 1e-12) + 1e-15:
+            raise ValueError("sum phi_j(x_j) exceeds the variation budget")
+        cases.append((x, float(budget)))
+    if not cases:
+        return []
+    sizes = [max(1, x.size) for x, _ in cases]
+    ms = np.concatenate([np.arange(1, k + 1, dtype=np.float64) for k in sizes])
+    targets = np.repeat([b for _, b in cases], sizes)
+    terms = ms ** (1.0 / p) * phi_partial_inverse(Phi, ms, targets)
+    out = []
+    for (x, _), seg in zip(cases, np.split(terms, np.cumsum(sizes)[:-1])):
+        lhs = float(np.sum(x ** p) ** (1.0 / p)) if x.size else 0.0
+        rhs = 16.0 * float(np.max(seg))
+        out.append((lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-12))))
+    return out
+
+
 def wu_bound_check(Phi: PhiSequence, x, p: float, var_budget: float):
     """((sum x_j^p)^(1/p), 16 max_m m^(1/p) Phi_m^{-1}(var_budget), lhs <= rhs)."""
-    _check_p(p)
-    xs = np.asarray(x, dtype=np.float64)
-    if np.any(xs < 0) or np.any(np.diff(xs) > 1e-12):
-        raise ValueError("x must be nonincreasing and nonnegative")
-    total = float(np.sum(Phi.phi(np.arange(1, xs.size + 1), xs)))
-    if total > var_budget * (1.0 + 1e-12) + 1e-15:
-        raise ValueError("sum phi_j(x_j) exceeds the variation budget")
-    lhs = float(np.sum(xs ** p) ** (1.0 / p)) if xs.size else 0.0
-    ms = np.arange(1, max(1, xs.size) + 1, dtype=np.float64)
-    rhs = 16.0 * float(np.max(ms ** (1.0 / p) * phi_partial_inverse(Phi, ms, var_budget)))
-    return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-12))
+    return wu_bound_checks(Phi, [x], p, [var_budget])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +659,7 @@ class _ScoreScan:
 
     def _g_chunk(self, lo: int, hi: int) -> np.ndarray:
         ks = np.arange(lo, hi + 1, dtype=np.float64)
-        inv = self.Phi.inverse_at_one_closed(ks)
+        inv = self.Phi.closed_inverse(ks, 1.0)
         if inv is None:
             if hi > 1 << 22:
                 raise ValueError("generic Phi scans are capped at 2^22; no closed inverse")

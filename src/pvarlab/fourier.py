@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _kernels
 from .modulus import ModulusOfVariation, _check_p, epsilon_p_table
@@ -33,7 +32,6 @@ __all__ = [
     "theta",
     "ConvergenceSequences",
     "convergence_sequences",
-    "convergence_sweep",
     "q_sequence",
     "Unif2Report",
     "unif2_verdicts",
@@ -158,6 +156,8 @@ def fejer_kernel_integral(n: int) -> float:
     """Adaptive quadrature of K_n over [-pi, pi]; equals pi."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    from scipy.integrate import quad  # scipy loads on first use, not with pvarlab
+
     val, _ = quad(lambda t: fejer_kernel(n, t), -math.pi, math.pi,
                   limit=200, epsabs=1e-12, epsrel=1e-12, points=[0.0])
     return float(val)
@@ -267,10 +267,6 @@ def convergence_sequences(nu: ModulusOfVariation, omega, p: float, n: int) -> Co
     eta = head + float(np.sum(terms["weighted_delta"][th:]))
     return ConvergenceSequences(n=int(n), theta=th, rho=rho, sigma=float(sigma),
                                 tau=float(tau), eta=float(eta))
-
-
-def convergence_sweep(nu: ModulusOfVariation, omega, p: float, ns) -> list[ConvergenceSequences]:
-    return [convergence_sequences(nu, omega, p, int(n)) for n in ns]
 
 
 def q_sequence(p: float, ks) -> np.ndarray:
@@ -385,6 +381,8 @@ def sine_integral_lower(a: int, b: int, n: int):
         raise ValueError("a, b, n must be positive integers")
     if a >= b:
         raise ValueError("need a < b")
+    from scipy.integrate import quad  # scipy loads on first use, not with pvarlab
+
     pieces = []
     edges = np.linspace(a * math.pi, b * math.pi, min(b - a, 256) + 1)
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -19,7 +19,7 @@ from .embeddings import (
     exp_orlicz,
     phi_partial_inverse,
     power_orlicz,
-    wu_bound_check,
+    wu_bound_checks,
 )
 from .functions import make_random, make_square_wave, make_zigzag
 from .kfunctional import bracket_count, kfunctional_bounds, pl_interpolate, varp_pl
@@ -208,10 +208,16 @@ def phi_inverse_roundtrip(cases) -> np.ndarray:
 def wu_violations(cases, slack: float) -> np.ndarray:
     """True where Wu's 16-constant bound fails, per case (Phi, x, p, factor) with
     x nonincreasing and budget factor * sum phi_j(x_j) + slack."""
-    def one(Phi, x, p, factor):
-        budget = sum(float(Phi.phi(j + 1, v)) for j, v in enumerate(x)) * factor + slack
-        return not wu_bound_check(Phi, x, p, budget)[2]
-    return np.array([one(*c) for c in cases])
+    budgets = [sum(float(Phi.phi(j + 1, v)) for j, v in enumerate(x)) * factor + slack
+               for Phi, x, _, factor in cases]
+    groups: dict[tuple, list[int]] = {}  # one batched check per (Phi, p)
+    for i, (Phi, _, p, _) in enumerate(cases):
+        groups.setdefault((Phi, p), []).append(i)
+    out = np.zeros(len(cases), dtype=bool)
+    for (Phi, p), idx in groups.items():
+        checks = wu_bound_checks(Phi, [cases[i][1] for i in idx], p, [budgets[i] for i in idx])
+        out[idx] = [not ok for _, _, ok in checks]
+    return out
 
 
 def norm_axiom_excess(norm, cases) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import inverse_at_one_loop
 from pvarlab import (
@@ -20,10 +21,11 @@ from pvarlab import (
     var_phi,
     witness_generate,
     wu_bound_check,
+    wu_bound_checks,
 )
 from pvarlab import _kernels, embeddings
 from pvarlab import verify as inv
-from pvarlab.embeddings import WitnessBlock, _tooth_window, _window_dp_value
+from pvarlab.embeddings import WitnessBlock, _bisect_increasing, _tooth_window, _window_dp_value
 from pvarlab.functions import make_zigzag
 
 NU_SQRT = ModulusOfVariation.power(0.5)
@@ -131,6 +133,73 @@ def test_concave_inverse_scaling(rng):
         lhs = phi_partial_inverse(Phi, n, alpha * x)
         rhs = (1.0 + alpha) * phi_partial_inverse(Phi, n, x)
         assert lhs <= rhs * (1 + 1e-9)
+
+
+SEEDED_FAMILIES = [
+    PhiSequence.power_all(1.0),
+    PhiSequence.power_all(1.5),
+    PhiSequence.power_all(2.0),
+    PhiSequence.power_all(3.0),
+    PhiSequence.orlicz_all(exp_orlicz()),
+    PhiSequence.orlicz_over_lambda(power_orlicz(3.0), LambdaSequence.harmonic()),
+    PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.power(0.5)),
+]
+SEEDED_IDS = ["power1", "power1.5", "power2", "power3", "exp", "harmonic-power3",
+              "lambda0.5-power2"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.integers(0, len(SEEDED_FAMILIES) - 1),
+       ns=st.lists(st.integers(1, 100_000), min_size=1, max_size=8),
+       exponent=st.floats(-250.0, 250.0))
+def test_seeded_bisection_is_the_unseeded_one(family, ns, exponent):
+    Phi = SEEDED_FAMILIES[family]
+    ns = np.array(ns, dtype=np.float64)
+    ys = 10.0 ** (exponent + np.linspace(0.0, 1.0, ns.size))
+    assert Phi.closed_inverse(ns, ys) is not None
+    seeded = phi_partial_inverse(Phi, ns, ys)
+    unseeded = _bisect_increasing(lambda x: Phi.partial(ns, x), ys)
+    assert seeded.tobytes() == unseeded.tobytes()
+
+
+@pytest.mark.parametrize("Phi", SEEDED_FAMILIES, ids=SEEDED_IDS)
+def test_bad_seeds_cost_steps_not_bits(Phi, rng):
+    ns = rng.integers(1, 100_000, 40).astype(np.float64)
+    ys = 10.0 ** rng.uniform(-250.0, 250.0, 40)
+    fn = lambda x: Phi.partial(ns, x)  # noqa: E731
+    root = phi_partial_inverse(Phi, ns, ys)
+    with np.errstate(over="ignore"):
+        seeds = [root * 1e6, root * 1e-6, np.zeros(40), np.full(40, np.nan), np.full(40, np.inf)]
+    seeds.append(np.where(np.arange(40) % 2 == 0, root, np.nan))  # good and bad mixed
+    for seed in seeds:
+        assert _bisect_increasing(fn, ys, seed).tobytes() == root.tobytes()
+
+
+def test_closed_inverse_at_one_is_the_scan_formula():
+    ks = np.arange(1, 5001, dtype=np.float64)
+    lam = LambdaSequence.harmonic()
+    cases = [
+        (PhiSequence.power_all(2.5), ks ** (-1.0 / 2.5)),
+        (PhiSequence.orlicz_all(exp_orlicz()), np.log1p(1.0 / ks)),
+        (PhiSequence.orlicz_over_lambda(power_orlicz(3.0), lam),
+         (1.0 / lam.reciprocal_cumsum(5000)) ** (1.0 / 3.0)),
+    ]
+    for Phi, expected in cases:
+        assert Phi.closed_inverse(ks, 1.0).tobytes() == expected.tobytes()
+    custom = PhiSequence.custom([lambda x: x ** 2])
+    assert custom.closed_inverse(ks[:1], 1.0) is None
+    no_closed_form = PhiSequence.orlicz_all(OrliczFunction("cube", lambda x: x ** 3))
+    assert no_closed_form.closed_inverse(ks, 1.0) is None
+
+
+def test_inverse_table_takes_at_most_16_evaluations():
+    Phi = PhiSequence.power_all(2.0)
+    calls = []
+    partial = Phi.partial
+    Phi.partial = lambda n, x: calls.append(1) or partial(n, x)
+    table = Phi.inverse_at_one_table(100_000)
+    assert len(calls) <= 16
+    assert table.tobytes() == inverse_at_one_loop(PhiSequence.power_all(2.0), 1, 100_000).tobytes()
 
 
 # -- embedding criterion ---------------------------------------------------------
@@ -265,6 +334,42 @@ def test_wu_requires_admissible_input():
         wu_bound_check(Phi, [0.2, 0.5], 2.0, 1.0)  # increasing
     with pytest.raises(ValueError):
         wu_bound_check(Phi, [2.0, 1.0], 2.0, 0.1)  # budget violated
+
+
+def _check_wu_cases(seed, monkeypatch):
+    """The (Phi, x, p, factor) cases of one ``Battery.check_wu``."""
+    seen = []
+    monkeypatch.setattr(inv, "wu_violations",
+                        lambda cases, slack: seen.extend(cases) or np.zeros(len(cases), bool))
+    inv.Battery(seed).check_wu()
+    monkeypatch.undo()
+    return seen
+
+
+def test_wu_batch_is_bit_identical_to_one_case_calls(monkeypatch):
+    cases = _check_wu_cases(1001, monkeypatch)
+    phis = list(dict.fromkeys(Phi for Phi, _, _, _ in cases))
+    assert len(phis) == 3
+    for Phi in phis:
+        xs = [x for P, x, _, _ in cases if P is Phi]
+        budgets = [float(np.sum(Phi.phi(np.arange(1, x.size + 1), x))) * 1.5 + 1e-9 for x in xs]
+        batch = wu_bound_checks(Phi, xs, 2.0, budgets)
+        one = [wu_bound_check(Phi, x, 2.0, b) for x, b in zip(xs, budgets)]
+        assert [(lhs.hex(), rhs.hex(), ok) for lhs, rhs, ok in batch] == \
+               [(lhs.hex(), rhs.hex(), ok) for lhs, rhs, ok in one]
+    assert not np.any(inv.wu_violations(cases, 1e-9))
+    assert wu_bound_checks(phis[0], [], 2.0, []) == []
+
+
+def test_wu_batch_raises_the_one_case_errors():
+    Phi = PhiSequence.power_all(2.0)
+    good_x, good_budget = [0.5, 0.5], 0.5
+    for x, p, budget in (([0.2, 0.5], 2.0, 1.0), ([2.0, 1.0], 2.0, 0.1), ([0.5], 0.5, 1.0)):
+        with pytest.raises(ValueError) as one:
+            wu_bound_check(Phi, x, p, budget)
+        with pytest.raises(ValueError) as batch:
+            wu_bound_checks(Phi, [good_x, x, good_x], p, [good_budget, budget, good_budget])
+        assert str(batch.value) == str(one.value)
 
 
 def test_wu_randomized(rng):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -360,3 +362,12 @@ def test_nikolskii_bound():
         err, bound = nikolskii_bound_check(sq, nu, om, 1.0, n)
         ratios.append(err / bound)
     assert max(ratios) < 2.0
+
+
+def test_scipy_loads_on_first_quadrature_not_on_import():
+    code = ("import sys, pvarlab, pvarlab.cli\n"
+            "assert 'scipy' not in sys.modules, 'import pvarlab loaded scipy'\n"
+            "assert abs(pvarlab.fejer_kernel_integral(3) - 3.141592653589793) <= 1e-10\n"
+            "assert 'scipy.integrate' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -83,6 +83,17 @@ def test_luxemburg_norms_across_magnitudes(s):
         assert abs(modular_norm(x, PhiSequence.power_all(2.0)) / (c * s) - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("s, value", [(1e300, "0x1.d749a4c1c2042p+995"),
+                                      (1e-300, "0x1.a6bbf7d57ece2p-998")])
+def test_luxemburg_norm_far_from_one_gallops(s, value):
+    phi = power_orlicz(2.0)
+    calls = []
+    fn = phi._fn
+    phi._fn = lambda u: calls.append(1) or fn(u)
+    assert orlicz_norm(np.array([0.3, 0.5, 0.2]) * s, phi) == float.fromhex(value)
+    assert len(calls) <= 100
+
+
 _LUXEMBURG = [(orlicz_norms, orlicz_norm, g)
               for g in (power_orlicz(2.0), power_orlicz(3.0), exp_orlicz())] + [
     (modular_norms, modular_norm, Phi)
