@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -165,7 +164,7 @@ def _cmd_pvar(args) -> int:
 def _cmd_kfunc(args) -> int:
     f = _load_function(args)
     ts = [float(t) for t in args.t.split(",")]
-    sandwiches = kfunctional_sweep(f, ts, args.p, args.jobs)
+    sandwiches = kfunctional_sweep(f, ts, args.p)
     rows = [
         f"{_fmt(s.t)},{s.M},{_fmt(s.lower)},{_fmt(s.upper)},{_fmt(s.ratio)},{s.case}"
         for s in sandwiches
@@ -183,14 +182,12 @@ def _cmd_fourier(args) -> int:
         rows = [f"{n},{_fmt(r)}" for n, r in zip(range(1, args.n_max + 1), ratios)]
         _emit_rows(args, "n,coeff_ratio", rows)
         return 0
+    if args.omega is None:
+        raise ValueError("fourier sweep needs --omega (or pass --decay)")
     nu = parse_modulus(args.nu)
     omega = _parse_omega(args.omega)
     ns = sorted({int(v) for v in args.n_list.split(",")})
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            seqs = list(ex.map(lambda n: fr.convergence_sequences(nu, omega, args.p, n), ns))
-    else:
-        seqs = [fr.convergence_sequences(nu, omega, args.p, n) for n in ns]
+    seqs = [fr.convergence_sequences(nu, omega, args.p, n) for n in ns]
     rows = [
         f"{s.n},{s.theta},{_fmt(s.rho)},{_fmt(s.sigma)},{_fmt(s.tau)},{_fmt(s.eta)}"
         for s in seqs
@@ -295,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--t", required=True, help="comma list of t values in (0,1]")
-    p.add_argument("--jobs", type=int, default=1, help="threads over the t values")
     p.set_defaults(fn=_cmd_kfunc)
 
     p = sub.add_parser("fourier", help="convergence-criterion sweep or coefficient decay")
@@ -307,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int, default=64,
                    help="largest coefficient index of the decay report")
     p.add_argument("--decay", action="store_true", help="emit the coefficient-decay report")
-    p.add_argument("--jobs", type=int, default=1, help="threads over the sweep indices")
     p.set_defaults(fn=_cmd_fourier)
 
     p = sub.add_parser("embed", help="embedding criterion and optional witness")
@@ -409,9 +404,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:  # argparse has printed the usage error or the help
         return e.code
-    if getattr(args, "omega", "x") is None and args.cmd == "fourier" and not args.decay:
-        print("error: fourier sweep needs --omega (or pass --decay)", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except ValueError as e:

@@ -139,49 +139,27 @@ def _advance(below, probe, lo, hi, step) -> bool:
 
 
 class LambdaSequence:
-    """Nondecreasing positive lambda_j with divergent reciprocal sum."""
+    """lambda_j = j^beta with 0 <= beta <= 1: nondecreasing, positive, with
+    divergent reciprocal sum (beta = 1 is the harmonic sequence)."""
 
-    def __init__(self, kind: str, beta: float | None = None, table=None):
-        self.kind = kind
+    def __init__(self, beta: float):
+        if beta < 0:
+            raise ValueError("power Lambda-sequence needs beta >= 0")
+        if beta > 1:
+            raise ValueError("lambda_j = j^beta with beta > 1 has summable reciprocals")
         self.beta = beta
-        self._table = None
-        if kind == "power":
-            if beta is None or beta < 0:
-                raise ValueError("power Lambda-sequence needs beta >= 0")
-            if beta > 1:
-                raise ValueError("lambda_j = j^beta with beta > 1 has summable reciprocals")
-            self.name = f"power:{beta:g}"
-        elif kind == "table":
-            t = np.asarray(table, dtype=np.float64)
-            if t.ndim != 1 or t.size == 0 or np.any(t <= 0):
-                raise ValueError("Lambda table must be positive")
-            if np.any(np.diff(t) < 0):
-                raise ValueError("Lambda-sequence must be nondecreasing")
-            self._table = t
-            self.name = "table"
-        else:
-            raise ValueError(f"unknown Lambda kind {kind!r}")
+        self.name = f"power:{beta:g}"
 
     @classmethod
     def power(cls, beta: float) -> "LambdaSequence":
-        return cls("power", beta=beta)
+        return cls(beta)
 
     @classmethod
     def harmonic(cls) -> "LambdaSequence":
-        return cls("power", beta=1.0)
-
-    @classmethod
-    def from_table(cls, values) -> "LambdaSequence":
-        return cls("table", table=values)
+        return cls(1.0)
 
     def value(self, j):
-        j = np.asarray(j, dtype=np.float64)
-        if self.kind == "power":
-            return j ** self.beta
-        idx = j.astype(np.int64)
-        if np.any(idx > self._table.size):
-            raise ValueError("index beyond Lambda table")
-        return self._table[idx - 1]
+        return np.asarray(j, dtype=np.float64) ** self.beta
 
     def reciprocal_cumsum(self, n: int) -> np.ndarray:
         """Lambda_k = sum_{j<=k} 1/lambda_j for k = 1..n."""
@@ -200,13 +178,11 @@ class PhiSequence:
     """Nonincreasing-in-j sequence of increasing convex phi_j with phi_j(0) = 0.
 
     Kinds: ``power_all`` (phi_j = x^q), ``orlicz_all`` (phi_j = phi),
-    ``orlicz_over_lambda`` (phi_j = phi/lambda_j), ``custom`` (explicit list,
-    declared divergent by the caller).
+    ``orlicz_over_lambda`` (phi_j = phi/lambda_j), ``custom`` (explicit list).
     """
 
     def __init__(self, kind: str, *, q: float | None = None, phi: OrliczFunction | None = None,
-                 lam: LambdaSequence | None = None, phis: list | None = None,
-                 divergent: bool = True):
+                 lam: LambdaSequence | None = None, phis: list | None = None):
         self.kind = kind
         self.q = q
         self.phi_fn = phi
@@ -227,8 +203,6 @@ class PhiSequence:
         elif kind == "custom":
             if not phis:
                 raise ValueError("custom needs a list of functions")
-            if not divergent:
-                raise ValueError("custom Phi-sequences must be declared divergent")
             self.name = f"custom[{len(phis)}]"
         else:
             raise ValueError(f"unknown Phi kind {kind!r}")
@@ -251,8 +225,14 @@ class PhiSequence:
         return cls("orlicz_over_lambda", phi=phi, lam=lam)
 
     @classmethod
-    def custom(cls, phis: list, divergent: bool = True) -> "PhiSequence":
-        return cls("custom", phis=phis, divergent=divergent)
+    def custom(cls, phis: list) -> "PhiSequence":
+        """phi_j = phis[j - 1], validated like the other kinds.
+
+        The list is taken as the head of a divergent sequence (sum_j phi_j(x)
+        unbounded for x > 0), which the criteria assume and a finite list
+        cannot show; evaluating past its end raises.
+        """
+        return cls("custom", phis=phis)
 
     # validation ------------------------------------------------------------
 

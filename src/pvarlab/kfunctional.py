@@ -15,7 +15,6 @@ do reach cost/lower ratios below 1 (never below 1/2).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,19 +220,15 @@ def kfunctional_bounds(f: SampledFunction, t: float, p: float, profile=None) -> 
     return KSandwich(t=float(t), M=M, lower=lower, upper=upper, ratio=ratio, case=case)
 
 
-def kfunctional_sweep(f: SampledFunction, t_grid, p: float, jobs: int = 1) -> list[KSandwich]:
-    """``kfunctional_bounds`` at each t, sharing one profile up to the largest M.
-
-    With ``jobs`` > 1 the t values run on a thread pool; rows keep input order.
+def kfunctional_sweep(f: SampledFunction, t_grid, p: float) -> list[KSandwich]:
+    """``kfunctional_bounds`` at each t, in input order, sharing one profile
+    up to the largest M: the input is profiled once for the whole sweep.
     """
     _require_unit_domain(f)
     ts = [float(t) for t in t_grid]
     if not ts:
         return []
     prof = pvariation_profile(f, p, max(bracket_count(t, p) for t in ts))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(lambda t: kfunctional_bounds(f, t, p, prof), ts))
     return [kfunctional_bounds(f, t, p, prof) for t in ts]
 
 

@@ -32,17 +32,13 @@ class ModulusOfVariation:
     raises.
     """
 
-    def __init__(self, kind: str, alpha: float | None = None, table: np.ndarray | None = None,
-                 unbounded: bool | None = None):
+    def __init__(self, kind: str, alpha: float | None = None, table: np.ndarray | None = None):
         self.kind = kind
         self.alpha = alpha
         self._table = None
         if kind == "power":
             if alpha is None or not (0.0 < alpha <= 1.0):
                 raise ValueError("power modulus needs alpha in (0, 1]")
-            self.unbounded = True
-        elif kind == "log":
-            self.unbounded = True
         elif kind == "table":
             t = np.asarray(table, dtype=np.float64)
             if t.ndim != 1 or t.size == 0:
@@ -61,8 +57,7 @@ class ModulusOfVariation:
             if t.size >= 2 and t[1] > 2 * t[0] + _CONCAVITY_SLACK:
                 raise ValueError("modulus must be concave (k = 1 step)")
             self._table = t
-            self.unbounded = bool(unbounded)
-        else:
+        elif kind != "log":
             raise ValueError(f"unknown modulus kind {kind!r}")
 
     # -- constructors -------------------------------------------------------
@@ -76,8 +71,8 @@ class ModulusOfVariation:
         return cls("log")
 
     @classmethod
-    def from_table(cls, values, unbounded: bool = False) -> "ModulusOfVariation":
-        return cls("table", table=values, unbounded=unbounded)
+    def from_table(cls, values) -> "ModulusOfVariation":
+        return cls("table", table=values)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -162,7 +157,8 @@ def validate_modulus(candidate, p: float, horizon: int = 4096) -> ModulusValidat
 
     Raises on positivity, monotonicity or concavity failures and when
     nu(k)/k^(1/p) provably fails to decrease to zero (closed-form families).
-    For tables the ratio is checked over the table only.
+    For tables the ratio is checked over the table only, and
+    ``ratio_vanishes`` is False: a finite table cannot show a limit.
     """
     _check_p(p)
     nu = parse_modulus(candidate)  # constructors enforce the hard axioms
@@ -186,7 +182,7 @@ def validate_modulus(candidate, p: float, horizon: int = 4096) -> ModulusValidat
         ks = np.arange(1, horizon_n + 1, dtype=np.float64)
         ratio = nu.table(horizon_n) / ks ** (1.0 / p)
         ratio_noninc = bool(np.all(np.diff(ratio) <= 1e-15))
-        ratio_vanishes = bool(nu.unbounded) and ratio_noninc
+        ratio_vanishes = False
 
     t = nu.table(min(horizon_n, horizon))
     nondecreasing = bool(np.all(np.diff(t) >= -_CONCAVITY_SLACK))

@@ -73,9 +73,6 @@ class SampledFunction:
     def scaled(self, c: float) -> "SampledFunction":
         return SampledFunction(self.grid, c * self.values, self.periodic, self.period)
 
-    def shifted(self, c: float) -> "SampledFunction":
-        return SampledFunction(self.grid, self.values + c, self.periodic, self.period)
-
     def sup_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 

@@ -21,6 +21,7 @@ __all__ = [
 
 _BRUTE_MAX_POINTS = 15
 _BRUTE_MAX_N = 6
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,21 +104,41 @@ def _padded(prof: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_scale(values: np.ndarray, p: float, n: int):
-    """Reject samples whose DP sums could overflow.
+    """Reject samples whose DP sums could overflow or underflow.
 
     A selection of at most n intervals sums at most n (max - min)^p, so that
     bound must be finite for every cell of the DP to be finite.  Called with
-    n = min(budget, m - 1): no more intervals fit on m points.
+    n = min(budget, m - 1): no more intervals fit on m points.  A nonzero
+    (max - min)^p below the smallest normal float would round the largest
+    term of every sum to a subnormal or to zero, so that is refused too.
     """
     spread = float(np.max(values)) - float(np.min(values))
     try:
-        total = n * spread ** p
+        power = spread ** p
     except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
+        power = math.inf
+    if not math.isfinite(n * power):
         raise ValueError(
             f"values too large for p = {p:g}: {n} * (max - min)^p overflows; rescale the input"
         )
+    if spread > 0 and power < _TINY:
+        raise ValueError(
+            f"values too small for p = {p:g}: (max - min)^p underflows; rescale the input"
+        )
+
+
+def _reduced(f: SampledFunction, p: float, n: int, name: str = "n"):
+    """The checks both DPs start from, then (extrema-reduced f, effective budget).
+
+    The effective budget is min(n, swing count): v_p(n, f) stays constant
+    from the swing count on, and it is 0 only when f is constant.
+    """
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    _check_p(p)
+    _check_scale(f.values, p, min(n, len(f) - 1))
+    red = extrema_reduce(f)
+    return red, min(n, _swing_count(red.values))
 
 
 def _backtrack(table: np.ndarray, diff: np.ndarray) -> list[tuple[int, int]]:
@@ -143,14 +164,9 @@ def _backtrack(table: np.ndarray, diff: np.ndarray) -> list[tuple[int, int]]:
 
 def _pvariation_solve(f: SampledFunction, p: float, n: int):
     """(v_p(n, f), optimal selection, profile v_p(1..n, f)) from one DP table."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_p(p)
-    _check_scale(f.values, p, min(n, len(f) - 1))
-    red = extrema_reduce(f)
+    red, n_eff = _reduced(f, p, n)
+    n_eff = max(1, n_eff)
     kept = _kept_indices(f, red)
-    swings = _swing_count(red.values)
-    n_eff = max(1, min(n, swings))
     table, diff = _kernels.dp_with_parents(red.values, p, n_eff)
     value = float(table[n_eff, -1] ** (1.0 / p))
     pairs = [(int(kept[j]), int(kept[i])) for j, i in _backtrack(table, diff)]
@@ -180,15 +196,9 @@ def pvariation_profile(f: SampledFunction, p: float, n_max: int) -> np.ndarray:
     The profile stabilizes once the budget exceeds the number of monotone
     swings, so the DP only runs up to that point and the tail is padded.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _check_p(p)
-    _check_scale(f.values, p, min(n_max, len(f) - 1))
-    red = extrema_reduce(f)
-    swings = _swing_count(red.values)
-    if swings == 0:
+    red, n_eff = _reduced(f, p, n_max, "n_max")
+    if n_eff == 0:
         return np.zeros(n_max)
-    n_eff = min(n_max, swings)
     if p == 1.0:
         pow_profile = _kernels.dp1_profile(red.values, n_eff)
     else:

@@ -73,6 +73,23 @@ def test_overflowing_values_exit_2_before_output(argv, capsys):
     assert "overflows" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pvar", "--values=0,1e-150,0", "--p", "3", "--n", "1"],
+    ["pvar", "--values=0,0,1.65e-268", "--p", "1.5", "--n", "2"],
+    ["kfunc", "--values=0,1e-150,0,1e-150,0", "--p", "3", "--t", "1,0.5"],
+])
+def test_underflowing_values_exit_2_before_output(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "(max - min)^p underflows; rescale the input" in err
+
+
+def test_small_values_above_underflow_give_rows(capsys):
+    assert main(["pvar", "--values=0,1e-100,0,1e-100,0", "--p", "3", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "n,value\n1,1e-100\n2,1.25992104989e-100\n"
+
+
 def test_large_values_below_overflow_give_finite_rows(capsys):
     assert main(["pvar", "--values=1e150,-1e150,1e150", "--p", "2", "--n", "2"]) == 0
     assert capsys.readouterr().out == "n,value\n1,2e+150\n2,2.82842712475e+150\n"
@@ -156,7 +173,7 @@ def test_json_cells_are_numbers_when_finite(capsys):
     assert json.loads(capsys.readouterr().out)[0]["ratio"] == "inf"
 
 
-def test_kfunc_jobs_profile_the_input_once(monkeypatch, capsys):
+def test_kfunc_profiles_the_input_once(monkeypatch, capsys):
     from pvarlab import kfunctional
 
     values = from_spec("random:200").values
@@ -171,10 +188,8 @@ def test_kfunc_jobs_profile_the_input_once(monkeypatch, capsys):
     monkeypatch.setattr(kfunctional, "pvariation_profile", counted)
     argv = ["kfunc", "--function", "random:200", "--p", "2", "--t", "1,0.5,0.25,0.1,0.05"]
     assert main(argv) == 0
-    one = capsys.readouterr().out
-    assert main(argv + ["--jobs", "2"]) == 0
-    assert capsys.readouterr().out == one
-    assert widths == [400, 400]
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert widths == [400]
 
 
 @pytest.mark.parametrize("spec", ["LOG", " log ", "power:", "power:0.5:2", "table:",
@@ -233,6 +248,8 @@ def test_spec_strings_reject_trailing_and_empty_fields(argv, hint, capsys):
     ["seqnorm", "--space", "marcinkiewicz", "--n", "3", "--jobs", "2"],
     ["seqnorm", "--space", "marcinkiewicz", "--n", "3", "--seed", "3"],
     ["verify", "--seed", "1", "--jobs", "2"],
+    ["kfunc", "--function", "zigzag:5", "--p", "2", "--t", "1,0.5", "--jobs", "2"],
+    ["fourier", "--nu", "log", "--omega", "log", "--p", "1", "--n-list", "8", "--jobs", "2"],
 ])
 def test_removed_options_are_usage_errors(argv, capsys):
     assert main(argv) == 2
@@ -247,8 +264,6 @@ def test_removed_options_are_usage_errors(argv, capsys):
      "N must be >= 1, got -3"),
     (["pvar", "--values", "0,1,0", "--p", "1", "--n", "0"], "n must be >= 1"),
     (["fourier", "--nu", "log", "--omega", "log", "--p", "1", "--n-list", "8,1"],
-     "n must be >= 2, got 1"),
-    (["fourier", "--nu", "log", "--omega", "log", "--p", "1", "--n-list", "8,1", "--jobs", "2"],
      "n must be >= 2, got 1"),
 ])
 def test_zero_and_negative_counts_exit_2(argv, message, capsys):
@@ -279,16 +294,6 @@ def test_kfunc_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_kfunc_jobs_ordering(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    args = ["kfunc", "--function", "random:21", "--p", "2", "--t",
-            "1,0.7,0.5,0.33,0.25,0.17,0.12,0.08"]
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--jobs", "4", "--out", str(b)]) == 0
-    assert a.read_text() == b.read_text()
-
-
 def test_fourier_sweep_and_decay(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["fourier", "--nu", "power:0.25", "--omega", "power:0.5", "--p", "2",
@@ -305,6 +310,23 @@ def test_fourier_sweep_and_decay(tmp_path):
 def test_fourier_sweep_needs_omega():
     proc = run_cli(["fourier", "--nu", "log", "--p", "1"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("nu", ["log", "banana"])
+def test_fourier_sweep_without_omega_is_reported_first(nu, capsys):
+    # the missing --omega is named before --nu is parsed
+    assert main(["fourier", "--nu", nu, "--p", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: fourier sweep needs --omega (or pass --decay)\n"
+
+
+def test_cli_starts_no_thread_pool_machinery():
+    code = "import sys, pvarlab.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(embeddings.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_embed_report(tmp_path):

@@ -37,8 +37,6 @@ NU_LOG = ModulusOfVariation.log()
 def test_lambda_sequence_validation():
     with pytest.raises(ValueError):
         LambdaSequence.power(1.5)  # summable reciprocals
-    with pytest.raises(ValueError):
-        LambdaSequence.from_table([3.0, 2.0])  # decreasing
     lam = LambdaSequence.harmonic()
     assert lam.reciprocal_cumsum(3) == pytest.approx([1.0, 1.5, 11 / 6])
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from pvarlab import (
     epsilon_p,
     epsilon_p_table,
     marcinkiewicz_norm,
+    extrema_reduce,
     pvariation_bruteforce,
     pvariation_dp,
     pvariation_profile,
@@ -31,6 +34,27 @@ from pvarlab.variation import _pvariation_solve
 
 ZIGZAG = make_zigzag(5)
 MONOTONE = SampledFunction([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+TINY = float(np.finfo(np.float64).tiny)
+
+
+def _spread_power(values, p) -> float:
+    """(max - min)^p as the DP's scale check computes it, inf on overflow."""
+    spread = float(np.max(values)) - float(np.min(values))
+    try:
+        return spread ** p
+    except OverflowError:
+        return math.inf
+
+
+def _underflows(values, p) -> bool:
+    return float(np.max(values)) > float(np.min(values)) and _spread_power(values, p) < TINY
+
+
+def _in_scale(values, p, n) -> bool:
+    """True when the DP accepts the values: the n-interval sum bound is finite
+    and a nonzero (max - min)^p is a normal float."""
+    return math.isfinite(min(n, len(values) - 1) * _spread_power(values, p)) and not _underflows(
+        values, p)
 
 
 def test_monotone_single_chord():
@@ -126,6 +150,10 @@ def test_selection_deterministic(rng):
 )
 def test_dp_matches_bruteforce(values, p, n):
     f = SampledFunction(np.arange(len(values), dtype=float), values)
+    if _underflows(values, p):
+        with pytest.raises(ValueError, match="underflows; rescale the input"):
+            inv.dp_oracle_gaps([(f, p, n)])
+        return
     assert inv.dp_oracle_gaps([(f, p, n)])[0] <= 1e-12
 
 
@@ -137,7 +165,53 @@ def test_dp_matches_bruteforce(values, p, n):
 )
 def test_holder_chain(values, n, p):
     f = SampledFunction(np.arange(len(values), dtype=float), values)
+    if _underflows(values, p):
+        with pytest.raises(ValueError, match="underflows; rescale the input"):
+            inv.holder_chain_excess([(f, p, n)])
+        return
     assert inv.holder_chain_excess([(f, p, n)])[0] <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=12),
+    k=st.integers(-400, 400),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    n=st.integers(1, 12),
+)
+def test_dp_across_magnitudes(values, k, p, n):
+    # c = 2^k scales every difference exactly, so at p in {1, 2} the DP sums
+    # are the unscaled ones times c^p, and their roots, bit for bit
+    f = SampledFunction(np.arange(len(values), dtype=float), values)
+    c = 2.0 ** k
+    cf = f.scaled(c)
+    if not _in_scale(cf.values, p, n):
+        for call in (pvariation_profile, pvariation_dp):
+            with pytest.raises(ValueError, match="rescale the input"):
+                call(cf, p, n)
+        return
+    if not (_in_scale(values, p, n) and np.array_equal(cf.values / c, f.values)):
+        return  # no exactly scaled reference to compare with
+    prof, cprof = pvariation_profile(f, p, n), pvariation_profile(cf, p, n)
+    value = pvariation_dp(cf, p, n)[0]
+    if p in (1.0, 2.0):
+        assert np.array_equal(cprof, c * prof)
+        # pvariation_dp takes its one root through the scalar pow, which at
+        # p = 2 may miss the correctly rounded square root by one ulp
+        assert abs(value - c * pvariation_dp(f, p, n)[0]) <= (p - 1.0) * np.spacing(value)
+    else:
+        assert np.allclose(cprof, c * prof, rtol=1e-13, atol=0.0)
+        assert value == pytest.approx(c * pvariation_dp(f, p, n)[0], rel=1e-13, abs=0.0)
+    # nondecreasing, and constant from the swing count on
+    assert np.all(np.diff(cprof) >= 0.0)
+    red = extrema_reduce(cf)
+    swings = len(red) - 1 if np.ptp(cf.values) > 0 else 0  # red alternates strictly
+    assert np.all(cprof[max(swings, 1) - 1:] == cprof[-1])
+    assert np.array_equal(pvariation_profile(red, p, n), cprof)
+    # Hoelder chain v_p <= v_1 <= n^(1 - 1/p) v_p, relative to v_1
+    v1 = pvariation_dp(cf, 1.0, n)[0]
+    assert value <= v1 * (1.0 + 1e-12)
+    assert v1 <= value * n ** (1.0 - 1.0 / p) * (1.0 + 1e-12)
 
 
 def test_triangle_and_homogeneity(rng):

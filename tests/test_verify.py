@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,22 @@ def test_battery_runs_each_check_once_in_order(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_report_matches_pinned_bytes(seed):
     assert run_battery(seed)[0].encode() == (DATA / f"verify_seed{seed}.txt").read_bytes()
+
+
+def test_traced_names_resolve():
+    # The benchmark tracer wraps pvarlab functions by name from outside the
+    # package; a deleted or renamed name would only fail its own test suite.
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, attr in tracer.TARGETS:
+        owner = importlib.import_module(f"pvarlab.{modname}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{modname}.{attr}")
+    missing += [f"Battery.check_{c}" for c in tracer.BATTERY_CHECKS
+                if not callable(vars(Battery).get(f"check_{c}"))]
+    assert missing == []
