@@ -23,6 +23,9 @@ def backend_name() -> str:
 # intervals inside points 0..i of  sum |v[end]-v[start]|^p.  Intervals may
 # share endpoints.  Recurrence:
 #   best[k][i] = max(best[k][i-1], max_{j<i} best[k-1][j] + |v[i]-v[j]|^p)
+# Row k + 1 depends only on row k and the fixed pair costs, so once a row
+# equals its predecessor bit for bit every later row holds the same floats:
+# each DP stops there and fills the rest.
 # ---------------------------------------------------------------------------
 
 def _pow_diff(values, p):
@@ -52,6 +55,9 @@ def dp_profile_pow(values: np.ndarray, p: float, nmax: int) -> np.ndarray:
     for k in range(1, nmax + 1):
         _dp_row(prev, diff, buf, cur)
         out[k] = cur[m - 1]
+        if np.array_equal(cur, prev):
+            out[k:] = out[k]
+            break
         prev, cur = cur, prev
     return out
 
@@ -71,6 +77,9 @@ def dp_with_parents(values: np.ndarray, p: float, n: int):
     table = np.zeros((n + 1, m))
     for k in range(1, n + 1):
         _dp_row(table[k - 1], diff, buf, table[k])
+        if np.array_equal(table[k], table[k - 1]):
+            table[k:] = table[k]
+            break
     return table, diff
 
 
@@ -91,6 +100,9 @@ def dp1_profile(values: np.ndarray, nmax: int) -> np.ndarray:
         cur[0] = 0.0
         cur[1:] = np.maximum.accumulate(np.maximum(cand, 0.0))
         out[k] = cur[m - 1]
+        if np.array_equal(cur, prev):
+            out[k:] = out[k]
+            break
         prev = cur
     return out
 

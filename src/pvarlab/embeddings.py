@@ -58,8 +58,7 @@ class OrliczFunction:
 
 
 def power_orlicz(q: float) -> OrliczFunction:
-    if q < 1:
-        raise ValueError("power gauge needs q >= 1")
+    _check_p(q, "q")
     return OrliczFunction(f"power:{q:g}", lambda x: x ** q, lambda y: y ** (1.0 / q))
 
 
@@ -143,10 +142,10 @@ class LambdaSequence:
     divergent reciprocal sum (beta = 1 is the harmonic sequence)."""
 
     def __init__(self, beta: float):
-        if beta < 0:
-            raise ValueError("power Lambda-sequence needs beta >= 0")
         if beta > 1:
             raise ValueError("lambda_j = j^beta with beta > 1 has summable reciprocals")
+        if not beta >= 0:  # written so that nan fails too
+            raise ValueError(f"power Lambda-sequence needs 0 <= beta <= 1, got {beta!r}")
         self.beta = beta
         self.name = f"power:{beta:g}"
 
@@ -189,8 +188,9 @@ class PhiSequence:
         self.lam = lam
         self._phis = phis
         if kind == "power_all":
-            if q is None or q < 1:
-                raise ValueError("power_all needs q >= 1")
+            if q is None:
+                raise ValueError("power_all needs q")
+            _check_p(q, "q")
             self.name = f"power:{q:g}"
         elif kind == "orlicz_all":
             if phi is None:
@@ -206,7 +206,7 @@ class PhiSequence:
             self.name = f"custom[{len(phis)}]"
         else:
             raise ValueError(f"unknown Phi kind {kind!r}")
-        self._lambda_cum: np.ndarray | None = None
+        self._lambda_cum: np.ndarray = np.empty(0)
         self._inv_one: np.ndarray = np.empty(0)
         self._validate()
 
@@ -256,9 +256,19 @@ class PhiSequence:
     # evaluation ------------------------------------------------------------
 
     def _lam_cum(self, n: int) -> np.ndarray:
-        if self._lambda_cum is None or self._lambda_cum.size < n:
-            self._lambda_cum = self.lam.reciprocal_cumsum(max(n, 1024))
-        return self._lambda_cum
+        """Lambda_1..Lambda_N for some N >= n, extended from the last stored sum.
+
+        ``np.cumsum`` adds in sequence, so a table grown in steps holds the
+        same floats as one ``reciprocal_cumsum``.
+        """
+        cum = self._lambda_cum
+        if cum.size < n:
+            js = np.arange(cum.size + 1, max(n, 1024) + 1, dtype=np.float64)
+            terms = 1.0 / self.lam.value(js)
+            if cum.size:
+                terms[0] += cum[-1]
+            self._lambda_cum = cum = np.concatenate([cum, np.cumsum(terms)])
+        return cum
 
     def phi(self, j, x):
         """phi_j(x), elementwise over an array of j the way ``partial`` takes n."""
@@ -477,46 +487,37 @@ def corollary_criteria(case: str, nu: ModulusOfVariation, p: float, horizon: int
 # Phi-variation of sampled functions
 # ---------------------------------------------------------------------------
 
-def var_phi(f: SampledFunction, Phi: PhiSequence, n_budget: int = 13, exact: bool = True) -> float:
+def var_phi(f: SampledFunction, Phi: PhiSequence) -> float:
     """sup over selections of sum_j phi_j(|f(I_j)|), largest difference first.
 
-    Exact mode enumerates all selections of at most ``n_budget`` intervals
-    (grids of at most 14 points).  With ``exact=False`` a descending pairing
-    of the local-extrema differences is returned; it is only a lower bound.
+    Enumerates every selection of nonoverlapping intervals, so the grid may
+    hold at most 14 points; any number of intervals that fits is allowed.
     """
     v = f.values
-    if not exact:
-        red = extrema_reduce(f)
-        d = np.sort(np.abs(np.diff(red.values)))[::-1]
-        d = d[d > 0][:n_budget]
-        return float(sum(float(Phi.phi(j + 1, x)) for j, x in enumerate(d)))
-    if len(f) > 14:
-        raise ValueError("exact-mode budget exceeded (grid > 14 points); pass exact=False")
     m = len(f)
-    budget = min(n_budget, m - 1)
+    if m > 14:
+        raise ValueError(f"var_phi enumerates every selection: at most 14 grid points, got {m}")
     best = 0.0
 
     def value_of(diffs: list[float]) -> float:
         d = sorted(diffs, reverse=True)
         return float(sum(float(Phi.phi(j + 1, x)) for j, x in enumerate(d)))
 
-    def recurse(start: int, left: int, diffs: list[float]):
+    def recurse(start: int, diffs: list[float]):
         nonlocal best
         if diffs:
             val = value_of(diffs)
             if val > best:
                 best = val
-        if left == 0:
-            return
         for i in range(start, m - 1):
             for j in range(i + 1, m):
                 d = abs(v[j] - v[i])
                 if d > 0:
                     diffs.append(d)
-                    recurse(j, left - 1, diffs)
+                    recurse(j, diffs)
                     diffs.pop()
 
-    recurse(0, budget, [])
+    recurse(0, [])
     return best
 
 

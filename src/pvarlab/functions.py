@@ -24,10 +24,9 @@ def make_linear(points: int = 2) -> SampledFunction:
     return SampledFunction(g, g.copy())
 
 
-def make_zigzag(points: int = 5, low: float = 0.0, high: float = 1.0) -> SampledFunction:
+def make_zigzag(points: int = 5) -> SampledFunction:
     g = np.linspace(0.0, 1.0, max(points, 2))
-    v = np.where(np.arange(g.size) % 2 == 0, low, high)
-    return SampledFunction(g, v.astype(np.float64))
+    return SampledFunction(g, (np.arange(g.size) % 2).astype(np.float64))
 
 
 def make_sine(points: int = 256) -> SampledFunction:
@@ -42,15 +41,12 @@ def make_square_wave(points: int = 256) -> SampledFunction:
     return SampledFunction(g, v, periodic=True, period=TWO_PI)
 
 
-def make_sawtooth(points: int = 256, period: float = 1.0) -> SampledFunction:
-    g = np.linspace(0.0, period, points, endpoint=False)
-    return SampledFunction(g, g / period, periodic=True, period=period)
+def make_sawtooth(points: int = 256) -> SampledFunction:
+    g = np.linspace(0.0, 1.0, points, endpoint=False)
+    return SampledFunction(g, g.copy(), periodic=True, period=1.0)
 
 
-def make_random(rng: np.random.Generator, points: int, periodic: bool = False) -> SampledFunction:
-    if periodic:
-        g = np.linspace(0.0, TWO_PI, points, endpoint=False)
-        return SampledFunction(g, rng.uniform(-1, 1, points), periodic=True, period=TWO_PI)
+def make_random(rng: np.random.Generator, points: int) -> SampledFunction:
     g = np.sort(rng.uniform(0.0, 1.0, points))
     g[0], g[-1] = 0.0, 1.0
     while np.any(np.diff(g) <= 0):

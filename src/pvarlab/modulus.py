@@ -16,6 +16,7 @@ __all__ = [
 ]
 
 _CONCAVITY_SLACK = 1e-12
+_VALIDATE_HORIZON = 4096
 
 
 def _check_p(p: float, name: str = "p"):
@@ -152,17 +153,19 @@ def parse_modulus(candidate) -> ModulusOfVariation:
     return ModulusOfVariation.from_table(candidate)
 
 
-def validate_modulus(candidate, p: float, horizon: int = 4096) -> ModulusValidation:
+def validate_modulus(candidate, p: float) -> ModulusValidation:
     """Validate a modulus against the regularity needed for exponent p.
 
     Raises on positivity, monotonicity or concavity failures and when
     nu(k)/k^(1/p) provably fails to decrease to zero (closed-form families).
-    For tables the ratio is checked over the table only, and
-    ``ratio_vanishes`` is False: a finite table cannot show a limit.
+    Closed-form families are checked on k <= 4096.  For tables the ratio is
+    checked over the table only, and ``ratio_vanishes`` is False: a finite
+    table cannot show a limit.
     """
     _check_p(p)
     nu = parse_modulus(candidate)  # constructors enforce the hard axioms
 
+    full = nu.table(int(nu.max_index) if nu.kind == "table" else _VALIDATE_HORIZON)
     if nu.kind == "power":
         ratio_noninc = nu.alpha <= 1.0 / p
         ratio_vanishes = nu.alpha < 1.0 / p
@@ -170,21 +173,12 @@ def validate_modulus(candidate, p: float, horizon: int = 4096) -> ModulusValidat
             raise ValueError(
                 f"nu(k) = k^{nu.alpha:g} with p = {p:g}: nu(k)/k^(1/p) does not decrease to 0"
             )
-        horizon_n = horizon
-    elif nu.kind == "log":
-        ratio_vanishes = True
-        horizon_n = horizon
-        ks = np.arange(1, horizon_n + 1, dtype=np.float64)
-        ratio = np.log1p(ks) / ks ** (1.0 / p)
-        ratio_noninc = bool(np.all(np.diff(ratio) <= 1e-15))
     else:
-        horizon_n = int(nu.max_index)
-        ks = np.arange(1, horizon_n + 1, dtype=np.float64)
-        ratio = nu.table(horizon_n) / ks ** (1.0 / p)
-        ratio_noninc = bool(np.all(np.diff(ratio) <= 1e-15))
-        ratio_vanishes = False
+        ks = np.arange(1, full.size + 1, dtype=np.float64)
+        ratio_noninc = bool(np.all(np.diff(full / ks ** (1.0 / p)) <= 1e-15))
+        ratio_vanishes = nu.kind == "log"
 
-    t = nu.table(min(horizon_n, horizon))
+    t = full[:_VALIDATE_HORIZON]
     nondecreasing = bool(np.all(np.diff(t) >= -_CONCAVITY_SLACK))
     concave = bool(np.all(t[2:] + t[:-2] <= 2 * t[1:-1] + _CONCAVITY_SLACK)) if t.size >= 3 else True
     tp = t ** p

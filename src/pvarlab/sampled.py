@@ -112,7 +112,8 @@ class SampledFunction:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, periodic: bool = False, period: float | None = None) -> "SampledFunction":
+    def from_csv(cls, text: str) -> "SampledFunction":
+        """The non-periodic function ``to_csv`` wrote (the CSV holds no period)."""
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if not lines or lines[0].replace(" ", "") != "x,f":
             raise ValueError("expected CSV with header 'x,f'")
@@ -121,7 +122,7 @@ class SampledFunction:
             sx, sv = ln.split(",")
             xs.append(float(sx))
             vs.append(float(sv))
-        return cls(xs, vs, periodic, period)
+        return cls(xs, vs)
 
 
 def extrema_reduce(f: SampledFunction) -> SampledFunction:

@@ -87,15 +87,6 @@ def pvariation_bruteforce(f: SampledFunction, p: float, n: int):
     return value, _selection_from_indices(f, best_sel, p)
 
 
-def _swing_count(values: np.ndarray) -> int:
-    d = np.diff(values)
-    d = d[d != 0]
-    if d.size == 0:
-        return 0
-    up = d > 0
-    return int(1 + np.sum(up[1:] != up[:-1]))
-
-
 def _padded(prof: np.ndarray, n: int) -> np.ndarray:
     # v_p(n, f) stays constant once n reaches the swing count
     if n > prof.size:
@@ -130,15 +121,17 @@ def _check_scale(values: np.ndarray, p: float, n: int):
 def _reduced(f: SampledFunction, p: float, n: int, name: str = "n"):
     """The checks both DPs start from, then (extrema-reduced f, effective budget).
 
-    The effective budget is min(n, swing count): v_p(n, f) stays constant
-    from the swing count on, and it is 0 only when f is constant.
+    The effective budget is min(n, len(red) - 1): consecutive kept points
+    differ and turn at every step, so len(red) - 1 is the swing count, past
+    which v_p(n, f) stays constant.  A constant f reduces to its two equal
+    ends, where the one-row DP gives 0.
     """
     if n < 1:
         raise ValueError(f"{name} must be >= 1")
     _check_p(p)
     _check_scale(f.values, p, min(n, len(f) - 1))
     red = extrema_reduce(f)
-    return red, min(n, _swing_count(red.values))
+    return red, min(n, len(red) - 1)
 
 
 def _backtrack(table: np.ndarray, diff: np.ndarray) -> list[tuple[int, int]]:
@@ -165,7 +158,6 @@ def _backtrack(table: np.ndarray, diff: np.ndarray) -> list[tuple[int, int]]:
 def _pvariation_solve(f: SampledFunction, p: float, n: int):
     """(v_p(n, f), optimal selection, profile v_p(1..n, f)) from one DP table."""
     red, n_eff = _reduced(f, p, n)
-    n_eff = max(1, n_eff)
     kept = _kept_indices(f, red)
     table, diff = _kernels.dp_with_parents(red.values, p, n_eff)
     value = float(table[n_eff, -1] ** (1.0 / p))
@@ -193,12 +185,10 @@ def _kept_indices(f: SampledFunction, red: SampledFunction) -> np.ndarray:
 def pvariation_profile(f: SampledFunction, p: float, n_max: int) -> np.ndarray:
     """(v_p(1, f), ..., v_p(n_max, f)) in one DP sweep; nondecreasing.
 
-    The profile stabilizes once the budget exceeds the number of monotone
+    The profile stabilizes once the budget reaches the number of monotone
     swings, so the DP only runs up to that point and the tail is padded.
     """
     red, n_eff = _reduced(f, p, n_max, "n_max")
-    if n_eff == 0:
-        return np.zeros(n_max)
     if p == 1.0:
         pow_profile = _kernels.dp1_profile(red.values, n_eff)
     else:

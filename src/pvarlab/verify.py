@@ -257,21 +257,21 @@ class Battery:
 
     # -- individual checks ---------------------------------------------------
 
-    def check_dp_oracle(self, cases: int = 60):
+    def check_dp_oracle(self):
         ps = [1.0, 1.5, 2.0, 3.0]
         worst = _worst(dp_oracle_gaps(
-            [(self._random(4, 13), ps[i % 4], int(self.rng.integers(1, 6))) for i in range(cases)]))
+            [(self._random(4, 13), ps[i % 4], int(self.rng.integers(1, 6))) for i in range(60)]))
         self.record("dp_oracle_equivalence", worst <= 1e-12, worst)
 
-    def check_holder_chain(self, cases: int = 40):
+    def check_holder_chain(self):
         worst = _worst(holder_chain_excess(
             [(self._random(4, 13), [1.5, 2.0, 3.0][i % 3], int(self.rng.integers(1, 6)))
-             for i in range(cases)]))
+             for i in range(40)]))
         self.record("holder_chain", worst <= 1e-10, worst)
 
-    def check_triangle_homogeneity(self, cases: int = 30):
+    def check_triangle_homogeneity(self):
         data = []
-        for i in range(cases):
+        for i in range(30):
             pts = int(self.rng.integers(4, 12))
             f = make_random(self.rng, pts)
             g = SampledFunction(f.grid, self.rng.uniform(-1, 1, pts))
@@ -280,13 +280,13 @@ class Battery:
         worst = _worst(triangle_homogeneity_excess(data))
         self.record("triangle_homogeneity", worst <= 1e-10, worst)
 
-    def check_extrema_reduce(self, cases: int = 30):
-        fs = [self._random(5, 13) for _ in range(cases)]
+    def check_extrema_reduce(self):
+        fs = [self._random(5, 13) for _ in range(30)]
         worst = _worst(extrema_reduce_gaps([(f, 2.0, n) for f in fs for n in (1, 2, 4)]))
         self.record("extrema_reduction", worst <= 1e-12, worst)
 
-    def check_epsilon_properties(self, horizon: int = 4096):
-        worst = _worst(epsilon_excess(_FAMILIES, horizon))
+    def check_epsilon_properties(self):
+        worst = _worst(epsilon_excess(_FAMILIES, 4096))
         self.record("epsilon_telescoping", worst <= 1e-12, worst)
 
     def check_kfunctional(self):
@@ -355,17 +355,17 @@ class Battery:
         worst = _worst(phi_inverse_roundtrip(cases))
         self.record("phi_inverse_roundtrip", worst <= 1e-10, worst)
 
-    def check_wu(self, cases: int = 60):
+    def check_wu(self):
         data = [(Phi, np.sort(self.rng.uniform(0, 1, int(self.rng.integers(1, 12))))[::-1], 2.0,
                  float(self.rng.uniform(1.0, 2.0)))
                 for Phi in (PhiSequence.power_all(2.0), PhiSequence.orlicz_all(exp_orlicz()),
                             _PHI_HARMONIC)
-                for _ in range(cases)]
+                for _ in range(60)]
         self.record("wu_inequality", not np.any(wu_violations(data, 1e-9)), 16.0)
 
-    def check_norms(self, cases: int = 50):
+    def check_norms(self):
         data = [[] for _ in SEQUENCE_NORMS]
-        for _ in range(cases):
+        for _ in range(50):
             n = int(self.rng.integers(1, 12))
             x, y = self.rng.uniform(-1, 1, n), self.rng.uniform(-1, 1, n)
             for rows in data:

@@ -10,7 +10,8 @@ plain loop forms of the three ``_kernels`` profile and window kernels.
 updates record, for each cell, the start of the interval ending there (-1 for
 skip), so ties prefer skipping and then the smallest start.
 ``backtrack_take`` walks that record.  ``extrema_reduce_loop`` scans the
-values once and keeps the endpoints and the point before each direction flip.
+values once and keeps the endpoints and the point before each direction flip;
+``swing_count_loop`` counts the monotone runs in the same scan.
 ``fourier_coeffs_loop`` is the rectangle rule as an N x m trig matrix product,
 and ``trig_sum_loop`` sums weighted harmonics one at a time at any points.
 ``inverse_at_one_loop`` is the fixed 120-halving bisection of
@@ -151,6 +152,19 @@ def extrema_reduce_loop(f: SampledFunction) -> SampledFunction:
         keep.append(m - 1)
     idx = np.asarray(keep, dtype=np.int64)
     return SampledFunction(f.grid[idx], f.values[idx], f.periodic, f.period)
+
+
+def swing_count_loop(values) -> int:
+    """Number of monotone runs, plateaus skipped; 0 for a constant."""
+    count, direction, last = 0, 0, values[0]
+    for v in values[1:]:
+        if v == last:
+            continue
+        s = 1 if v > last else -1
+        if s != direction:
+            count += 1
+        direction, last = s, v
+    return count
 
 
 def fourier_coeffs_loop(g, v, N):

@@ -59,6 +59,26 @@ def test_invalid_p_exits_2_before_output(argv, capsys):
     assert "must be finite and >= 1" in err  # p, or the Lorentz q of seqnorm
 
 
+_EMBED = ["--nu", "log", "--p", "1", "--horizon", "64"]
+
+
+@pytest.mark.parametrize("argv,hint", [
+    (["seqnorm", "--space", "orlicz", "--q", "nan", "--x", "1,2"], "q must be finite and >= 1"),
+    (["seqnorm", "--space", "orlicz", "--q", "inf", "--x", "1,2"], "q must be finite and >= 1"),
+    (["seqnorm", "--space", "modular", "--phi", "power:nan", "--x", "1,2"],
+     "q must be finite and >= 1"),
+    (["embed", "--phi", "power:nan", *_EMBED], "q must be finite and >= 1"),
+    (["embed", "--phi", "orlicz:power:nan", *_EMBED], "q must be finite and >= 1"),
+    (["embed", "--phi", "lambda:nan", *_EMBED], "q must be finite and >= 1"),
+    (["embed", "--phi", "lambda:2:nan", *_EMBED], "needs 0 <= beta <= 1"),
+])
+def test_nan_and_inf_gauge_exponents_exit_2_before_output(argv, hint, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert hint in err
+
+
 @pytest.mark.parametrize("argv", [
     ["pvar", "--values=1e308,-1e308,1e308", "--p", "2", "--n", "2"],
     ["pvar", "--values=1e200,-1e200,1e200", "--p", "2", "--n", "2"],

@@ -71,3 +71,29 @@ def test_shift_max_backends_agree(rng):
         a = _kernels.shift_max(g, v, delta, 60)
         b = shift_max_loops(g, v, delta, 60)
         assert a == pytest.approx(b, abs=1e-15)
+
+
+def test_dps_stop_at_their_fixed_point(monkeypatch):
+    x = np.linspace(0.0, 1.0, 300)
+    values = np.sin(12 * x) + 0.02 * np.random.default_rng(0).normal(size=300)
+    p, n = 2.0, 200
+    diff, buf = _kernels._pow_diff(values, p), np.empty((300, 300))
+    every_row = np.zeros((n + 1, 300))
+    for k in range(1, n + 1):
+        _kernels._dp_row(every_row[k - 1], diff, buf, every_row[k])
+
+    rows = []
+    row = _kernels._dp_row
+    monkeypatch.setattr(_kernels, "_dp_row", lambda *a: rows.append(1) or row(*a))
+    prof = _kernels.dp_profile_pow(values, p, n)
+    table, _ = _kernels.dp_with_parents(values, p, n)
+    used = len(rows) // 2
+    assert len(rows) == 2 * used and used < n
+    assert np.array_equal(prof, every_row[:, -1]) and np.array_equal(table, every_row)
+    assert _backtrack(table, diff) == _backtrack(every_row, diff)
+    # the loop oracles run every row; a few rows past the stop they agree bit for bit
+    k = used + 2
+    assert np.array_equal(dp_profile_loops(values, p, k), prof[:k + 1])
+    ref_table, take = dp_parent_loops(values, p, k)
+    assert np.array_equal(ref_table, table[:k + 1])
+    assert _backtrack(table[:k + 1], diff) == backtrack_take(take)

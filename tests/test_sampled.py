@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import extrema_reduce_loop
+from oracles import extrema_reduce_loop, swing_count_loop
 from pvarlab import SampledFunction, extrema_reduce
 
 
@@ -109,3 +109,16 @@ def test_extrema_reduce_property(values):
     d = np.diff(red)
     if red.size > 2:
         assert np.all(d != 0) and np.all(np.sign(d[1:]) != np.sign(d[:-1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(-2, 2).map(float) | st.floats(-3, 3), min_size=2, max_size=12))
+def test_reduced_length_is_the_swing_count(values):
+    # the DP budget is capped at len(extrema_reduce(f)) - 1 on this fact
+    f = SampledFunction(np.arange(len(values), dtype=float), values)
+    swings = swing_count_loop(f.values)
+    red = extrema_reduce(f)
+    if np.all(f.values == f.values[0]):
+        assert swings == 0 and len(red) == 2
+    else:
+        assert len(red) - 1 == swings

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,9 @@ CHECKS = (
 
 def test_battery_runs_each_check_once_in_order(monkeypatch):
     assert [k for k in vars(Battery) if k.startswith("check_")] == [f"check_{c}" for c in CHECKS]
+    # each check fixes its own sizes: ``run`` is the only caller and passes none
+    for c in CHECKS:
+        assert list(inspect.signature(getattr(Battery, f"check_{c}")).parameters) == ["self"]
     calls = []
     for c in CHECKS:
         monkeypatch.setattr(Battery, f"check_{c}", lambda self, c=c: calls.append(c))
