@@ -56,10 +56,6 @@ class SampledFunction:
     def __len__(self) -> int:
         return int(self.grid.size)
 
-    @property
-    def span(self) -> float:
-        return float(self.grid[-1] - self.grid[0])
-
     def __call__(self, x):
         """Piecewise-linear evaluation; periodic functions wrap modulo the period."""
         x = np.asarray(x, dtype=np.float64)

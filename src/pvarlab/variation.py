@@ -160,10 +160,10 @@ def _pvariation_solve(f: SampledFunction, p: float, n: int):
     red, n_eff = _reduced(f, p, n)
     kept = _kept_indices(f, red)
     table, diff = _kernels.dp_with_parents(red.values, p, n_eff)
-    value = float(table[n_eff, -1] ** (1.0 / p))
     pairs = [(int(kept[j]), int(kept[i])) for j, i in _backtrack(table, diff)]
     prof = _padded(table[1:, -1] ** (1.0 / p), n)
-    return value, _selection_from_indices(f, pairs, p), prof
+    # the profile's array root, so the value and the profile agree bit for bit
+    return float(prof[n - 1]), _selection_from_indices(f, pairs, p), prof
 
 
 def pvariation_dp(f: SampledFunction, p: float, n: int):
