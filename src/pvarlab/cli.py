@@ -199,9 +199,10 @@ def _cmd_fourier(args) -> int:
 def _cmd_embed(args) -> int:
     Phi = _parse_phi(args.phi)
     nu = parse_modulus(args.nu)
-    payload = embedding_criterion(Phi, nu, args.p, args.horizon).to_json_dict()
+    report = embedding_criterion(Phi, nu, args.p, args.horizon)
+    payload = report.to_json_dict()
     if args.witness:
-        witness = witness_generate(Phi, nu, args.p, args.k_max, horizon=args.horizon)
+        witness = witness_generate(Phi, nu, args.p, args.k_max, report)
         payload["witness"] = None if witness is None else witness.to_json_dict()
     _write(args, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return 0

@@ -570,6 +570,7 @@ _MAX_POINTS = 30_000_000    # total grid points over all blocks
 _DP_OPS = 6e8               # full-window DP cost cap (value ops), checked on
                             # the closed-form reduced size 2r + 1 before reducing
 _PREFIX_TEETH = 40          # teeth in the small replica DP check
+_GRID_TEETH = 1 << 18       # teeth per chunk of the window's grid check
 
 
 @dataclass(frozen=True)
@@ -628,13 +629,30 @@ class Witness:
 
 
 class _ScoreScan:
-    """Prefix argmax of g(k) = k^(1/p) Phi_k^{-1}(1), scanned in chunks."""
+    """Prefix argmax of g(k) = k^(1/p) Phi_k^{-1}(1), scanned in chunks.
+
+    For ``power_all(q)`` with c = 1/p - 1/q, g(k) = k^(1/p) k^(-1/q) = k^c,
+    and when c / (2 _N_MAX) > 1e-12 the argmax over 1..n is n itself, read
+    in closed form for every n <= _N_MAX the search asks for.  Proof: the
+    true ratio is g(k+1)/g(k) = (1 + 1/k)^c >= exp(c/(k + 1)) > 1 + c/(2k)
+    for k >= 1 (log(1 + x) >= x/(1 + x)).  The computed g(k) is two ``pow``
+    calls and one product (the factor 1^(1/q) is exactly 1); at 16 ulps per
+    ``pow`` that is a relative error below 7.3e-15, so the computed ratio
+    is above (1 + c/(2k))(1 - 1.46e-14), which exceeds 1 while c/(2k) >
+    1.5e-14 (rounding 1/p and 1/q moves c by about 1e-16).  The computed
+    floats are then strictly increasing on 1..n, so ``np.argmax`` over any
+    chunking picks n, with the float the chunk expression gives at n; that
+    expression is ``_g_chunk(n, n)``.  Every other kind, and ``power_all``
+    below the margin (q < about 1.036 at p = 1), is scanned.
+    """
 
     _CHUNK = 1 << 21
 
     def __init__(self, Phi: PhiSequence, p: float):
         self.Phi = Phi
         self.p = p
+        self._increasing = (Phi.kind == "power_all"
+                            and (1.0 / p - 1.0 / Phi.q) / (2.0 * _N_MAX) > 1e-12)
         # (k scanned up to, argmax over 1..k, max over 1..k), one per chunk
         self._checkpoints: list[tuple[int, int, float]] = [(0, 0, -np.inf)]
 
@@ -648,6 +666,8 @@ class _ScoreScan:
         return ks ** (1.0 / self.p) * inv
 
     def argmax_upto(self, n: int) -> tuple[int, float]:
+        if self._increasing:
+            return n, float(self._g_chunk(n, n)[0])
         while (last := self._checkpoints[-1])[0] < n:
             scanned, best_m, best_g = last
             lo = scanned + 1
@@ -741,21 +761,38 @@ def _tooth_lefts(blk: WitnessBlock, j):
     return 2.0 ** (-blk.k) + 2.0 * w * j, w
 
 
-def _tooth_window(blk: WitnessBlock) -> tuple[np.ndarray, np.ndarray]:
+def _tooth_window(blk: WitnessBlock, lo: int = 0, hi: int | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """(grid, values) of a block's window: a zero at 0, then (h, h, 0) per tooth.
 
     Tooth j jumps to h at its left edge u_j, holds h at u_j + w/2 and is
-    back to 0 at u_j + w.
+    back to 0 at u_j + w.  Teeth lo..hi-1 (all of them by default) give
+    points 3 lo..3 hi of the whole window, bit for bit: their leading zero
+    is 0 or tooth lo - 1's closing point.
     """
-    us, w = _tooth_lefts(blk, np.arange(blk.r, dtype=np.float64))
-    xs = np.zeros(3 * blk.r + 1)
+    hi = blk.r if hi is None else hi
+    us, w = _tooth_lefts(blk, np.arange(lo, hi, dtype=np.float64))
+    xs = np.zeros(3 * (hi - lo) + 1)
+    if lo:
+        xs[0] = _tooth_lefts(blk, lo - 1.0)[0] + w
     xs[1::3] = us
     xs[2::3] = us + 0.5 * w
     xs[3::3] = us + w
-    vs = np.zeros(3 * blk.r + 1)
+    vs = np.zeros(3 * (hi - lo) + 1)
     vs[1::3] = blk.height
     vs[2::3] = blk.height
     return xs, vs
+
+
+def _check_window(blk: WitnessBlock) -> None:
+    """Validate a block's window as ``SampledFunction`` does (a strictly
+    increasing, finite grid; finite values), _GRID_TEETH teeth at a time.
+
+    Consecutive chunks share a point, so every adjacent pair of the window
+    is compared, and a failure raises the same ``ValueError``.
+    """
+    for lo in range(0, blk.r, _GRID_TEETH):
+        SampledFunction(*_tooth_window(blk, lo, min(lo + _GRID_TEETH, blk.r)))
 
 
 def _closes_at_one(blocks) -> bool:
@@ -787,21 +824,35 @@ def _materialize(blocks) -> SampledFunction:
     return SampledFunction(np.concatenate(xs_parts), np.concatenate(vs_parts))
 
 
+def _certificate_objective(blk: WitnessBlock, p: float) -> float:
+    """(sum |d|^p)^(1/p) over the certificate's 2r differences: |h - 0| up
+    onto each tooth and |0 - h| down off it, each exactly h, so
+    ``np.full(2r, h)`` is the window's difference array bit for bit."""
+    d = np.full(2 * blk.r, blk.height)
+    d **= p  # the floats of d ** p, without a second array
+    return float(np.sum(d) ** (1.0 / p))
+
+
 def _prefix_dp_check(window: SampledFunction, blk: WitnessBlock, p: float) -> bool:
+    """Whether the DP on ``window``, the block's first t = min(r, 40) teeth,
+    finds the 2t swings of height h."""
     t = min(blk.r, _PREFIX_TEETH)
-    sub = SampledFunction(window.grid[:1 + 3 * t], window.values[:1 + 3 * t])
-    val, _ = pvariation_dp(sub, p, 2 * t)
+    val, _ = pvariation_dp(window, p, 2 * t)
     expected = (2.0 * t) ** (1.0 / p) * blk.height
     return abs(val - expected) <= 1e-9 * (1.0 + expected)
 
 
-def _window_dp_value(window: SampledFunction, blk: WitnessBlock, p: float) -> float | None:
+def _window_dp_admitted(blk: WitnessBlock, p: float) -> bool:
     # The window is a leading zero, then (h, h, 0) per tooth: it reduces to the
     # 2r + 1 alternating points 0, h, 0, ..., h, 0, so the cap is decided first.
     m = 2 * blk.r + 1
-    cost = m * float(blk.n) if p == 1.0 else m * m * float(blk.n)
-    if cost > _DP_OPS:
+    return (m * float(blk.n) if p == 1.0 else m * m * float(blk.n)) <= _DP_OPS
+
+
+def _window_dp_value(window: SampledFunction, blk: WitnessBlock, p: float) -> float | None:
+    if not _window_dp_admitted(blk, p):
         return None
+    m = 2 * blk.r + 1
     sub = extrema_reduce(window)
     if len(sub) != m:
         raise RuntimeError(
@@ -816,18 +867,28 @@ def _window_dp_value(window: SampledFunction, blk: WitnessBlock, p: float) -> fl
 
 
 def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: int,
-                     horizon: int = 100_000):
+                     report: CriterionReport | None = None):
     """Build a function in the Phi-variation ball violating the nu growth bound.
 
     Returns a certified :class:`Witness` or ``None`` when no certifiable block
     configuration fits the search budget (the module constants above).
-    Requires the embedding criterion, run to ``horizon``, to Fail for
-    (Phi, nu, p).  Each block is certified from its own tooth window; the
-    step function is built only when ``Witness.function`` is read.
+    Requires the embedding criterion to Fail for (Phi, nu, p): ``report`` is
+    that criterion's report, as the caller already has it, and must be for
+    the same (Phi, nu, p); without one, ``embedding_criterion`` runs to
+    horizon 100 000.  The block certificates still decide ``certified`` on
+    their own.
+
+    A block is certified without its whole tooth window: the window's grid
+    is checked a chunk of teeth at a time, the objective reads the 2r
+    differences, each exactly h, and the prefix DP reads the first 40 teeth.
+    The whole window is built only for a window DP whose price is admitted;
+    the step function only when ``Witness.function`` is read.
     """
     if not (1 <= k_max <= 5):
         raise ValueError("k_max must lie in 1..5")
-    report = embedding_criterion(Phi, nu, p, horizon)
+    _check_p(p)
+    if report is None:
+        report = embedding_criterion(Phi, nu, p, 100_000)
     if report.verdict != "Fails":
         raise ValueError(
             f"embedding criterion verdict is {report.verdict}; witnesses exist only for Fails"
@@ -846,11 +907,9 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
     all_ok = True
     varphi_total = 0.0
     for blk in reversed(blocks):
-        window = SampledFunction(*_tooth_window(blk))
-        v = window.values  # up onto each tooth, then down off each tooth
-        diffs = np.abs(np.concatenate([v[1::3] - v[:-1:3], v[3::3] - v[2::3]]))
-        objective = float(np.sum(diffs ** p) ** (1.0 / p))
-        count = int(diffs.size)
+        _check_window(blk)
+        count = 2 * blk.r
+        objective = _certificate_objective(blk, p)
         if count > blk.n:
             raise RuntimeError("certificate selection uses more intervals than allowed")
         ratio = objective / nu.value(blk.n)
@@ -858,8 +917,10 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
         term = float(Phi.partial(2 * blk.r, blk.height))
         cap = 2.0 * 2.0 ** (-blk.k)
         varphi_total += term
-        prefix_ok = _prefix_dp_check(window, blk, p)
-        window_val = _window_dp_value(window, blk, p)
+        prefix = SampledFunction(*_tooth_window(blk, 0, min(blk.r, _PREFIX_TEETH)))
+        prefix_ok = _prefix_dp_check(prefix, blk, p)
+        window_val = (_window_dp_value(SampledFunction(*_tooth_window(blk)), blk, p)
+                      if _window_dp_admitted(blk, p) else None)
         ok = (
             ratio >= required
             and term <= cap * (1.0 + 1e-9)

@@ -7,6 +7,7 @@ magnitude is sqrt(a_n^2 + b_n^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -372,6 +373,14 @@ def coeff_decay_report(f: SampledFunction, nu: ModulusOfVariation, p: float, N: 
     return float(np.max(coeff_decay_ratios(f, nu, p, N)))
 
 
+@functools.cache
+def _gauss_legendre_24() -> tuple[np.ndarray, np.ndarray]:
+    """The 24-node Gauss-Legendre nodes and weights, computed on first use."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def sine_integral_lower(a: int, b: int, n: int):
     """(int_{a pi/n}^{b pi/n} sin^2(nt)/t dt, (1/12) sum_{i=a}^{b} 1/i).
 
@@ -386,7 +395,7 @@ def sine_integral_lower(a: int, b: int, n: int):
         raise ValueError("a, b, n must be positive integers")
     if a >= b:
         raise ValueError("need a < b")
-    x, w = np.polynomial.legendre.leggauss(24)
+    x, w = _gauss_legendre_24()
     s = 0.5 * (x + 1.0)
     k = np.arange(a, b, dtype=np.float64)[:, None]
     # the Jacobian pi/2 of [-1, 1] -> [k pi, (k+1) pi] over the pi in u leaves 1/2

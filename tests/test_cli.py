@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import os
 import pathlib
@@ -451,6 +452,40 @@ def test_embed_witness_stdout_is_pinned(capsys):
                  "--witness"]) == 0
     pinned = gzip.decompress((DATA / "embed_witness_power2_log_k1.json.gz").read_bytes())
     assert capsys.readouterr().out == pinned.decode()
+
+
+# sha256 of `embed --witness` stdout at p = 1: the benchmark's four witness
+# families, then the k_max = 3 case.
+WITNESS_STDOUT_SHA256 = [
+    ("power:3", "power:0.1", 3, "73ae35d11bddfd44326fd420a8bcf012b51ce37d7cf13366a2e7071e1e035dd3"),
+    ("power:3", "power:0.25", 2, "d18e8eef1321917cf3359c7b162874ad9fb2d28df62be5482ff7c02e2bcba350"),
+    ("power:2", "power:0.25", 2, "8ad6606167827a0109bf651532cf9a4b010e364b8fd7bcdbbfc7d6c348779785"),
+    ("power:2", "log", 2, "1ad3c4c848e93c146e9b2556a1ce916223313b7661b26b069264cd2de3808736"),
+    ("power:2", "log", 3, "fe5b62187cd9fd0c642083060eee4f095597ef528f8a05e248cdc1fb838e5912"),
+]
+
+
+@pytest.mark.parametrize("phi,nu,k_max,digest", WITNESS_STDOUT_SHA256,
+                         ids=[f"{phi}-{nu}-k{k}" for phi, nu, k, _ in WITNESS_STDOUT_SHA256])
+def test_embed_witness_stdout_sha256_is_pinned(phi, nu, k_max, digest, capsys):
+    assert main(["embed", "--phi", phi, "--nu", nu, "--p", "1", "--k-max", str(k_max),
+                 "--witness"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_embed_witness_k3_peak_memory():
+    code = ("import contextlib, io, resource\n"
+            "from pvarlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(['embed', '--phi', 'power:2', '--nu', 'log', '--p', '1',\n"
+            "               '--k-max', '3', '--witness'])\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(embeddings.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rc, maxrss_kb = proc.stdout.split()
+    assert rc == "0"
+    assert int(maxrss_kb) / 1024 < 350  # ru_maxrss is in KB on Linux
 
 
 def test_embed_witness_never_builds_an_omitted_function(monkeypatch, capsys):

@@ -398,11 +398,12 @@ def test_wu_randomized(rng):
 # -- witness -----------------------------------------------------------------------
 
 def test_witness_requires_failing_verdict():
+    Phi = PhiSequence.power_all(2.0)
     with pytest.raises(ValueError):
-        witness_generate(PhiSequence.power_all(2.0), NU_SQRT, 1.0, 2, horizon=4096)
+        witness_generate(Phi, NU_SQRT, 1.0, 2, embedding_criterion(Phi, NU_SQRT, 1.0, 4096))
     with pytest.raises(ValueError):
         # q = p always embeds
-        witness_generate(PhiSequence.power_all(2.0), NU_LOG, 2.0, 2, horizon=4096)
+        witness_generate(Phi, NU_LOG, 2.0, 2, embedding_criterion(Phi, NU_LOG, 2.0, 4096))
 
 
 def test_witness_small_run_certified():
@@ -470,25 +471,97 @@ def test_witness_json_omits_huge_grids():
     (PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic()), NU_SQRT, 2),
 ])
 def test_witness_function_is_the_windows_certified(Phi, nu, k_max, monkeypatch):
-    read = {}
-    prefix_dp_check = embeddings._prefix_dp_check
+    prefixes, windows = {}, {}
+    prefix_dp_check, window_dp_value = embeddings._prefix_dp_check, embeddings._window_dp_value
 
-    def recording(window, blk, p):
-        read[blk.k] = window.values.copy()
+    def recording_prefix(window, blk, p):
+        prefixes[blk.k] = window.values.copy()
         return prefix_dp_check(window, blk, p)
 
-    monkeypatch.setattr(embeddings, "_prefix_dp_check", recording)
+    def recording_window(window, blk, p):
+        windows[blk.k] = window.values.copy()
+        return window_dp_value(window, blk, p)
+
+    monkeypatch.setattr(embeddings, "_prefix_dp_check", recording_prefix)
+    monkeypatch.setattr(embeddings, "_window_dp_value", recording_window)
     w = witness_generate(Phi, nu, 1.0, k_max)
-    assert sorted(read) == list(range(1, k_max + 1))
+    assert sorted(prefixes) == list(range(1, k_max + 1))
+    ran = {c.k for c in w.certificates if c.window_dp_ran}
+    assert ran and set(windows) == ran  # only a window whose DP runs is built
     # blocks sit in decreasing k; each window's leading zero is the previous trailing zero
     start = 0
     for blk in sorted(w.blocks, key=lambda b: b.k, reverse=True):
         stop = start + 3 * blk.r + 1
-        assert np.array_equal(w.function.values[start:stop], read[blk.k])
-        assert np.array_equal(read[blk.k], _tooth_window(blk)[1])
+        block_slice = w.function.values[start:stop]
+        assert np.array_equal(block_slice, _tooth_window(blk)[1])
+        # the prefix DP reads the first min(r, 40) teeth of that slice
+        assert np.array_equal(prefixes[blk.k], block_slice[:1 + 3 * min(blk.r, 40)])
+        if blk.k in windows:
+            assert np.array_equal(windows[blk.k], block_slice)
         start = stop - 1
     assert len(w.function) == w.to_json_dict(max_function_points=0)["function"]["points"]
     assert len(w.function) - start in (1, 2)  # the last trailing zero, then maybe (1, 0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 3.0])
+def test_power_score_closed_form_is_the_chunked_scan(q, p):
+    Phi = PhiSequence.power_all(q)
+    closed = embeddings._ScoreScan(Phi, p)
+    c = 1.0 / p - 1.0 / q
+    assert closed._increasing == (c > 0.035)  # c / 2^35 > 1e-12
+    if not closed._increasing:
+        return  # q <= p: the criterion embeds, and the scan keeps its chunks
+    chunk = embeddings._ScoreScan._CHUNK
+    for n in (chunk - 1, chunk, chunk + 1, 1 << 27, embeddings._N_MAX - 1):
+        scanned = embeddings._ScoreScan(Phi, p)
+        scanned._increasing = False
+        if n > 2 * chunk:
+            # A scan of all n values takes minutes, so the forced scan starts from
+            # the checkpoint the chunks below n leave: the last chunk before n,
+            # strictly increasing, has its maximum at its end.
+            base = (n - 1) // chunk * chunk
+            g = scanned._g_chunk(base - chunk + 1, base)
+            assert np.all(np.diff(g) > 0)
+            scanned._checkpoints.append((base, base, float(g[-1])))
+        m, g = closed.argmax_upto(n)
+        assert len(closed._checkpoints) == 1  # the closed form scans nothing
+        m_scan, g_scan = scanned.argmax_upto(n)
+        assert (m, g.hex()) == (m_scan, g_scan.hex()) and m == n
+
+
+def test_power_score_below_the_margin_is_scanned():
+    scan = embeddings._ScoreScan(PhiSequence.power_all(1.01), 1.0)
+    assert not scan._increasing
+    n = embeddings._ScoreScan._CHUNK + 5
+    m, g = scan.argmax_upto(n)
+    assert len(scan._checkpoints) == 3  # two chunks scanned
+    ks = np.arange(1, n + 1, dtype=np.float64)
+    values = ks * (ks ** (-1.0 / 1.01) * 1.0)
+    assert (m, g) == (int(np.argmax(values)) + 1, float(np.max(values)))
+
+
+def test_tooth_window_ranges_are_slices_of_the_window():
+    blk = WitnessBlock(k=2, n=1001, m=50, s=120, r=100, height=0.3, rate=1.0, literal=False)
+    xs, vs = _tooth_window(blk)
+    for lo, hi in [(0, 40), (0, 100), (1, 2), (37, 100), (99, 100)]:
+        part = _tooth_window(blk, lo, hi)
+        assert part[0].tobytes() == xs[3 * lo:3 * hi + 1].tobytes()
+        assert part[1].tobytes() == vs[3 * lo:3 * hi + 1].tobytes()
+
+
+def test_witness_block_with_colliding_teeth_is_a_grid_error(monkeypatch):
+    # at n = 2^60 a tooth is narrower than the float spacing near 1/2, so its points coincide
+    blk = WitnessBlock(k=1, n=1 << 60, m=8, s=8, r=8, height=0.5, rate=1.0, literal=False)
+    monkeypatch.setattr(embeddings, "_search_block", lambda scan, nu, p, k, cap: blk)
+    monkeypatch.setattr(embeddings, "_GRID_TEETH", 3)  # three chunks of the grid check
+    with pytest.raises(ValueError, match="grid must be strictly increasing"):
+        embeddings._check_window(blk)
+    with pytest.raises(ValueError, match="grid must be strictly increasing"):
+        witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 1)
+    # a sound block passes the same chunked check
+    embeddings._check_window(WitnessBlock(k=1, n=64, m=8, s=8, r=8, height=0.5, rate=1.0,
+                                          literal=False))
 
 
 def test_witness_whose_last_tooth_ends_at_one_has_no_closing_point():
