@@ -1,9 +1,9 @@
 """Hot numeric kernels, vectorized with numpy.
 
-``dp_profile_pow`` and ``dp_with_parents`` share one DP row step;
-``dp1_profile`` is the O(m * n) p = 1 specialisation and ``shift_max`` the
-windowed maximum behind the modulus of continuity.  Their plain loop
-versions are the oracles in ``tests/oracles.py``.
+Two DP row steps, the dense ``_dp_row`` and the O(m) p = 1 ``_dp1_row``,
+serve the table (``dp_with_parents``) and the profiles; only this module
+picks the step for a p.  ``shift_max`` is the windowed maximum behind the
+modulus of continuity.  Their plain loop versions are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,15 +45,26 @@ def _dp_row(prev, diff, buf, cur):
     np.maximum.accumulate(cur[1:], out=cur[1:])
 
 
-def dp_profile_pow(values: np.ndarray, p: float, nmax: int) -> np.ndarray:
-    """Profile of the DP objective (p-th powers) for interval budgets 0..nmax."""
-    m, nmax = values.shape[0], int(nmax)
-    diff = _pow_diff(values, float(p))
-    buf = np.empty((m, m))
+def _dp1_row(prev, values, cur):
+    """One p = 1 DP row into ``cur`` in O(m).
+
+    |v_i - v_j| = max(v_i - v_j, v_j - v_i) lets the inner max be carried as
+    two running maxima, max_j prev[j] - v_j and max_j prev[j] + v_j.
+    """
+    a = np.maximum.accumulate(prev - values)
+    b = np.maximum.accumulate(prev + values)
+    cur[0] = 0.0
+    np.maximum(a[:-1] + values[1:], b[:-1] - values[1:], out=cur[1:])
+    np.maximum(cur[1:], 0.0, out=cur[1:])
+    np.maximum.accumulate(cur[1:], out=cur[1:])
+
+
+def _profile(step, m, nmax):
+    """Last entries of rows 0..nmax of the DP whose row step is ``step(prev, cur)``."""
     prev, cur = np.zeros(m), np.empty(m)
     out = np.zeros(nmax + 1)
     for k in range(1, nmax + 1):
-        _dp_row(prev, diff, buf, cur)
+        step(prev, cur)
         out[k] = cur[m - 1]
         if np.array_equal(cur, prev):
             out[k:] = out[k]
@@ -62,49 +73,49 @@ def dp_profile_pow(values: np.ndarray, p: float, nmax: int) -> np.ndarray:
     return out
 
 
-def dp_with_parents(values: np.ndarray, p: float, n: int):
-    """Full DP value table and the pair costs it was built from, for backtracking.
-
-    Returns ``(table, diff)`` with table[k][i] = best[k][i] for k = 0..n and
-    diff[j, i] = |values[i] - values[j]|^p; every row is nondecreasing.  A
-    backtrack that adds table[k-1, j] + diff[j, i] again gets the very floats
-    the table was built from, so it can find a cell's maximizing start by
-    exact equality.
-    """
-    m, n = values.shape[0], int(n)
+def dp_profile_pow(values: np.ndarray, p: float, nmax: int) -> np.ndarray:
+    """Profile of the DP objective (p-th powers) for interval budgets 0..nmax."""
     diff = _pow_diff(values, float(p))
-    buf = np.empty((m, m))
-    table = np.zeros((n + 1, m))
-    for k in range(1, n + 1):
-        _dp_row(table[k - 1], diff, buf, table[k])
-        if np.array_equal(table[k], table[k - 1]):
-            table[k:] = table[k]
-            break
-    return table, diff
+    buf = np.empty(diff.shape)
+    return _profile(lambda prev, cur: _dp_row(prev, diff, buf, cur), values.shape[0], int(nmax))
 
 
 def dp1_profile(values: np.ndarray, nmax: int) -> np.ndarray:
-    """First-variation DP profile (p = 1), O(m * nmax).
+    """First-variation DP profile (p = 1), O(m * nmax), from ``_dp1_row``."""
+    return _profile(lambda prev, cur: _dp1_row(prev, values, cur), values.shape[0], int(nmax))
 
-    |v_i - v_j| = max(v_i - v_j, v_j - v_i) lets the inner max be carried as
-    two running maxima, max_j prev[j] - v_j and max_j prev[j] + v_j.
+
+def dp_profile(values: np.ndarray, p: float, nmax: int) -> np.ndarray:
+    """``dp1_profile`` at p = 1, else ``dp_profile_pow``."""
+    return dp1_profile(values, nmax) if p == 1.0 else dp_profile_pow(values, p, nmax)
+
+
+def dp_with_parents(values: np.ndarray, p: float, n: int):
+    """Full DP value table and its pair sums, for backtracking.
+
+    Returns ``(table, pair_sums)`` with table[k][i] = best[k][i] for k = 0..n;
+    every row is nondecreasing.  ``pair_sums(prev, i)`` gives the candidate of
+    every start j < i in the row step's own float expressions, and rounding is
+    monotone, so their max is the float the step took: a backtrack finds a
+    cell's maximizing start by exact equality.  At p = 1 the table is built by
+    ``_dp1_row`` and no m x m array exists.
     """
-    m, nmax = values.shape[0], int(nmax)
-    prev = np.zeros(m)
-    out = np.zeros(nmax + 1)
-    for k in range(1, nmax + 1):
-        a = np.maximum.accumulate(prev - values)
-        b = np.maximum.accumulate(prev + values)
-        cand = np.maximum(a[:-1] + values[1:], b[:-1] - values[1:])
-        cur = np.empty(m)
-        cur[0] = 0.0
-        cur[1:] = np.maximum.accumulate(np.maximum(cand, 0.0))
-        out[k] = cur[m - 1]
-        if np.array_equal(cur, prev):
-            out[k:] = out[k]
+    m, n = values.shape[0], int(n)
+    if p == 1.0:
+        step, pair_sums = (lambda prev, cur: _dp1_row(prev, values, cur),
+                           lambda prev, i: np.maximum((prev[:i] - values[:i]) + values[i],
+                                                      (prev[:i] + values[:i]) - values[i]))
+    else:
+        diff, buf = _pow_diff(values, float(p)), np.empty((m, m))
+        step, pair_sums = (lambda prev, cur: _dp_row(prev, diff, buf, cur),
+                           lambda prev, i: prev[:i] + diff[:i, i])
+    table = np.zeros((n + 1, m))
+    for k in range(1, n + 1):
+        step(table[k - 1], table[k])
+        if np.array_equal(table[k], table[k - 1]):
+            table[k:] = table[k]
             break
-        prev = cur
-    return out
+    return table, pair_sums
 
 
 # ---------------------------------------------------------------------------

@@ -134,12 +134,13 @@ def _reduced(f: SampledFunction, p: float, n: int, name: str = "n"):
     return red, min(n, len(red) - 1)
 
 
-def _backtrack(table: np.ndarray, diff: np.ndarray) -> list[tuple[int, int]]:
+def _backtrack(table: np.ndarray, pair_sums) -> list[tuple[int, int]]:
     """One optimal selection (start, end) from ``_kernels.dp_with_parents``.
 
     At (k, i) the walk first moves i left to the first index of row k holding
     the same value (skipping wins ties), then takes the smallest start j whose
-    pair sum reproduces the cell exactly (the smallest start wins).
+    pair sum ``pair_sums(table[k - 1], i)[j]``, the row step's own float,
+    reproduces the cell exactly (the smallest start wins).
     """
     pairs = []
     k, i = table.shape[0] - 1, table.shape[1] - 1
@@ -148,7 +149,7 @@ def _backtrack(table: np.ndarray, diff: np.ndarray) -> list[tuple[int, int]]:
         i = int(row.searchsorted(row[i]))
         if i == 0:
             break
-        j = int((table[k - 1, :i] + diff[:i, i] == row[i]).argmax())
+        j = int((pair_sums(table[k - 1], i) == row[i]).argmax())
         pairs.append((j, i))
         k, i = k - 1, j
     pairs.reverse()
@@ -159,8 +160,8 @@ def _pvariation_solve(f: SampledFunction, p: float, n: int):
     """(v_p(n, f), optimal selection, profile v_p(1..n, f)) from one DP table."""
     red, n_eff = _reduced(f, p, n)
     kept = _kept_indices(f, red)
-    table, diff = _kernels.dp_with_parents(red.values, p, n_eff)
-    pairs = [(int(kept[j]), int(kept[i])) for j, i in _backtrack(table, diff)]
+    table, pair_sums = _kernels.dp_with_parents(red.values, p, n_eff)
+    pairs = [(int(kept[j]), int(kept[i])) for j, i in _backtrack(table, pair_sums)]
     prof = _padded(table[1:, -1] ** (1.0 / p), n)
     # the profile's array root, so the value and the profile agree bit for bit
     return float(prof[n - 1]), _selection_from_indices(f, pairs, p), prof
@@ -189,11 +190,7 @@ def pvariation_profile(f: SampledFunction, p: float, n_max: int) -> np.ndarray:
     swings, so the DP only runs up to that point and the tail is padded.
     """
     red, n_eff = _reduced(f, p, n_max, "n_max")
-    if p == 1.0:
-        pow_profile = _kernels.dp1_profile(red.values, n_eff)
-    else:
-        pow_profile = _kernels.dp_profile_pow(red.values, p, n_eff)
-    return _padded(pow_profile[1:] ** (1.0 / p), n_max)
+    return _padded(_kernels.dp_profile(red.values, p, n_eff)[1:] ** (1.0 / p), n_max)
 
 
 def vpnu_norm(f: SampledFunction, nu: ModulusOfVariation, p: float, n_max: int):

@@ -9,7 +9,12 @@ plain loop forms of the three ``_kernels`` profile and window kernels.
 ``dp_parent_loops`` is the plain O(n m^2) triple loop.  Its strict-improvement
 updates record, for each cell, the start of the interval ending there (-1 for
 skip), so ties prefer skipping and then the smallest start.
-``backtrack_take`` walks that record.  ``extrema_reduce_loop`` scans the
+``dp1_parent_loops`` is the same loop at p = 1 with the pair sums written as
+the p = 1 row step writes them, max((prev_j - v_j) + v_i, (prev_j + v_j) - v_i),
+so its table is the kernel's bit for bit.  ``backtrack_take`` walks either
+record.  ``dense_dp_with_parents`` is the kernel's dense table at any p, p = 1
+included: the m x m row step that ``_kernels.dp_with_parents`` runs only for
+p > 1.  ``extrema_reduce_loop`` scans the
 values once and keeps the endpoints and the point before each direction flip;
 ``swing_count_loop`` counts the monotone runs in the same scan.
 ``fourier_coeffs_loop`` is the rectangle rule as an N x m trig matrix product,
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pvarlab import SampledFunction
+from pvarlab import SampledFunction, _kernels
 from pvarlab.embeddings import _bisect_increasing
 
 
@@ -113,6 +118,41 @@ def dp_parent_loops(values, p, n):
         table[k] = cur
         prev = cur
     return table, take
+
+
+def dp1_parent_loops(values, n):
+    m = values.shape[0]
+    prev = np.zeros(m)
+    table = np.zeros((n + 1, m))
+    take = np.full((n + 1, m), -1, dtype=np.int64)
+    for k in range(1, n + 1):
+        cur = np.zeros(m)
+        for i in range(1, m):
+            best = cur[i - 1]
+            arg = -1
+            for j in range(i):
+                c = max((prev[j] - values[j]) + values[i], (prev[j] + values[j]) - values[i])
+                if c > best:
+                    best = c
+                    arg = j
+            cur[i] = best
+            take[k, i] = arg
+        table[k] = cur
+        prev = cur
+    return table, take
+
+
+def dense_dp_with_parents(values, p, n):
+    """``_kernels.dp_with_parents`` with the dense m x m row step at every p."""
+    m = values.shape[0]
+    diff, buf = _kernels._pow_diff(values, float(p)), np.empty((m, m))
+    table = np.zeros((n + 1, m))
+    for k in range(1, n + 1):
+        _kernels._dp_row(table[k - 1], diff, buf, table[k])
+        if np.array_equal(table[k], table[k - 1]):
+            table[k:] = table[k]
+            break
+    return table, lambda prev, i: prev[:i] + diff[:i, i]
 
 
 def backtrack_take(take) -> list[tuple[int, int]]:

@@ -169,6 +169,17 @@ def test_pvar_runs_one_dp(p, tmp_path, monkeypatch):
     assert last == f"6,{json.loads(sel.read_text())['value']:.12g}"
 
 
+def test_pvar_p1_builds_no_pair_costs(tmp_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("pvar --p 1 built the m x m pair costs")
+
+    monkeypatch.setattr(_kernels, "_pow_diff", forbidden)
+    values = ",".join(f"{v:.6f}" for v in np.random.default_rng(3).uniform(-1, 1, 40))
+    rc = main(["pvar", "--values", values, "--p", "1", "--n", "6",
+               "--selection-out", str(tmp_path / "sel.json")])
+    assert rc == 0
+
+
 def test_pvar_json_format(tmp_path):
     out = tmp_path / "pvar.json"
     rc = main(["pvar", "--values", "0,1,0", "--p", "2", "--n", "2",

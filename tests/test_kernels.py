@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import (backtrack_take, dp1_profile_loops, dp_parent_loops, dp_profile_loops,
-                     shift_max_loops)
+from oracles import (backtrack_take, dp1_parent_loops, dp1_profile_loops, dp_parent_loops,
+                     dp_profile_loops, shift_max_loops)
 from pvarlab import SampledFunction, _kernels, extrema_reduce
 from pvarlab.variation import _backtrack
 
@@ -17,6 +17,8 @@ def test_profile_backends_agree(m, p, n, rng):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_dp_with_parents_matches_loop_oracle(p, rng):
+    # raw (unreduced) values: a point between two others splits an interval
+    # at no cost in exact arithmetic, so the last ulp decides such ties
     for case in range(40):
         m = int(rng.integers(2, 61))
         n = int(rng.integers(1, 13))
@@ -24,17 +26,25 @@ def test_dp_with_parents_matches_loop_oracle(p, rng):
             values = rng.integers(-3, 4, m).astype(np.float64)  # many exact ties
         else:
             values = rng.uniform(-2, 2, m)
-        table, diff = _kernels.dp_with_parents(values, p, n)
+        table, pair_sums = _kernels.dp_with_parents(values, p, n)
+        pairs = _backtrack(table, pair_sums)
         ref_table, take = dp_parent_loops(values, p, n)
         assert np.allclose(table, ref_table, rtol=0.0, atol=1e-12)
-        assert _backtrack(table, diff) == backtrack_take(take)
+        if p == 1.0:
+            # the dense loop sums in another order, so it may break an exact
+            # tie the other way; the selection is still optimal for it
+            objective = sum(abs(values[i] - values[j]) for j, i in pairs)
+            assert abs(objective - ref_table[n, -1]) <= 1e-12
+            ref_table, take = dp1_parent_loops(values, n)
+            assert np.array_equal(table, ref_table)
+        assert pairs == backtrack_take(take)
 
 
 def test_profile_kernel_is_last_column_of_parent_table(rng):
     values = rng.uniform(-2, 2, 50)
-    for p in (1.5, 2.0, 3.0):
+    for p in (1.0, 1.5, 2.0, 3.0):
         table, _ = _kernels.dp_with_parents(values, p, 9)
-        assert np.array_equal(table[:, -1], _kernels.dp_profile_pow(values, p, 9))
+        assert np.array_equal(table[:, -1], _kernels.dp_profile(values, p, 9))
 
 
 @pytest.mark.parametrize("m,n", [(10, 4), (64, 12), (300, 25)])
@@ -86,14 +96,28 @@ def test_dps_stop_at_their_fixed_point(monkeypatch):
     row = _kernels._dp_row
     monkeypatch.setattr(_kernels, "_dp_row", lambda *a: rows.append(1) or row(*a))
     prof = _kernels.dp_profile_pow(values, p, n)
-    table, _ = _kernels.dp_with_parents(values, p, n)
+    table, pair_sums = _kernels.dp_with_parents(values, p, n)
     used = len(rows) // 2
     assert len(rows) == 2 * used and used < n
     assert np.array_equal(prof, every_row[:, -1]) and np.array_equal(table, every_row)
-    assert _backtrack(table, diff) == _backtrack(every_row, diff)
+    assert _backtrack(table, pair_sums) == _backtrack(every_row, pair_sums)
     # the loop oracles run every row; a few rows past the stop they agree bit for bit
     k = used + 2
     assert np.array_equal(dp_profile_loops(values, p, k), prof[:k + 1])
     ref_table, take = dp_parent_loops(values, p, k)
     assert np.array_equal(ref_table, table[:k + 1])
-    assert _backtrack(table[:k + 1], diff) == backtrack_take(take)
+    assert _backtrack(table[:k + 1], pair_sums) == backtrack_take(take)
+
+    # the p = 1 table runs only the O(m) row step and stops at the same fixed point
+    every_row = np.zeros((n + 1, 300))
+    for k in range(1, n + 1):
+        _kernels._dp1_row(every_row[k - 1], values, every_row[k])
+    dense_rows, rows1 = len(rows), []
+    row1 = _kernels._dp1_row
+    monkeypatch.setattr(_kernels, "_dp1_row", lambda *a: rows1.append(1) or row1(*a))
+    prof = _kernels.dp1_profile(values, n)
+    table, pair_sums = _kernels.dp_with_parents(values, 1.0, n)
+    used = len(rows1) // 2
+    assert len(rows1) == 2 * used and used < n and len(rows) == dense_rows
+    assert np.array_equal(prof, every_row[:, -1]) and np.array_equal(table, every_row)
+    assert _backtrack(table, pair_sums) == _backtrack(every_row, pair_sums)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from pvarlab import (
     vpnu_norm,
     wu_bound_check,
 )
+from oracles import dense_dp_with_parents
+from pvarlab import _kernels
 from pvarlab import verify as inv
 from pvarlab.functions import make_random, make_zigzag
 from pvarlab.modulus import ModulusOfVariation
@@ -203,8 +206,7 @@ def test_dp_across_magnitudes(values, k, p, n):
     else:
         assert np.allclose(cprof, c * prof, rtol=1e-13, atol=0.0)
         assert value == pytest.approx(c * pvariation_dp(f, p, n)[0], rel=1e-13, abs=0.0)
-    if p != 1.0:  # same row step and array root as the profile
-        assert value == cprof[-1]
+    assert value == cprof[-1]  # same row step and array root as the profile
     # nondecreasing, and constant from the swing count on
     assert np.all(np.diff(cprof) >= 0.0)
     red = extrema_reduce(cf)
@@ -215,6 +217,62 @@ def test_dp_across_magnitudes(values, k, p, n):
     v1 = pvariation_dp(cf, 1.0, n)[0]
     assert value <= v1 * (1.0 + 1e-12)
     assert v1 <= value * n ** (1.0 - 1.0 / p) * (1.0 + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=40),
+    n=st.integers(1, 12),
+)
+# a dense p = 1 table once summed these in another order: 1.802 against 1.8020000000000003
+@example(values=[0.51, -0.869, -0.668, -0.446], n=2)
+def test_p1_value_is_the_profile(values, n):
+    f = SampledFunction(np.arange(len(values), dtype=float), values)
+    if _underflows(values, 1.0):
+        return
+    assert pvariation_dp(f, 1.0, n)[0] == pvariation_profile(f, 1.0, n)[n - 1]
+
+
+def _p1_inputs(rng, count):
+    kinds = ("uniform", "integer", "walk", "plateau")
+    for case in range(count):
+        m, n = int(rng.integers(3, 60)), int(rng.integers(1, 12))
+        kind = kinds[case % 4]
+        if kind == "uniform":
+            values = rng.uniform(-2, 2, m)
+        elif kind == "integer":
+            values = rng.integers(-3, 4, m).astype(np.float64)
+        elif kind == "walk":
+            values = np.cumsum(rng.normal(size=m))
+        else:
+            values = np.repeat(rng.uniform(-2, 2, m), rng.integers(1, 4, m))[:m]
+        yield SampledFunction(np.arange(m, dtype=float), values), n
+
+
+def test_p1_selection_matches_dense_table(rng, monkeypatch):
+    # the O(m) p = 1 table picks the same intervals as the dense m x m table;
+    # the values differ only by the order of their at most 2n roundings
+    cases = list(_p1_inputs(rng, 3000))
+    fast = [pvariation_dp(f, 1.0, n) for f, n in cases]
+    monkeypatch.setattr(_kernels, "dp_with_parents", dense_dp_with_parents)
+    for (f, n), (value, sel) in zip(cases, fast):
+        ref_value, ref_sel = pvariation_dp(f, 1.0, n)
+        assert sel.intervals == ref_sel.intervals
+        assert value == pytest.approx(ref_value, rel=1e-14, abs=0.0)
+
+
+def test_p1_dp_scales_linearly():
+    # a dense m x m table on this walk's ~100 000 reduced points would need 160 GB
+    walk = np.cumsum(np.random.default_rng(5).normal(size=200_000))
+    f = SampledFunction(np.arange(walk.size, dtype=float), walk)
+    tracemalloc.start()
+    try:
+        value, sel = pvariation_dp(f, 1.0, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert value == pvariation_profile(f, 1.0, 8)[7] and len(sel.intervals) == 8
 
 
 def test_triangle_and_homogeneity(rng):
