@@ -9,7 +9,9 @@ byte-identical files.  Exit codes: 0 success, 1 computation error,
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import logging
 import math
@@ -89,9 +91,18 @@ def _parse_phi(spec: str) -> PhiSequence:
     return PhiSequence.orlicz_over_lambda(power_orlicz(fields[0]), LambdaSequence.power(beta))
 
 
+def _number_list(text: str, option: str, kind=float) -> list:
+    """The comma list ``text`` given to ``option``, each entry read by ``kind``."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        what = "integers such as 8,16" if kind is int else "numbers such as 0.5,-1"
+        raise ValueError(f"{option} takes a comma list of {what}, got {text!r}") from None
+
+
 def _load_function(args) -> SampledFunction:
     if getattr(args, "values", None):
-        vals = [float(v) for v in args.values.split(",")]
+        vals = _number_list(args.values, "--values")
         grid = np.linspace(0.0, 1.0, len(vals))
         return SampledFunction(grid, vals)
     if getattr(args, "function", None):
@@ -125,13 +136,17 @@ def _json_cell(cell: str):
     return cell
 
 
-def _emit_rows(args, header: str, rows: list[str]):
+def _emit_rows(args, header: str, rows: list[list[str]]):
+    """The rows, lists of cells under the comma-separated ``header``, as CSV
+    (a cell holding a comma is quoted) or as JSON records."""
+    cols = header.split(",")
     if args.format == "json":
-        cols = header.split(",")
-        data = [{c: _json_cell(v) for c, v in zip(cols, r.split(","))} for r in rows]
+        data = [{c: _json_cell(v) for c, v in zip(cols, r)} for r in rows]
         _write(args, json.dumps(data, sort_keys=True, indent=1) + "\n")
     else:
-        _write(args, header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([cols, *rows])
+        _write(args, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +156,7 @@ def _emit_rows(args, header: str, rows: list[str]):
 def _cmd_pvar(args) -> int:
     f = _load_function(args)
     value, sel, prof = _pvariation_solve(f, args.p, args.n)
-    rows = [f"{n},{_fmt(v)}" for n, v in zip(range(1, args.n + 1), prof)]
+    rows = [[str(n), _fmt(v)] for n, v in zip(range(1, args.n + 1), prof)]
     if args.selection_out:
         # Written before the rows, so a failed write leaves stdout empty.
         payload = {
@@ -163,12 +178,9 @@ def _cmd_pvar(args) -> int:
 
 def _cmd_kfunc(args) -> int:
     f = _load_function(args)
-    ts = [float(t) for t in args.t.split(",")]
-    sandwiches = kfunctional_sweep(f, ts, args.p)
-    rows = [
-        f"{_fmt(s.t)},{s.M},{_fmt(s.lower)},{_fmt(s.upper)},{_fmt(s.ratio)},{s.case}"
-        for s in sandwiches
-    ]
+    sandwiches = kfunctional_sweep(f, _number_list(args.t, "--t"), args.p)
+    rows = [[_fmt(s.t), str(s.M), _fmt(s.lower), _fmt(s.upper), _fmt(s.ratio), s.case]
+            for s in sandwiches]
     log.info("lower bound nondecreasing in t: %s", lower_monotone_in_t(sandwiches))
     _emit_rows(args, "t,M,lower,upper,ratio,case", rows)
     return 0
@@ -179,19 +191,17 @@ def _cmd_fourier(args) -> int:
         f = _load_function(args)
         nu = parse_modulus(args.nu)
         ratios = fr.coeff_decay_ratios(f, nu, args.p, args.n_max)
-        rows = [f"{n},{_fmt(r)}" for n, r in zip(range(1, args.n_max + 1), ratios)]
+        rows = [[str(n), _fmt(r)] for n, r in zip(range(1, args.n_max + 1), ratios)]
         _emit_rows(args, "n,coeff_ratio", rows)
         return 0
     if args.omega is None:
         raise ValueError("fourier sweep needs --omega (or pass --decay)")
     nu = parse_modulus(args.nu)
     omega = _parse_omega(args.omega)
-    ns = sorted({int(v) for v in args.n_list.split(",")})
+    ns = sorted(set(_number_list(args.n_list, "--n-list", int)))
     seqs = [fr.convergence_sequences(nu, omega, args.p, n) for n in ns]
-    rows = [
-        f"{s.n},{s.theta},{_fmt(s.rho)},{_fmt(s.sigma)},{_fmt(s.tau)},{_fmt(s.eta)}"
-        for s in seqs
-    ]
+    rows = [[str(s.n), str(s.theta), _fmt(s.rho), _fmt(s.sigma), _fmt(s.tau), _fmt(s.eta)]
+            for s in seqs]
     _emit_rows(args, "n,theta,rho,sigma,tau,eta", rows)
     return 0
 
@@ -209,10 +219,9 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_seqnorm(args) -> int:
-    rows = []
     space = args.space.lower()
     if args.x:
-        x = np.array([float(v) for v in args.x.split(",")])
+        x = np.array(_number_list(args.x, "--x"))
         label = "x"
     else:
         if args.n is None or args.n < 1:
@@ -235,8 +244,7 @@ def _cmd_seqnorm(args) -> int:
         params = f"phi={args.phi}"
     else:
         raise ValueError(f"unknown space {args.space!r}")
-    rows.append(f"{space},{params},{label},{_fmt(val)}")
-    _emit_rows(args, "space,params,n_or_x_id,value", rows)
+    _emit_rows(args, "space,params,n_or_x_id,value", [[space, params, label, _fmt(val)]])
     return 0
 
 
@@ -250,7 +258,7 @@ def _cmd_verify(args) -> int:
 
 def _is_number_list(s: str) -> bool:
     try:
-        [float(v) for v in s.split(",")]
+        _number_list(s, "")
     except ValueError:
         return False
     return True

@@ -39,6 +39,8 @@ __all__ = [
 class OrliczFunction:
     """Increasing convex function with phi(0) = 0, vectorized over x."""
 
+    q: float | None = None  # set by ``power_orlicz``: phi(x) = x^q
+
     def __init__(self, name: str, fn, inv=None):
         self.name = name
         self._fn = fn
@@ -59,7 +61,9 @@ class OrliczFunction:
 
 def power_orlicz(q: float) -> OrliczFunction:
     _check_p(q, "q")
-    return OrliczFunction(f"power:{q:g}", lambda x: x ** q, lambda y: y ** (1.0 / q))
+    gauge = OrliczFunction(f"power:{q:g}", lambda x: x ** q, lambda y: y ** (1.0 / q))
+    gauge.q = q
+    return gauge
 
 
 def exp_orlicz() -> OrliczFunction:
@@ -148,6 +152,7 @@ class LambdaSequence:
             raise ValueError(f"power Lambda-sequence needs 0 <= beta <= 1, got {beta!r}")
         self.beta = beta
         self.name = f"power:{beta:g}"
+        self._cum: np.ndarray = np.empty(0)
 
     @classmethod
     def power(cls, beta: float) -> "LambdaSequence":
@@ -161,9 +166,19 @@ class LambdaSequence:
         return np.asarray(j, dtype=np.float64) ** self.beta
 
     def reciprocal_cumsum(self, n: int) -> np.ndarray:
-        """Lambda_k = sum_{j<=k} 1/lambda_j for k = 1..n."""
-        js = np.arange(1, n + 1, dtype=np.float64)
-        return np.cumsum(1.0 / self.value(js))
+        """Lambda_k = sum_{j<=k} 1/lambda_j for k = 1..n (read-only), a prefix of
+        the longest table so far.  ``np.cumsum`` adds in sequence, so a table
+        grown from its last sum holds the same floats as one cumsum."""
+        cum = self._cum
+        if cum.size < n:
+            js = np.arange(cum.size + 1, max(n, 1024) + 1, dtype=np.float64)
+            terms = 1.0 / self.value(js)
+            if cum.size:
+                terms[0] += cum[-1]
+            cum = np.concatenate([cum, np.cumsum(terms)])
+            cum.flags.writeable = False
+            self._cum = cum
+        return cum[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -176,37 +191,21 @@ _CHECK_XS = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 class PhiSequence:
     """Nonincreasing-in-j sequence of increasing convex phi_j with phi_j(0) = 0.
 
-    Kinds: ``power_all`` (phi_j = x^q), ``orlicz_all`` (phi_j = phi),
-    ``orlicz_over_lambda`` (phi_j = phi/lambda_j), ``custom`` (explicit list).
+    Every Phi but a ``custom`` list is separable: phi_j = phi / lambda_j for
+    one gauge phi, so Phi_n = Lambda_n phi with Lambda_n = sum_{j<=n} 1/lambda_j.
+    ``power_all(q)`` (phi = x^q) and ``orlicz_all(phi)`` have lambda_j = 1,
+    read as Lambda_n = n; ``orlicz_over_lambda(phi, lam)`` reads Lambda_n
+    from ``lam``.  ``custom`` evaluates its list term by term.
     """
 
-    def __init__(self, kind: str, *, q: float | None = None, phi: OrliczFunction | None = None,
+    def __init__(self, name: str, gauge: OrliczFunction | None = None,
                  lam: LambdaSequence | None = None, phis: list | None = None):
-        self.kind = kind
-        self.q = q
-        self.phi_fn = phi
-        self.lam = lam
+        self.name = name
+        self.gauge = gauge
+        self.lam = lam  # None: lambda_j = 1
         self._phis = phis
-        if kind == "power_all":
-            if q is None:
-                raise ValueError("power_all needs q")
-            _check_p(q, "q")
-            self.name = f"power:{q:g}"
-        elif kind == "orlicz_all":
-            if phi is None:
-                raise ValueError("orlicz_all needs an Orlicz function")
-            self.name = f"orlicz:{phi.name}"
-        elif kind == "orlicz_over_lambda":
-            if phi is None or lam is None:
-                raise ValueError("orlicz_over_lambda needs phi and a Lambda-sequence")
-            self.name = f"orlicz:{phi.name}/lambda:{lam.name}"
-        elif kind == "custom":
-            if not phis:
-                raise ValueError("custom needs a list of functions")
-            self.name = f"custom[{len(phis)}]"
-        else:
-            raise ValueError(f"unknown Phi kind {kind!r}")
-        self._lambda_cum: np.ndarray = np.empty(0)
+        # q when every phi_j is the same x^q, else None
+        self.power_q = gauge.q if gauge is not None and lam is None else None
         self._inv_one: np.ndarray = np.empty(0)
         self._validate()
 
@@ -214,30 +213,33 @@ class PhiSequence:
 
     @classmethod
     def power_all(cls, q: float) -> "PhiSequence":
-        return cls("power_all", q=q)
+        gauge = power_orlicz(q)
+        return cls(gauge.name, gauge)
 
     @classmethod
     def orlicz_all(cls, phi: OrliczFunction) -> "PhiSequence":
-        return cls("orlicz_all", phi=phi)
+        return cls(f"orlicz:{phi.name}", phi)
 
     @classmethod
     def orlicz_over_lambda(cls, phi: OrliczFunction, lam: LambdaSequence) -> "PhiSequence":
-        return cls("orlicz_over_lambda", phi=phi, lam=lam)
+        return cls(f"orlicz:{phi.name}/lambda:{lam.name}", phi, lam)
 
     @classmethod
     def custom(cls, phis: list) -> "PhiSequence":
-        """phi_j = phis[j - 1], validated like the other kinds.
+        """phi_j = phis[j - 1], validated like the other Phi-sequences.
 
         The list is taken as the head of a divergent sequence (sum_j phi_j(x)
         unbounded for x > 0), which the criteria assume and a finite list
         cannot show; evaluating past its end raises.
         """
-        return cls("custom", phis=phis)
+        if not phis:
+            raise ValueError("custom needs a list of functions")
+        return cls(f"custom[{len(phis)}]", phis=phis)
 
     # validation ------------------------------------------------------------
 
     def _validate(self):
-        max_j = 8 if self.kind != "custom" else len(self._phis)
+        max_j = len(self._phis) if self._phis else 8
         xs = _CHECK_XS
         prev = None
         for j in range(1, max_j + 1):
@@ -255,55 +257,37 @@ class PhiSequence:
 
     # evaluation ------------------------------------------------------------
 
-    def _lam_cum(self, n: int) -> np.ndarray:
-        """Lambda_1..Lambda_N for some N >= n, extended from the last stored sum.
+    def _lambda_n(self, n) -> np.ndarray:
+        """Lambda_n elementwise over an array of n: n itself when lambda_j = 1."""
+        if self.lam is None:
+            return np.asarray(n, dtype=np.float64)
+        return self.lam.reciprocal_cumsum(int(np.max(n)))[np.asarray(n).astype(np.int64) - 1]
 
-        ``np.cumsum`` adds in sequence, so a table grown in steps holds the
-        same floats as one ``reciprocal_cumsum``.
-        """
-        cum = self._lambda_cum
-        if cum.size < n:
-            js = np.arange(cum.size + 1, max(n, 1024) + 1, dtype=np.float64)
-            terms = 1.0 / self.lam.value(js)
-            if cum.size:
-                terms[0] += cum[-1]
-            self._lambda_cum = cum = np.concatenate([cum, np.cumsum(terms)])
-        return cum
+    def _custom_terms(self, n, x, partial: bool):
+        """Custom Phi_n(x) (``partial``) or phi_n(x), elementwise; each x reaches
+        the list's functions as a 0-d array, over arrays as in a scalar call."""
+        if np.any(np.asarray(n) > len(self._phis)):
+            raise ValueError("index beyond the custom Phi list")
+        if np.ndim(n) == 0:
+            fs = self._phis[:int(n)] if partial else self._phis[int(n) - 1:int(n)]
+            return sum(np.asarray(f(x), dtype=np.float64) for f in fs)
+        ns, xs = np.broadcast_arrays(np.asarray(n).astype(np.int64), x)
+        return np.reshape([float(self._custom_terms(k, np.asarray(xx), partial))
+                           for k, xx in zip(ns.flat, xs.flat)], ns.shape)
 
     def phi(self, j, x):
         """phi_j(x), elementwise over an array of j the way ``partial`` takes n."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == "power_all":
-            return x ** self.q
-        if self.kind == "orlicz_all":
-            return self.phi_fn(x)
-        if self.kind == "orlicz_over_lambda":
-            return self.phi_fn(x) / self.lam.value(j)
-        if np.any(np.asarray(j) > len(self._phis)):
-            raise ValueError("index beyond the custom Phi list")
-        if np.ndim(j) == 0:
-            return np.asarray(self._phis[int(j) - 1](x), dtype=np.float64)
-        js, x = np.broadcast_arrays(j, x)
-        out = [self._phis[int(jj) - 1](xx) for jj, xx in zip(js.flat, x.flat)]
-        return np.array(out, dtype=np.float64).reshape(js.shape)
+        if self._phis:
+            return self._custom_terms(j, x, partial=False)
+        return self.gauge(x) if self.lam is None else self.gauge(x) / self.lam.value(j)
 
     def partial(self, n, x):
         """Phi_n(x) = sum_{j<=n} phi_j(x), elementwise over arrays of n and x."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == "power_all":
-            return n * x ** self.q
-        if self.kind == "orlicz_all":
-            return n * self.phi_fn(x)
-        if self.kind == "orlicz_over_lambda":
-            cum = self._lam_cum(int(np.max(n)))
-            return cum[np.asarray(n).astype(np.int64) - 1] * self.phi_fn(x)
-        if np.any(np.asarray(n) > len(self._phis)):
-            raise ValueError("index beyond the custom Phi list")
-        if np.ndim(n) == 0:
-            return sum(np.asarray(p(x), dtype=np.float64) for p in self._phis[:int(n)])
-        ns, xs = np.broadcast_arrays(np.asarray(n).astype(np.int64), x)
-        out = [float(self.partial(nn, xx)) for nn, xx in zip(ns.flat, xs.flat)]
-        return np.array(out, dtype=np.float64).reshape(ns.shape)
+        if self._phis:
+            return self._custom_terms(n, x, partial=True)
+        return self._lambda_n(n) * self.gauge(x)
 
     def inverse_at_one_table(self, kmax: int) -> np.ndarray:
         """[Phi_k^{-1}(1) for k = 1..kmax] by vectorized bisection (read-only).
@@ -312,7 +296,7 @@ class PhiSequence:
         far is kept and a shorter one is its prefix, bit for bit; a longer
         one bisects only the new entries.
         """
-        if self.kind == "custom" and kmax > 4096:
+        if self._phis and kmax > 4096:
             raise ValueError("custom Phi inverse tables are capped at 4096")
         have = self._inv_one.size
         if kmax > have:
@@ -325,23 +309,21 @@ class PhiSequence:
         return phi_partial_inverse(self, np.arange(lo_k, hi_k + 1, dtype=np.float64), 1.0)
 
     def closed_inverse(self, n, y):
-        """Closed-form estimate of Phi_n^{-1}(y), elementwise over arrays of n and
-        y, or None (``custom``, or a gauge without a closed inverse).
+        """Closed-form estimate phi^{-1}(y / Lambda_n) of Phi_n^{-1}(y), or
+        n^(-1/q) y^(1/q) when every phi_j is x^q, elementwise over arrays of n
+        and y; None for ``custom`` or a gauge without a closed inverse.
 
         ``phi_partial_inverse`` starts its bisection here, so the estimate
         only needs to be near the root: its floats come from the bisection,
         not from this value.  The score scan reads it directly at y = 1, as
-        n^(-1/q) (times 1^(1/q) = 1), phi^{-1}(1/n) and phi^{-1}(1/Lambda_n).
+        n^(-1/q) (times 1^(1/q) = 1) or phi^{-1}(1/Lambda_n).
         """
-        if self.kind == "power_all":
-            q = self.q
-            return np.asarray(n, dtype=np.float64) ** (-1.0 / q) * np.asarray(y) ** (1.0 / q)
-        if self.phi_fn is None or self.phi_fn._inv is None:
+        if self.gauge is None or self.gauge._inv is None:
             return None
-        if self.kind == "orlicz_all":
-            return self.phi_fn.inverse(y / np.asarray(n, dtype=np.float64))
-        cum = self._lam_cum(int(np.max(n)))
-        return self.phi_fn.inverse(y / cum[np.asarray(n).astype(np.int64) - 1])
+        q = self.power_q
+        if q is not None:
+            return np.asarray(n, dtype=np.float64) ** (-1.0 / q) * np.asarray(y) ** (1.0 / q)
+        return self.gauge.inverse(y / self._lambda_n(n))
 
 
 def phi_partial_inverse(Phi: PhiSequence, n, y):
@@ -631,7 +613,8 @@ class Witness:
 class _ScoreScan:
     """Prefix argmax of g(k) = k^(1/p) Phi_k^{-1}(1), scanned in chunks.
 
-    For ``power_all(q)`` with c = 1/p - 1/q, g(k) = k^(1/p) k^(-1/q) = k^c,
+    When every phi_j is x^q (``Phi.power_q``: ``power_all(q)`` and
+    ``orlicz_all(power_orlicz(q))``), with c = 1/p - 1/q, g(k) = k^(1/p) k^(-1/q) = k^c,
     and when c / (2 _N_MAX) > 1e-12 the argmax over 1..n is n itself, read
     in closed form for every n <= _N_MAX the search asks for.  Proof: the
     true ratio is g(k+1)/g(k) = (1 + 1/k)^c >= exp(c/(k + 1)) > 1 + c/(2k)
@@ -642,8 +625,8 @@ class _ScoreScan:
     1.5e-14 (rounding 1/p and 1/q moves c by about 1e-16).  The computed
     floats are then strictly increasing on 1..n, so ``np.argmax`` over any
     chunking picks n, with the float the chunk expression gives at n; that
-    expression is ``_g_chunk(n, n)``.  Every other kind, and ``power_all``
-    below the margin (q < about 1.036 at p = 1), is scanned.
+    expression is ``_g_chunk(n, n)``.  Every other Phi, and these below the
+    margin (q < about 1.036 at p = 1), is scanned.
     """
 
     _CHUNK = 1 << 21
@@ -651,8 +634,8 @@ class _ScoreScan:
     def __init__(self, Phi: PhiSequence, p: float):
         self.Phi = Phi
         self.p = p
-        self._increasing = (Phi.kind == "power_all"
-                            and (1.0 / p - 1.0 / Phi.q) / (2.0 * _N_MAX) > 1e-12)
+        q = Phi.power_q
+        self._increasing = q is not None and (1.0 / p - 1.0 / q) / (2.0 * _N_MAX) > 1e-12
         # (k scanned up to, argmax over 1..k, max over 1..k), one per chunk
         self._checkpoints: list[tuple[int, int, float]] = [(0, 0, -np.inf)]
 

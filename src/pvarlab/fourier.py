@@ -405,7 +405,11 @@ def sine_integral_lower(a: int, b: int, n: int):
 
 
 def nikolskii_bound_check(f: SampledFunction, nu: ModulusOfVariation, omega, p: float, n: int):
-    """(grid sup of |f - S_n f|, sigma(n) + nu(n)/n^(1/p))."""
+    """(grid sup of |f - S_n f|, sigma(n) + nu(n)/n^(1/p)).
+
+    The factor 2 that ``test_nikolskii_bound`` allows on ``err / bound`` is
+    an empirical constant, not one derived in the paper.
+    """
     c = fourier_coeffs(f, n)
     s = partial_sum(c, n, f.grid)
     err = float(np.max(np.abs(f.values - s)))

@@ -68,10 +68,10 @@ _SPECS = {
 def from_spec(spec: str, seed: int = 0) -> SampledFunction:
     """Build a function from a CLI spec like ``zigzag:9`` or ``random:13``.
 
-    The point count after the colon defaults per family when absent and must
-    be at least 2; any other field is rejected.
+    Blanks around it are ignored.  The point count after the colon defaults
+    per family when absent and must be at least 2; any other field is rejected.
     """
-    name, *fields = spec.split(":")
+    name, *fields = spec.strip().split(":")
     try:
         default, build = _SPECS[name.lower()]
         (points,) = [int(v) for v in fields] or [default]

@@ -1,5 +1,7 @@
+import csv
 import gzip
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -267,6 +269,14 @@ def test_spec_strings_reject_trailing_and_empty_fields(argv, hint, capsys):
             from_spec(argv[-1])
 
 
+def test_function_spec_strips_blanks_like_the_other_specs(capsys):
+    assert len(from_spec(" zigzag:5 ")) == 5
+    assert main(["pvar", "--function", " zigzag:5", "--p", "1", "--n", "2"]) == 0
+    padded = capsys.readouterr().out
+    assert main(["pvar", "--function", "zigzag:5", "--p", "1", "--n", "2"]) == 0
+    assert padded == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["pvar", "--values", "0,1,0", "--p", "1", "--n", "2", "--jobs", "2"],
     ["pvar", "--values", "0,1,0", "--p", "1", "--n-max", "2"],
@@ -380,6 +390,35 @@ def test_embed_witness_rejected_when_embedding(capsys):
     assert "embedding criterion verdict is Embeds; witnesses exist only for Fails" in err
 
 
+def test_table_modulus_params_stay_one_cell(capsys):
+    argv = ["seqnorm", "--space", "marcinkiewicz", "--n", "3", "--nu", "table:1,2,3", "--p", "1"]
+    assert main(argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["space", "params", "n_or_x_id", "value"],
+                    ["marcinkiewicz", "nu=table:1,2,3;p=1", "3", "1"]]
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"space": "marcinkiewicz", "params": "nu=table:1,2,3;p=1", "n_or_x_id": 3, "value": 1}]
+
+
+@pytest.mark.parametrize("argv,option,form", [
+    (["kfunc", "--function", "zigzag", "--p", "1", "--t", ","], "--t", "numbers"),
+    (["fourier", "--nu", "log", "--omega", "log", "--p", "1", "--n-list", "2,x"], "--n-list",
+     "integers"),
+    (["fourier", "--nu", "log", "--omega", "log", "--p", "1", "--n-list", "8.5"], "--n-list",
+     "integers"),
+    (["seqnorm", "--space", "lorentz", "--x", ",1"], "--x", "numbers"),
+    (["seqnorm", "--space", "lorentz", "--x", "1,,2"], "--x", "numbers"),
+    (["pvar", "--values", "1,,2", "--p", "1", "--n", "2"], "--values", "numbers"),
+    (["pvar", "--values", "0,1,zero", "--p", "1", "--n", "2"], "--values", "numbers"),
+])
+def test_number_list_errors_name_their_option(argv, option, form, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {option} takes a comma list of {form}" in err
+
+
 def test_seqnorm(tmp_path):
     out = tmp_path / "norm.csv"
     rc = main(["seqnorm", "--space", "marcinkiewicz", "--n", "9", "--nu", "power:0.5",
@@ -482,6 +521,19 @@ def test_embed_witness_stdout_sha256_is_pinned(phi, nu, k_max, digest, capsys):
     assert main(["embed", "--phi", phi, "--nu", nu, "--p", "1", "--k-max", str(k_max),
                  "--witness"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
+@pytest.mark.parametrize("nu", ["log", "power:0.25"])
+@pytest.mark.parametrize("k_max", ["1", "2"])
+def test_orlicz_power_witness_is_the_power_witness(q, nu, k_max, capsys):
+    # phi_j = x^q either way: one Phi, one score scan, the same bytes
+    outs = []
+    for phi in (f"power:{q}", f"orlicz:power:{q}"):
+        assert main(["embed", "--phi", phi, "--nu", nu, "--p", "1", "--k-max", k_max,
+                     "--witness"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_embed_witness_k3_peak_memory():

@@ -45,11 +45,13 @@ def test_lambda_sequence_validation():
 
 
 def test_lambda_partial_sums_grown_in_steps_are_one_cumsum():
-    Phi = PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.power(0.5))
-    for n in (1024, 5000, 2 ** 20 + 3):
-        grown = Phi._lam_cum(n)
-    assert grown.size == 2 ** 20 + 3
-    assert np.array_equal(grown, Phi.lam.reciprocal_cumsum(2 ** 20 + 3))
+    lam = LambdaSequence.power(0.5)
+    for n in (1024, 5000, 7, 2 ** 20 + 3):
+        grown = lam.reciprocal_cumsum(n)
+        assert grown.size == n and not grown.flags.writeable
+    js = np.arange(1, 2 ** 20 + 4, dtype=np.float64)
+    assert np.array_equal(grown, np.cumsum(1.0 / js ** 0.5))
+    assert np.array_equal(lam.reciprocal_cumsum(5000), grown[:5000])
 
 
 def test_phi_sequence_validation():
@@ -65,6 +67,21 @@ def test_phi_sequence_validation():
     # increasing in j is rejected
     with pytest.raises(ValueError):
         PhiSequence.custom([lambda x: x ** 2, lambda x: 2 * x ** 2])
+
+
+def test_phi_sequences_are_a_gauge_over_weights():
+    lam = LambdaSequence.harmonic()
+    cases = [(PhiSequence.power_all(2.0), 2.0), (PhiSequence.orlicz_all(power_orlicz(3.0)), 3.0),
+             (PhiSequence.orlicz_all(exp_orlicz()), None),
+             (PhiSequence.orlicz_over_lambda(power_orlicz(2.0), lam), None),
+             (PhiSequence.custom([lambda x: x ** 2]), None)]
+    for Phi, q in cases:
+        assert not hasattr(Phi, "kind") and not hasattr(Phi, "q")
+        assert Phi.power_q == q  # every phi_j is x^q, or None
+    x = np.array([0.5, 2.0])
+    Phi = PhiSequence.orlicz_over_lambda(exp_orlicz(), lam)
+    assert Phi.partial(3, x).tobytes() == (lam.reciprocal_cumsum(3)[2] * np.expm1(x)).tobytes()
+    assert Phi.phi(3, x).tobytes() == (np.expm1(x) / 3.0).tobytes()
 
 
 def test_phi_partial_inverse_closed_forms():
@@ -539,6 +556,24 @@ def test_power_score_below_the_margin_is_scanned():
     ks = np.arange(1, n + 1, dtype=np.float64)
     values = ks * (ks ** (-1.0 / 1.01) * 1.0)
     assert (m, g) == (int(np.argmax(values)) + 1, float(np.max(values)))
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_orlicz_power_takes_the_closed_form_scan(q, monkeypatch):
+    calls = {}
+    g_chunk = embeddings._ScoreScan._g_chunk
+
+    def recorded(self, lo, hi):
+        calls.setdefault(self.Phi.name, []).append((lo, hi, self))
+        return g_chunk(self, lo, hi)
+
+    monkeypatch.setattr(embeddings._ScoreScan, "_g_chunk", recorded)
+    for Phi in (PhiSequence.orlicz_all(power_orlicz(q)), PhiSequence.power_all(q)):
+        assert witness_generate(Phi, NU_LOG, 1.0, 2).certified
+    orlicz, power = calls[f"orlicz:power:{q:g}"], calls[f"power:{q:g}"]
+    # every score is read at n alone, and no chunk checkpoint is ever written
+    assert all(lo == hi and len(scan._checkpoints) == 1 for lo, hi, scan in orlicz)
+    assert [c[:2] for c in orlicz] == [c[:2] for c in power]
 
 
 def test_tooth_window_ranges_are_slices_of_the_window():

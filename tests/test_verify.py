@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -43,11 +45,22 @@ def test_traced_names_resolve():
     spec.loader.exec_module(tracer)
     missing = []
     for modname, attr in tracer.TARGETS:
-        owner = importlib.import_module(f"pvarlab.{modname}")
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if not callable(owner):
+        module = importlib.import_module(f"pvarlab.{modname}")
+        if "." in attr:  # the tracer reads a method from its own class's __dict__
+            cls_name, meth = attr.split(".")
+            target = vars(getattr(module, cls_name, object)).get(meth)
+        else:
+            target = getattr(module, attr, None)
+        if not callable(target):
             missing.append(f"{modname}.{attr}")
     missing += [f"Battery.check_{c}" for c in tracer.BATTERY_CHECKS
                 if not callable(vars(Battery).get(f"check_{c}"))]
     assert missing == []
+    # the attributes of a witness that the tracer's work counts read
+    from pvarlab.embeddings import BlockCertificate, Witness, WitnessBlock
+
+    assert isinstance(vars(Witness).get("function"), functools.cached_property)
+    read = {Witness: {"blocks", "certificates"}, BlockCertificate: {"window_dp_ran"},
+            WitnessBlock: {"r"}}
+    for cls, names in read.items():
+        assert names <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
