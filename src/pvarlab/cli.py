@@ -219,7 +219,6 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_seqnorm(args) -> int:
-    space = args.space.lower()
     if args.x:
         x = np.array(_number_list(args.x, "--x"))
         label = "x"
@@ -228,23 +227,21 @@ def _cmd_seqnorm(args) -> int:
             raise ValueError("seqnorm needs --x or --n >= 1")
         x = np.ones(args.n)
         label = str(args.n)
-    if space == "marcinkiewicz":
+    if args.space == "marcinkiewicz":
         nu = parse_modulus(args.nu)
         val = sq.marcinkiewicz_norm(x, nu, args.p)
-        params = f"nu={args.nu};p={_fmt(args.p)}"
-    elif space == "lorentz":
+        params = f"nu={args.nu.strip().lower()};p={_fmt(args.p)}"
+    elif args.space == "lorentz":
         w = 1.0 / np.arange(1, x.size + 1, dtype=np.float64)
         val = sq.lorentz_norm(x, w, args.q)
         params = f"w=harmonic;q={_fmt(args.q)}"
-    elif space == "orlicz":
+    elif args.space == "orlicz":
         val = sq.orlicz_norm(x, power_orlicz(args.q))
         params = f"phi=power:{_fmt(args.q)}"
-    elif space == "modular":
+    else:  # modular; argparse admits no other --space
         val = sq.modular_norm(x, _parse_phi(args.phi))
-        params = f"phi={args.phi}"
-    else:
-        raise ValueError(f"unknown space {args.space!r}")
-    _emit_rows(args, "space,params,n_or_x_id,value", [[space, params, label, _fmt(val)]])
+        params = f"phi={args.phi.strip().lower()}"
+    _emit_rows(args, "space,params,n_or_x_id,value", [[args.space, params, label, _fmt(val)]])
     return 0
 
 

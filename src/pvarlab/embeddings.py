@@ -360,7 +360,7 @@ class CriterionReport:
     def to_json_dict(self) -> dict:
         d = {
             "horizon": self.horizon,
-            "trace": [float(v) for v in self.trace],
+            "trace": self.trace.tolist(),
             "running_sup": self.running_sup,
             "verdict": self.verdict,
         }
@@ -552,7 +552,6 @@ _MAX_POINTS = 30_000_000    # total grid points over all blocks
 _DP_OPS = 6e8               # full-window DP cost cap (value ops), checked on
                             # the closed-form reduced size 2r + 1 before reducing
 _PREFIX_TEETH = 40          # teeth in the small replica DP check
-_GRID_TEETH = 1 << 18       # teeth per chunk of the window's grid check
 
 
 @dataclass(frozen=True)
@@ -744,38 +743,45 @@ def _tooth_lefts(blk: WitnessBlock, j):
     return 2.0 ** (-blk.k) + 2.0 * w * j, w
 
 
-def _tooth_window(blk: WitnessBlock, lo: int = 0, hi: int | None = None
+def _tooth_window(blk: WitnessBlock, teeth: int | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, values) of a block's window: a zero at 0, then (h, h, 0) per tooth.
+    """(grid, values) of a block's window, or of its first ``teeth`` teeth (a
+    prefix of it, bit for bit): a zero at 0, then (h, h, 0) per tooth.
 
     Tooth j jumps to h at its left edge u_j, holds h at u_j + w/2 and is
-    back to 0 at u_j + w.  Teeth lo..hi-1 (all of them by default) give
-    points 3 lo..3 hi of the whole window, bit for bit: their leading zero
-    is 0 or tooth lo - 1's closing point.
+    back to 0 at u_j + w.
     """
-    hi = blk.r if hi is None else hi
-    us, w = _tooth_lefts(blk, np.arange(lo, hi, dtype=np.float64))
-    xs = np.zeros(3 * (hi - lo) + 1)
-    if lo:
-        xs[0] = _tooth_lefts(blk, lo - 1.0)[0] + w
+    t = blk.r if teeth is None else teeth
+    us, w = _tooth_lefts(blk, np.arange(t, dtype=np.float64))
+    xs = np.zeros(3 * t + 1)
     xs[1::3] = us
     xs[2::3] = us + 0.5 * w
     xs[3::3] = us + w
-    vs = np.zeros(3 * (hi - lo) + 1)
-    vs[1::3] = blk.height
-    vs[2::3] = blk.height
+    vs = np.zeros(3 * t + 1)
+    vs[1::3] = vs[2::3] = blk.height
     return xs, vs
 
 
 def _check_window(blk: WitnessBlock) -> None:
-    """Validate a block's window as ``SampledFunction`` does (a strictly
-    increasing, finite grid; finite values), _GRID_TEETH teeth at a time.
-
-    Consecutive chunks share a point, so every adjacent pair of the window
-    is compared, and a failure raises the same ``ValueError``.
+    """Validate a block's window as ``SampledFunction`` does (strictly
+    increasing, finite; the same ``ValueError``) by one closed-form test:
+    with w = 1/n, the last abscissa X = u_(r-1) + w and e = spacing(X), the
+    grid passes when w > 4e.  Proof (round to nearest): 2^-k, 2w and w/2 are
+    exact scalings, and every computed point lies in [0, X], so each
+    rounding errs by at most e/2.  u_j = 2^-k + (2w) j is two roundings from
+    exact and u_j + w/2, u_j + w one from u_j, so the gaps u_j -> u_j + w/2
+    -> u_j + w -> u_(j+1) are at least w/2 - e/2, w/2 - e and w - 2.5e, all
+    positive for w > 2e.  The leading zero sits below u_0 = 2^-k, a finite X
+    bounds the grid, and a failed test (nan or inf X too) is the grid error.
+    A searched block (n <= _N_MAX, r <= s) has w >= 2^-34 and X <= 1 up to
+    rounding, so w / e >= 2^18.
     """
-    for lo in range(0, blk.r, _GRID_TEETH):
-        SampledFunction(*_tooth_window(blk, lo, min(lo + _GRID_TEETH, blk.r)))
+    w = 1.0 / blk.n
+    last = _tooth_lefts(blk, blk.r - 1.0)[0] + w
+    if not w > 4.0 * np.spacing(last):
+        raise ValueError("grid must be strictly increasing")
+    if not np.isfinite(blk.height):
+        raise ValueError("grid and values must be finite")
 
 
 def _closes_at_one(blocks) -> bool:
@@ -832,9 +838,8 @@ def _window_dp_admitted(blk: WitnessBlock, p: float) -> bool:
     return (m * float(blk.n) if p == 1.0 else m * m * float(blk.n)) <= _DP_OPS
 
 
-def _window_dp_value(window: SampledFunction, blk: WitnessBlock, p: float) -> float | None:
-    if not _window_dp_admitted(blk, p):
-        return None
+def _window_dp_value(window: SampledFunction, blk: WitnessBlock, p: float) -> float:
+    """v_p(n) of an admitted block's whole window, which must reduce to 2r + 1 points."""
     m = 2 * blk.r + 1
     sub = extrema_reduce(window)
     if len(sub) != m:
@@ -861,11 +866,11 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
     horizon 100 000.  The block certificates still decide ``certified`` on
     their own.
 
-    A block is certified without its whole tooth window: the window's grid
-    is checked a chunk of teeth at a time, the objective reads the 2r
-    differences, each exactly h, and the prefix DP reads the first 40 teeth.
-    The whole window is built only for a window DP whose price is admitted;
-    the step function only when ``Witness.function`` is read.
+    A block is certified without its whole tooth window: one closed-form
+    test settles its grid, the objective reads the 2r differences, each
+    exactly h, and the prefix DP reads the first 40 teeth.  The whole window
+    is built only for an admitted window DP; the step function only when
+    ``Witness.function`` is read.
     """
     if not (1 <= k_max <= 5):
         raise ValueError("k_max must lie in 1..5")
@@ -900,16 +905,12 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
         term = float(Phi.partial(2 * blk.r, blk.height))
         cap = 2.0 * 2.0 ** (-blk.k)
         varphi_total += term
-        prefix = SampledFunction(*_tooth_window(blk, 0, min(blk.r, _PREFIX_TEETH)))
+        prefix = SampledFunction(*_tooth_window(blk, min(blk.r, _PREFIX_TEETH)))
         prefix_ok = _prefix_dp_check(prefix, blk, p)
         window_val = (_window_dp_value(SampledFunction(*_tooth_window(blk)), blk, p)
                       if _window_dp_admitted(blk, p) else None)
-        ok = (
-            ratio >= required
-            and term <= cap * (1.0 + 1e-9)
-            and prefix_ok
-            and (window_val is None or window_val >= objective * (1.0 - 1e-9))
-        )
+        ok = (ratio >= required and term <= cap * (1.0 + 1e-9) and prefix_ok
+              and (window_val is None or window_val >= objective * (1.0 - 1e-9)))
         all_ok = all_ok and ok
         certs.append(BlockCertificate(
             k=blk.k, n=blk.n, intervals=count, objective=objective, ratio=float(ratio),

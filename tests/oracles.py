@@ -1,5 +1,5 @@
 """Loop oracles for the DP kernels, ``extrema_reduce``, the Fourier layer
-and the inverse table.
+and the inverse table, and the whole-window grid oracle for witness blocks.
 
 They sit beside ``pvariation_bruteforce`` as references for the vectorized
 library code.
@@ -22,6 +22,9 @@ and ``trig_sum_loop`` sums weighted harmonics one at a time at any points.
 ``inverse_at_one_loop`` is the fixed 120-halving bisection of
 Phi_k^{-1}(1) from the bracket [0, 2^j].  ``luxemburg_column`` is the
 Luxemburg norm of one support with its modular summed down an (n, 1) column.
+``whole_window_check`` builds a witness block's whole tooth window and
+validates it as a ``SampledFunction``: the reference for the closed-form
+grid test ``embeddings._check_window``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from pvarlab import SampledFunction, _kernels
-from pvarlab.embeddings import _bisect_increasing
+from pvarlab.embeddings import _bisect_increasing, _tooth_window
 
 
 def dp_profile_loops(values, p, nmax):
@@ -248,3 +251,8 @@ def luxemburg_column(xs, phi_j) -> float:
         return 0.0
     js = np.arange(1, xs.size + 1)[:, None]
     return _bisect_increasing(lambda c: -phi_j(js, xs[:, None] / c).sum(axis=0), -1.0)
+
+
+def whole_window_check(blk) -> None:
+    """Raise ``SampledFunction``'s ValueError if the block's whole window has one."""
+    SampledFunction(*_tooth_window(blk))

@@ -401,6 +401,23 @@ def test_table_modulus_params_stay_one_cell(capsys):
         {"space": "marcinkiewicz", "params": "nu=table:1,2,3;p=1", "n_or_x_id": 3, "value": 1}]
 
 
+@pytest.mark.parametrize("space,option,spelled,plain", [
+    ("marcinkiewicz", "--nu", " LOG ", "log"),
+    ("marcinkiewicz", "--nu", "Power:0.5", "power:0.5"),
+    ("modular", "--phi", " POWER:2", "power:2"),
+    ("modular", "--phi", "Lambda:2:0.5 ", "lambda:2:0.5"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_seqnorm_params_carry_the_spec_as_parsed(space, option, spelled, plain, fmt, capsys):
+    outs = []
+    for spec in (spelled, plain):
+        assert main(["seqnorm", "--space", space, "--x", "3,1,2", option, spec,
+                     "--format", fmt]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert f"={plain}" in outs[1]
+
+
 @pytest.mark.parametrize("argv,option,form", [
     (["kfunc", "--function", "zigzag", "--p", "1", "--t", ","], "--t", "numbers"),
     (["fourier", "--nu", "log", "--omega", "log", "--p", "1", "--n-list", "2,x"], "--n-list",

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import inverse_at_one_loop
+from oracles import inverse_at_one_loop, whole_window_check
 from pvarlab import (
     LambdaSequence,
     ModulusOfVariation,
@@ -455,10 +456,6 @@ def test_window_value_rejects_a_window_off_its_closed_form():
     bad = SampledFunction(grid, [0, 1, 1, 0, 1, 1, 1])
     with pytest.raises(RuntimeError, match="expected 5"):
         _window_dp_value(bad, blk, 1.0)
-    # a skipped window is decided before it is reduced: 5 points times n is over the cap
-    wide = WitnessBlock(k=1, n=int(embeddings._DP_OPS), m=2, s=2, r=2, height=1.0, rate=1.0,
-                        literal=True)
-    assert _window_dp_value(bad, wide, 1.0) is None
 
 
 def test_window_value_is_the_dp_value_on_random_teeth(rng):
@@ -576,27 +573,63 @@ def test_orlicz_power_takes_the_closed_form_scan(q, monkeypatch):
     assert [c[:2] for c in orlicz] == [c[:2] for c in power]
 
 
-def test_tooth_window_ranges_are_slices_of_the_window():
-    blk = WitnessBlock(k=2, n=1001, m=50, s=120, r=100, height=0.3, rate=1.0, literal=False)
-    xs, vs = _tooth_window(blk)
-    for lo, hi in [(0, 40), (0, 100), (1, 2), (37, 100), (99, 100)]:
-        part = _tooth_window(blk, lo, hi)
-        assert part[0].tobytes() == xs[3 * lo:3 * hi + 1].tobytes()
-        assert part[1].tobytes() == vs[3 * lo:3 * hi + 1].tobytes()
-
-
 def test_witness_block_with_colliding_teeth_is_a_grid_error(monkeypatch):
     # at n = 2^60 a tooth is narrower than the float spacing near 1/2, so its points coincide
     blk = WitnessBlock(k=1, n=1 << 60, m=8, s=8, r=8, height=0.5, rate=1.0, literal=False)
+    for check in (whole_window_check, embeddings._check_window):
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            check(blk)
     monkeypatch.setattr(embeddings, "_search_block", lambda scan, nu, p, k, cap: blk)
-    monkeypatch.setattr(embeddings, "_GRID_TEETH", 3)  # three chunks of the grid check
-    with pytest.raises(ValueError, match="grid must be strictly increasing"):
-        embeddings._check_window(blk)
     with pytest.raises(ValueError, match="grid must be strictly increasing"):
         witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 1)
-    # a sound block passes the same chunked check
-    embeddings._check_window(WitnessBlock(k=1, n=64, m=8, s=8, r=8, height=0.5, rate=1.0,
-                                          literal=False))
+    # a sound grid passes both checks, and a nan height is the finite-values error
+    sound = WitnessBlock(k=1, n=64, m=8, s=8, r=8, height=0.5, rate=1.0, literal=False)
+    for check in (whole_window_check, embeddings._check_window):
+        check(sound)
+        with pytest.raises(ValueError, match="grid and values must be finite"):
+            check(dataclasses.replace(sound, height=math.nan))
+
+
+def test_closed_form_grid_check_is_sound_against_the_whole_window():
+    # seeded blocks over k 1..5 and n 2^2..2^56, up to 2 000 teeth so the oracle stays cheap
+    rng = np.random.default_rng(18)
+    checked = refused = 0
+    while checked < 600:
+        k = int(rng.integers(1, 6))
+        n = int(2.0 ** rng.uniform(2, 56))
+        s = int((2.0 ** (-k) * n + 1.0) // 2)
+        if s < 1:
+            continue
+        top = min(s, 2000)
+        r = top if rng.random() < 0.5 else int(rng.integers(1, top + 1))
+        blk = WitnessBlock(k=k, n=n, m=r, s=s, r=r, height=float(rng.uniform(0.01, 2.0)),
+                           rate=1.0, literal=False)
+        checked += 1
+        try:
+            embeddings._check_window(blk)
+        except ValueError as e:
+            assert str(e) == "grid must be strictly increasing"
+            assert n > embeddings._N_MAX  # no block the search can give is refused
+            refused += 1
+            continue
+        whole_window_check(blk)  # a grid the closed form passes is a valid window
+    assert 0 < refused < checked
+
+
+def test_witness_builds_no_unadmitted_window_beyond_the_prefix(monkeypatch):
+    built = []
+    tooth_window = embeddings._tooth_window
+
+    def recording(blk, *args):
+        xs, vs = tooth_window(blk, *args)
+        built.append((blk.k, (xs.size - 1) // 3))  # teeth in the array
+        return xs, vs
+
+    monkeypatch.setattr(embeddings, "_tooth_window", recording)
+    w = witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 2)
+    skipped = {c.k for c in w.certificates if not c.window_dp_ran}
+    assert skipped and min(b.r for b in w.blocks if b.k in skipped) > embeddings._PREFIX_TEETH
+    assert all(teeth <= embeddings._PREFIX_TEETH for k, teeth in built if k in skipped)
 
 
 def test_witness_whose_last_tooth_ends_at_one_has_no_closing_point():
