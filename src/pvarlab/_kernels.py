@@ -123,15 +123,38 @@ def dp_with_parents(values: np.ndarray, p: float, n: int):
 # ---------------------------------------------------------------------------
 
 def shift_max(grid: np.ndarray, values: np.ndarray, delta: float, limit: int) -> float:
-    """max |values[j] - values[i]| over pairs with 0 <= grid[j]-grid[i] <= delta, i < limit."""
-    best = 0.0
+    """max |values[j] - values[i]| over pairs with 0 <= grid[j]-grid[i] <= delta, i < limit.
+
+    Row i's window is values[i+1 : hi[i]], hi from one ``searchsorted``; rows
+    with an empty window drop out, and 0.0 is returned when none is left.
+    Sparse tables of running max and min (level k holds the extrema of
+    2^k consecutive values) cover each window with two overlapping
+    power-of-two blocks, k = floor(log2 width).  max and min are exact, and
+    fl(v_j - v_i) is monotone in v_j, so the window's largest |v_j - v_i| is
+    max(|segmax - v_i|, |segmin - v_i|): the float a loop over the pairs
+    finds.  Levels stop at floor(log2 widest window) = L <= log2 m, and each
+    is answered when it is built, so the tables hold only the current level:
+    four arrays of at most m floats at any time, never the 2 (L + 1) of a
+    stored table.
+    """
     delta, limit = float(delta), int(limit)
     hi = np.searchsorted(grid, grid[:limit] + delta * (1.0 + 1e-15) + 1e-15, side="right")
-    for i in range(limit):
-        j = hi[i]
-        if j > i + 1:
-            seg = values[i + 1:j]
-            d = max(abs(seg.max() - values[i]), abs(seg.min() - values[i]))
-            if d > best:
-                best = d
+    rows = np.flatnonzero(hi > np.arange(1, limit + 1))
+    if rows.size == 0:
+        return 0.0
+    lo, hi, v = rows + 1, hi[rows], values[rows]
+    level = np.frexp((hi - lo).astype(np.float64))[1] - 1  # floor(log2 width), exact
+    tmax = tmin = values
+    best = 0.0
+    for k in range(int(level.max()) + 1):
+        if k:
+            h = 1 << (k - 1)
+            tmax = np.maximum(tmax[:-h], tmax[h:])
+            tmin = np.minimum(tmin[:-h], tmin[h:])
+        at = np.flatnonzero(level == k)
+        if at.size:
+            left, right, vi = lo[at], hi[at] - (1 << k), v[at]
+            segmax = np.maximum(tmax[left], tmax[right])
+            segmin = np.minimum(tmin[left], tmin[right])
+            best = max(best, float(np.maximum(np.abs(segmax - vi), np.abs(segmin - vi)).max()))
     return best

@@ -863,8 +863,9 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
     Requires the embedding criterion to Fail for (Phi, nu, p): ``report`` is
     that criterion's report, as the caller already has it, and must be for
     the same (Phi, nu, p); without one, ``embedding_criterion`` runs to
-    horizon 100 000.  The block certificates still decide ``certified`` on
-    their own.
+    horizon 100 000.  A failed block certificate, or a Phi-variation total
+    over 2, raises ``RuntimeError``, so a returned witness always has
+    ``certified=True``; the field records that its certificates were checked.
 
     A block is certified without its whole tooth window: one closed-form
     test settles its grid, the objective reads the 2r differences, each

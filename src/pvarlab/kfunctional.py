@@ -144,17 +144,45 @@ def select_knots(f: SampledFunction, M: int, p: float, profile=None):
 
 
 def _next_hit(grid, vals, cur_x, cur_val, threshold):
+    """First x > cur_x where the sampled f reaches cur_val +- threshold, or None.
+
+    The first segment, which may start at cur_x partway along, is tested by
+    ``_first_crossing`` alone.  The later segments s are screened as arrays
+    over galloping chunks (16, 32, ... segments) with ``_first_crossing``'s
+    own predicate: for each level, dl = vals[s] - level and
+    dr = vals[s+1] - level, flagged when dl == 0, (dl < 0) != (dr < 0) or
+    dr == 0.  An unflagged segment has no candidate, and the flagged ones go
+    to ``_first_crossing`` in order, with the arguments the segment walk
+    gave it, so the knot is the same float.  Past the first segment
+    grid[s] > cur_x, so every candidate the scalar test returns there
+    (grid[s] itself, or grid[s] plus a nonnegative step) is > cur_x: the
+    first flagged segment gives the hit unless its step overflows to nan.
+    np.interp at a grid node returns vals[s], or a zero of the other sign,
+    and neither changes the predicate.
+    """
+    n = grid.size - 1  # segments
     i0 = int(np.searchsorted(grid, cur_x, side="right")) - 1
-    i0 = max(0, min(i0, grid.size - 2))
-    for i in range(i0, grid.size - 1):
-        xl, xr = grid[i], grid[i + 1]
-        if xr <= cur_x:
-            continue
-        xl_eff = max(xl, cur_x)
+    i0 = max(0, min(i0, n - 1))
+    if grid[i0 + 1] > cur_x:
+        xl_eff = max(grid[i0], cur_x)
         vl_eff = float(np.interp(xl_eff, grid, vals))
-        hit = _first_crossing(xl_eff, vl_eff, xr, float(vals[i + 1]), cur_val, threshold, cur_x)
-        if hit is not None and hit > cur_x:
+        hit = _first_crossing(xl_eff, vl_eff, grid[i0 + 1], float(vals[i0 + 1]),
+                              cur_val, threshold, cur_x)
+        if hit is not None:
             return float(min(hit, 1.0))
+    levels = np.array([[cur_val + threshold], [cur_val - threshold]])
+    a, width = i0 + 1, 16
+    while a < n:
+        b = min(a + width, n)
+        d = vals[a:b + 1] - levels  # one row per level
+        zero, neg = d == 0.0, d < 0.0
+        flag = (zero[:, :-1] | (neg[:, :-1] != neg[:, 1:]) | zero[:, 1:]).any(axis=0)
+        for s in a + np.flatnonzero(flag):
+            hit = _first_crossing(grid[s], float(np.interp(grid[s], grid, vals)), grid[s + 1],
+                                  float(vals[s + 1]), cur_val, threshold, cur_x)
+            if hit is not None:
+                return float(min(hit, 1.0))
+        a, width = b, 2 * width
     return None
 
 

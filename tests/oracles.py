@@ -1,11 +1,16 @@
-"""Loop oracles for the DP kernels, ``extrema_reduce``, the Fourier layer
-and the inverse table, and the whole-window grid oracle for witness blocks.
+"""Loop oracles for the DP kernels, the shift max, the knot search,
+``extrema_reduce``, the Fourier layer and the inverse table, and the
+whole-window grid oracle for witness blocks.
 
 They sit beside ``pvariation_bruteforce`` as references for the vectorized
 library code.
 
 ``dp_profile_loops``, ``dp1_profile_loops`` and ``shift_max_loops`` are the
-plain loop forms of the three ``_kernels`` profile and window kernels.
+plain loop forms of the three ``_kernels`` profile and window kernels;
+``shift_max_loops`` visits every pair in the kernel's window,
+grid[j] <= grid[i] + delta (1 + 1e-15) + 1e-15.  ``next_hit_loop`` is the
+knot search's segment-by-segment walk, ``_first_crossing`` on each segment
+from the current knot on.
 ``dp_parent_loops`` is the plain O(n m^2) triple loop.  Its strict-improvement
 updates record, for each cell, the start of the interval ending there (-1 for
 skip), so ties prefer skipping and then the smallest start.
@@ -33,6 +38,7 @@ import numpy as np
 
 from pvarlab import SampledFunction, _kernels
 from pvarlab.embeddings import _bisect_increasing, _tooth_window
+from pvarlab.kfunctional import _first_crossing
 
 
 def dp_profile_loops(values, p, nmax):
@@ -88,7 +94,7 @@ def shift_max_loops(grid, values, delta, limit):
     m = grid.shape[0]
     for i in range(limit):
         j = i + 1
-        while j < m and grid[j] - grid[i] <= delta * (1.0 + 1e-15) + 1e-15:
+        while j < m and grid[j] <= grid[i] + delta * (1.0 + 1e-15) + 1e-15:
             d = values[j] - values[i]
             if d < 0.0:
                 d = -d
@@ -96,6 +102,22 @@ def shift_max_loops(grid, values, delta, limit):
                 best = d
             j += 1
     return best
+
+
+def next_hit_loop(grid, vals, cur_x, cur_val, threshold):
+    """``kfunctional._next_hit`` as a walk: ``_first_crossing`` on every segment."""
+    i0 = int(np.searchsorted(grid, cur_x, side="right")) - 1
+    i0 = max(0, min(i0, grid.size - 2))
+    for i in range(i0, grid.size - 1):
+        xl, xr = grid[i], grid[i + 1]
+        if xr <= cur_x:
+            continue
+        xl_eff = max(xl, cur_x)
+        vl_eff = float(np.interp(xl_eff, grid, vals))
+        hit = _first_crossing(xl_eff, vl_eff, xr, float(vals[i + 1]), cur_val, threshold, cur_x)
+        if hit is not None and hit > cur_x:
+            return float(min(hit, 1.0))
+    return None
 
 
 def dp_parent_loops(values, p, n):

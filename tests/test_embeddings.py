@@ -573,6 +573,13 @@ def test_orlicz_power_takes_the_closed_form_scan(q, monkeypatch):
     assert [c[:2] for c in orlicz] == [c[:2] for c in power]
 
 
+def test_a_failed_witness_certificate_raises(monkeypatch):
+    # a returned witness is always certified: a failed certificate raises instead
+    monkeypatch.setattr(embeddings, "_prefix_dp_check", lambda window, blk, p: False)
+    with pytest.raises(RuntimeError, match="witness certificates failed"):
+        witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 1)
+
+
 def test_witness_block_with_colliding_teeth_is_a_grid_error(monkeypatch):
     # at n = 2^60 a tooth is narrower than the float spacing near 1/2, so its points coincide
     blk = WitnessBlock(k=1, n=1 << 60, m=8, s=8, r=8, height=0.5, rate=1.0, literal=False)

@@ -74,13 +74,53 @@ def test_dp1_total_variation_from_one_interval_per_swing(kind, rng):
             assert abs(total - ref) <= 1e-12 * (1.0 + ref)
 
 
+def _shift_max_cases(rng):
+    """(grid, values, delta, limit): plateaus, ties, empty windows, delta past
+    the span, limit < m, nonuniform grids, values near the float range."""
+    for trial in range(300):
+        m = int(rng.integers(1, 90))
+        if trial % 3 == 0:
+            g = np.linspace(0.0, 1.0, m)
+        else:
+            g = np.unique(np.cumsum(rng.exponential(1.0, m)) * rng.choice([1e-6, 1.0, 1e6]))
+            m = g.size
+        kind = trial % 4
+        if kind == 0:
+            v = rng.uniform(-1, 1, m)
+        elif kind == 1:
+            v = rng.integers(-2, 3, m).astype(float)  # ties and equal pairs
+        elif kind == 2:
+            v = np.repeat(rng.normal(size=m), 4)[:m]  # plateaus
+        else:
+            v = rng.uniform(-1, 1, m) * rng.choice([1e-300, 1e300])
+        span = float(g[-1] - g[0])
+        step = float(np.min(np.diff(g))) if m > 1 else 1.0
+        for delta in (0.5 * step, span / 7, span, 3.0 * span + 1.0):  # no pair .. past the span
+            for limit in (m, int(rng.integers(0, m + 1))):
+                yield g, v, delta, limit
+
+
 def test_shift_max_backends_agree(rng):
-    g = np.sort(rng.uniform(0, 1, 60))
-    v = rng.uniform(-1, 1, 60)
-    for delta in (0.05, 0.2, 0.9):
-        a = _kernels.shift_max(g, v, delta, 60)
-        b = shift_max_loops(g, v, delta, 60)
-        assert a == pytest.approx(b, abs=1e-15)
+    for g, v, delta, limit in _shift_max_cases(rng):
+        got = _kernels.shift_max(g, v, delta, limit)
+        assert type(got) is float
+        assert got == shift_max_loops(g, v, delta, limit), (g.size, delta, limit)
+    g = np.linspace(0.0, 1.0, 50)
+    assert _kernels.shift_max(g, np.sin(9 * g), 0.01, 50) == 0.0  # every window empty
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 257])
+def test_periodic_modulus_of_continuity_matches_the_pair_loop(m, rng, monkeypatch):
+    from pvarlab import fourier
+
+    g = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
+    fs = [SampledFunction(g, vals, periodic=True, period=2 * np.pi)
+          for vals in (rng.uniform(-1, 1, m), rng.integers(-1, 2, m).astype(float),
+                       np.where(g < 2.0, 1.5, 0.0))]
+    deltas = [0.0, 1e-3, g[m // 3], 1.0, np.pi, 2 * np.pi, 10.0]
+    fast = [[fourier.modulus_of_continuity(f, d) for d in deltas] for f in fs]
+    monkeypatch.setattr(_kernels, "shift_max", shift_max_loops)
+    assert fast == [[fourier.modulus_of_continuity(f, d) for d in deltas] for f in fs]
 
 
 def test_dps_stop_at_their_fixed_point(monkeypatch):

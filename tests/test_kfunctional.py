@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import next_hit_loop
 from pvarlab import (
     SampledFunction,
     bracket_count,
@@ -212,3 +213,82 @@ def test_lower_monotone_diagnostic():
     rows = kfunctional_sweep(LINEAR, [0.1, 0.25, 0.5, 1.0], 1.0)
     assert lower_monotone_in_t(rows)  # linear f: lower = t * floor(1/t) * ... grows
     assert lower_monotone_in_t([])
+
+
+def _knot_search_inputs(rng, count):
+    """Random, plateau and integer-valued samples on uniform and nonuniform grids."""
+    for trial in range(count):
+        m = int(rng.integers(2, 90))
+        if trial % 2:
+            g = np.linspace(0.0, 1.0, m)
+        else:
+            g = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, m - 2)]))
+        kind = trial % 3
+        if kind == 0:
+            v = np.cumsum(rng.normal(size=g.size))
+        elif kind == 1:
+            v = rng.integers(-3, 4, g.size).astype(float)  # exact level hits
+        else:
+            v = np.repeat(rng.integers(-2, 3, g.size), 3)[:g.size] * 0.5  # plateaus
+        yield SampledFunction(g, v)
+
+
+def test_next_hit_matches_the_segment_walk(rng):
+    from pvarlab.kfunctional import _next_hit
+
+    on_node = hits = 0
+    for f in _knot_search_inputs(rng, 600):
+        g, v = f.grid + float(rng.choice([0.0, 5e-13, -5e-13])), f.values  # g[0] around 0
+        i = int(rng.integers(0, g.size))
+        cur_x = float(rng.choice([g[i], rng.uniform(0, 1), 0.0, 1.0]))
+        threshold = float(rng.choice([1.0, 0.5, rng.uniform(0, 3), abs(v[-1] - v[0])]))
+        here = float(np.interp(cur_x, g, v))
+        # levels at cur_x and at the last sample: dl == 0 and dr == 0 hits
+        cur_val = float(rng.choice([here, v[i], here + threshold, v[-1] - threshold]))
+        got = _next_hit(g, v, cur_x, cur_val, threshold)
+        assert got == next_hit_loop(g, v, cur_x, cur_val, threshold), (g, v, cur_x, threshold)
+        on_node += cur_x in g
+        hits += got is not None
+    assert on_node > 150 and hits > 300
+
+
+def test_select_knots_matches_the_segment_walk(rng, monkeypatch):
+    from pvarlab import kfunctional
+
+    cases = [(f, float(rng.choice([1.0, 0.5, 0.25, 0.1, 0.05, 0.02])),
+              float(rng.choice([1.0, 1.5, 2.0, 3.0]))) for f in _knot_search_inputs(rng, 520)]
+
+    def run():
+        out = []
+        for f, t, p in cases:
+            M = bracket_count(t, p)
+            knots, case = select_knots(f, M, p)
+            ks = kfunctional_bounds(f, t, p)
+            out.append((knots.tobytes(), case, ks.upper, ks.case))
+        for c in (1.0, 1e-12, 3.0, 0.1):  # last-ulp ties at the zigzag's crossings
+            out += [(r.upper, r.case) for r in
+                    kfunctional_sweep(make_zigzag(9).scaled(c), [1, 0.5, 0.25], 2)]
+        return out
+
+    fast = run()
+    monkeypatch.setattr(kfunctional, "_next_hit", next_hit_loop)
+    assert fast == run()
+    assert sum(row[1] == "II" for row in fast[:len(cases)]) > 50
+    assert sum(row[1] == "I" for row in fast[:len(cases)]) > 50
+
+
+def test_knot_search_calls_the_scalar_test_per_knot(monkeypatch):
+    # the scalar crossing test runs on the knot's own segment and on the first
+    # flagged one, not on every segment between knots
+    from pvarlab import kfunctional
+
+    rng = np.random.default_rng(11)
+    m = 20_000
+    f = SampledFunction(np.linspace(0.0, 1.0, m), np.cumsum(rng.normal(size=m)) / np.sqrt(m))
+    calls = []
+    crossing = kfunctional._first_crossing
+    monkeypatch.setattr(kfunctional, "_first_crossing",
+                        lambda *a: calls.append(1) or crossing(*a))
+    knots, _ = select_knots(f, bracket_count(1e-3, 1.0), 1.0)
+    assert len(knots) > 100
+    assert len(calls) <= 2 * len(knots) + 2
