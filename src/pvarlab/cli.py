@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: pvar, kfunc, fourier, embed, seqnorm, verify.  Numeric output is
-fixed at 12 significant digits so identical configurations produce
-byte-identical files.  Exit codes: 0 success, 1 computation error,
-2 validation error.
+Subcommands: pvar, kfunc, fourier, embed, seqnorm, verify.  CSV and
+``--format json`` rows carry numbers at 12 significant digits so identical
+configurations produce byte-identical files; the ``embed`` report and the
+``pvar --selection-out`` file carry full ``repr`` floats.  Exit codes:
+0 success, 1 computation error, 2 validation error.
 """
 
 from __future__ import annotations
@@ -136,6 +137,58 @@ def _json_cell(cell: str):
     return cell
 
 
+# A flat float list's stand-in in the skeleton ``_indented_json`` encodes.
+_FLOAT_LIST_MARK = "pvarlab:float-list:{}"
+
+
+def _swap_float_lists(obj, lists: list):
+    """``obj`` with each non-empty list of plain floats replaced by a mark
+    naming its index in ``lists``, where it is appended.
+
+    A module-level function on purpose: a nested recursive closure is a
+    reference cycle, which would keep every swapped list alive until the
+    cyclic GC runs.
+    """
+    if isinstance(obj, dict):
+        return {k: _swap_float_lists(v, lists) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if type(obj) is list and obj and all(type(x) is float for x in obj):
+            lists.append(obj)
+            return _FLOAT_LIST_MARK.format(len(lists) - 1)
+        return [_swap_float_lists(v, lists) for v in obj]
+    return obj
+
+
+def _indented_json(obj) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte.
+
+    CPython 3.11 sends any indented dump through the pure-Python encoder.
+    Here only the skeleton goes that way: each flat list of plain floats is
+    written by the C encoder (``json.dumps(lst)``: the same ``float.__repr__``
+    and the same ``NaN``/``Infinity`` tokens), its ``", "`` separators
+    re-joined as ``",\\n" + pad + " "`` at the indent ``pad`` of the mark's
+    line.  A payload string equal to a mark makes that mark occur twice in
+    the skeleton; the whole object is then dumped the plain way.
+    """
+    lists: list = []
+    skeleton = json.dumps(_swap_float_lists(obj, lists), sort_keys=True, indent=1)
+    spots = []
+    for i in range(len(lists)):
+        mark = json.dumps(_FLOAT_LIST_MARK.format(i))
+        if skeleton.count(mark) != 1:
+            return json.dumps(obj, sort_keys=True, indent=1)
+        spots.append((skeleton.index(mark), len(mark), i))
+    out, end = [], 0
+    for pos, size, i in sorted(spots):
+        line = skeleton[skeleton.rfind("\n", 0, pos) + 1:pos]
+        pad = "\n" + line[:len(line) - len(line.lstrip(" "))]
+        items = json.dumps(lists[i])[1:-1].replace(", ", "," + pad + " ")
+        out += [skeleton[end:pos], "[", pad, " ", items, pad, "]"]
+        end = pos + size
+    out.append(skeleton[end:])
+    return "".join(out)
+
+
 def _emit_rows(args, header: str, rows: list[list[str]]):
     """The rows, lists of cells under the comma-separated ``header``, as CSV
     (a cell holding a comma is quoted) or as JSON records."""
@@ -214,7 +267,7 @@ def _cmd_embed(args) -> int:
     if args.witness:
         witness = witness_generate(Phi, nu, args.p, args.k_max, report)
         payload["witness"] = None if witness is None else witness.to_json_dict()
-    _write(args, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write(args, _indented_json(payload) + "\n")
     return 0
 
 

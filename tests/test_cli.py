@@ -1,8 +1,10 @@
 import csv
+import gc
 import gzip
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,10 +12,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pvarlab import _kernels, embeddings, validate_modulus
-from pvarlab.cli import main
+from pvarlab.cli import _FLOAT_LIST_MARK, _indented_json, _swap_float_lists, main
 from pvarlab.functions import from_spec
+from pvarlab.modulus import parse_modulus
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -538,6 +542,71 @@ def test_embed_witness_stdout_sha256_is_pinned(phi, nu, k_max, digest, capsys):
     assert main(["embed", "--phi", phi, "--nu", nu, "--p", "1", "--k-max", str(k_max),
                  "--witness"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_embed_criterion_stdout_sha256_is_pinned(capsys):
+    # no witness: the 100 000-float trace is the whole payload's bulk
+    assert main(["embed", "--phi", "power:2", "--nu", "log", "--p", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "355184d0d7a0ac5a4a3a18388c9bee46a91e2680e92a1b3478a13243242d7f27")
+
+
+_MARK = _FLOAT_LIST_MARK.format(0)
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-308, -1e-310,
+                   1e308, -1e308, 0.1, 1.0]
+_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_TEXT = st.text(max_size=8) | st.sampled_from(
+    [", ", "\n", "\x00", ",\n ", _MARK, _FLOAT_LIST_MARK.format(1), f'"{_MARK}"', "[1.0]"])
+_LEAVES = (st.lists(_FLOATS, max_size=6) | _FLOATS | st.integers() | st.booleans() | st.none()
+           | _TEXT | st.lists(st.integers() | st.booleans() | _FLOATS, max_size=4))
+
+
+def _nested(depth):
+    if depth == 0:
+        return _LEAVES
+    inner = _nested(depth - 1)
+    return _LEAVES | st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_nested(3))
+@example(obj={"trace": _SPECIAL_FLOATS, "running_sup": math.inf})
+@example(obj={"a": [], "b": [-0.0], "c": {"d": [[], [5e-324]]}})
+@example(obj=[[[[1.0, 2.0]]], [1, 2.0], [True, 1.0], [1, 2], []])
+@example(obj={"s": ", ", "t": "a\nb\x00", "u": [1.0, 2.0], "v": _MARK})
+@example(obj={_MARK: [1.0], "x": [2.0]})
+@example(obj={"x": [f'"{_MARK}"', [0.5]]})
+@example(obj=[math.nan, -math.inf])
+def test_indented_json_is_json_dumps(obj):
+    assert _indented_json(obj) == json.dumps(obj, sort_keys=True, indent=1)
+
+
+def test_only_plain_float_lists_skip_the_indenting_encoder():
+    lists = []
+    skeleton = _swap_float_lists(
+        {"a": [1, 2.0], "b": [True, 1.0], "c": [1, 2], "d": [], "e": [np.float64(1.0)],
+         "f": (1.0, 2.0), "g": [[0.5, 1.5]]}, lists)
+    assert lists == [[0.5, 1.5]]
+    assert skeleton["g"] == [_MARK]
+
+
+def test_indented_json_leaves_no_reference_cycle():
+    # a nested recursive walker is a reference cycle that would keep each 100 000-float
+    # trace alive until the cyclic GC ran; the stdlib indenting encoder leaves
+    # its own closures as garbage on every call, so that is the baseline
+    Phi, nu = embeddings.PhiSequence.power_all(3.0), parse_modulus("power:0.25")
+    report = embeddings.embedding_criterion(Phi, nu, 1.0, 4096)
+    payload = report.to_json_dict()
+    payload["witness"] = embeddings.witness_generate(Phi, nu, 1.0, 1, report).to_json_dict()
+    gc.collect()
+    gc.disable()
+    try:
+        json.dumps(payload, sort_keys=True, indent=1)
+        encoder_garbage = gc.collect()
+        _indented_json(payload)
+        assert gc.collect() == encoder_garbage
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("q", ["2", "3"])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pvarlab import (
     IntervalSelection,
@@ -217,6 +217,23 @@ def test_dp_across_magnitudes(values, k, p, n):
     v1 = pvariation_dp(cf, 1.0, n)[0]
     assert value <= v1 * (1.0 + 1e-12)
     assert v1 <= value * n ** (1.0 - 1.0 / p) * (1.0 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=12),
+    k=st.integers(-400, 400),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    n=st.integers(1, 5),
+)
+@example(values=[6.055521884080054, -9.418178840468213, 8.642059317947371, 0.0],
+         k=-300, p=3.0, n=3)
+@example(values=[1.0, -1.0, 1.0, -1.0, 1.0], k=330, p=3.0, n=5)
+def test_dp_matches_bruteforce_across_magnitudes(values, k, p, n):
+    # the DP against the exhaustive oracle wherever the DP accepts c f, c = 2^k
+    cf = SampledFunction(np.arange(len(values), dtype=float), values).scaled(2.0 ** k)
+    assume(_in_scale(cf.values, p, n))
+    assert inv.dp_oracle_gaps([(cf, p, n)])[0] <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
