@@ -137,56 +137,29 @@ def _json_cell(cell: str):
     return cell
 
 
-# A flat float list's stand-in in the skeleton ``_indented_json`` encodes.
-_FLOAT_LIST_MARK = "pvarlab:float-list:{}"
-
-
-def _swap_float_lists(obj, lists: list):
-    """``obj`` with each non-empty list of plain floats replaced by a mark
-    naming its index in ``lists``, where it is appended.
-
-    A module-level function on purpose: a nested recursive closure is a
-    reference cycle, which would keep every swapped list alive until the
-    cyclic GC runs.
-    """
-    if isinstance(obj, dict):
-        return {k: _swap_float_lists(v, lists) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if type(obj) is list and obj and all(type(x) is float for x in obj):
-            lists.append(obj)
-            return _FLOAT_LIST_MARK.format(len(lists) - 1)
-        return [_swap_float_lists(v, lists) for v in obj]
-    return obj
-
-
-def _indented_json(obj) -> str:
+def _indented_json(obj, pad="\n") -> str:
     """The text of ``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte.
 
     CPython 3.11 sends any indented dump through the pure-Python encoder.
-    Here only the skeleton goes that way: each flat list of plain floats is
-    written by the C encoder (``json.dumps(lst)``: the same ``float.__repr__``
-    and the same ``NaN``/``Infinity`` tokens), its ``", "`` separators
-    re-joined as ``",\\n" + pad + " "`` at the indent ``pad`` of the mark's
-    line.  A payload string equal to a mark makes that mark occur twice in
-    the skeleton; the whole object is then dumped the plain way.
+    This writer recurses over each non-empty dict (keys sorted; string keys)
+    and each non-empty list or tuple itself, ``pad`` holding the newline and
+    indent of the current level.  A list whose compact C encoding holds no
+    ``"`` and no inner ``[`` (numbers, booleans, nulls and empty dicts only:
+    any other dict has a quoted key) is written by that one ``json.dumps``
+    call, its ``", "`` separators re-joined at the indent: the same
+    ``float.__repr__`` and ``NaN``/``Infinity`` tokens, with no Python step
+    per element.  Every other value is ``json.dumps``.
     """
-    lists: list = []
-    skeleton = json.dumps(_swap_float_lists(obj, lists), sort_keys=True, indent=1)
-    spots = []
-    for i in range(len(lists)):
-        mark = json.dumps(_FLOAT_LIST_MARK.format(i))
-        if skeleton.count(mark) != 1:
-            return json.dumps(obj, sort_keys=True, indent=1)
-        spots.append((skeleton.index(mark), len(mark), i))
-    out, end = [], 0
-    for pos, size, i in sorted(spots):
-        line = skeleton[skeleton.rfind("\n", 0, pos) + 1:pos]
-        pad = "\n" + line[:len(line) - len(line.lstrip(" "))]
-        items = json.dumps(lists[i])[1:-1].replace(", ", "," + pad + " ")
-        out += [skeleton[end:pos], "[", pad, " ", items, pad, "]"]
-        end = pos + size
-    out.append(skeleton[end:])
-    return "".join(out)
+    if isinstance(obj, (list, tuple)) and obj:
+        inner, flat = pad + " ", json.dumps(obj)
+        if '"' not in flat and flat.find("[", 1) < 0:
+            return "[" + inner + flat[1:-1].replace(", ", "," + inner) + pad + "]"
+        return "[" + ",".join(inner + _indented_json(v, inner) for v in obj) + pad + "]"
+    if isinstance(obj, dict) and obj:
+        inner = pad + " "
+        return "{" + ",".join(inner + json.dumps(k) + ": " + _indented_json(v, inner)
+                              for k, v in sorted(obj.items())) + pad + "}"
+    return json.dumps(obj)
 
 
 def _emit_rows(args, header: str, rows: list[list[str]]):
@@ -408,6 +381,8 @@ def config_to_argv(path: str) -> list[str]:
     """
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("invalid config: config must be a JSON object")
     problems = []
     sub = cfg.get("subcommand")
     known = {"pvar", "kfunc", "fourier", "embed", "seqnorm", "verify"}

@@ -71,12 +71,18 @@ class KSandwich:
 
 
 def bracket_count(t: float, p: float) -> int:
-    """floor(1/t) raised to p, rounded down to an integer (at least 1)."""
+    """floor(1/t) raised to p, rounded down to an integer (at least 1).
+
+    A ValueError when floor(1/t)^p is not a finite float.
+    """
     if not (0.0 < t <= 1.0):
         raise ValueError(f"t must lie in (0, 1], got {t!r}")
     _check_p(p)
-    base = math.floor(1.0 / t + 1e-12)
-    return max(1, int(math.floor(base ** p + 1e-9)))
+    try:
+        power = math.floor(1.0 / t + 1e-12) ** p
+    except OverflowError:  # 1/t is inf, or the power overflows a float
+        raise ValueError(f"floor(1/t)^p overflows a float at t={t!r}, p={p!r}") from None
+    return max(1, int(math.floor(power + 1e-9)))
 
 
 def _require_unit_domain(f: SampledFunction):

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pvarlab import _kernels, embeddings, validate_modulus
-from pvarlab.cli import _FLOAT_LIST_MARK, _indented_json, _swap_float_lists, main
+from pvarlab import cli
+from pvarlab.cli import _indented_json, main
 from pvarlab.functions import from_spec
 from pvarlab.modulus import parse_modulus
 
@@ -92,6 +93,8 @@ def test_nan_and_inf_gauge_exponents_exit_2_before_output(argv, hint, capsys):
     ["pvar", "--values=1e308,-1e307,1e308", "--p", "1", "--n", "2"],
     ["kfunc", "--values=1e308,-1e308,1e308", "--p", "2", "--t", "1,0.5"],
     ["kfunc", "--values=1e200,-1e200,1e200", "--p", "3", "--t", "0.5"],
+    ["kfunc", "--function", "zigzag:9", "--p", "3", "--t", "1e-120"],  # floor(1/t)^p
+    ["kfunc", "--function", "zigzag:9", "--p", "1", "--t", "5e-324"],  # 1/t = inf
 ])
 def test_overflowing_values_exit_2_before_output(argv, capsys):
     assert main(argv) == 2
@@ -551,14 +554,16 @@ def test_embed_criterion_stdout_sha256_is_pinned(capsys):
         "355184d0d7a0ac5a4a3a18388c9bee46a91e2680e92a1b3478a13243242d7f27")
 
 
-_MARK = _FLOAT_LIST_MARK.format(0)
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-308, -1e-310,
                    1e308, -1e308, 0.1, 1.0]
 _FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+# strings holding what the writer's flat-list test and re-join look for
 _TEXT = st.text(max_size=8) | st.sampled_from(
-    [", ", "\n", "\x00", ",\n ", _MARK, _FLOAT_LIST_MARK.format(1), f'"{_MARK}"', "[1.0]"])
-_LEAVES = (st.lists(_FLOATS, max_size=6) | _FLOATS | st.integers() | st.booleans() | st.none()
-           | _TEXT | st.lists(st.integers() | st.booleans() | _FLOATS, max_size=4))
+    [", ", "\n", "\x00", ",\n ", '"', "[", "{", '", "', "[1.0]", '{"a": [1.0, 2.0]}'])
+_SCALARS = _FLOATS | _FLOATS.map(np.float64) | st.integers() | st.booleans() | st.none()
+_LEAVES = (_SCALARS | _TEXT | st.lists(_FLOATS, max_size=6) | st.lists(_SCALARS, max_size=4)
+           | st.lists(st.none() | st.booleans() | st.integers(), max_size=4)
+           | st.lists(_SCALARS | _TEXT, max_size=4).map(tuple))
 
 
 def _nested(depth):
@@ -573,27 +578,35 @@ def _nested(depth):
 @example(obj={"trace": _SPECIAL_FLOATS, "running_sup": math.inf})
 @example(obj={"a": [], "b": [-0.0], "c": {"d": [[], [5e-324]]}})
 @example(obj=[[[[1.0, 2.0]]], [1, 2.0], [True, 1.0], [1, 2], []])
-@example(obj={"s": ", ", "t": "a\nb\x00", "u": [1.0, 2.0], "v": _MARK})
-@example(obj={_MARK: [1.0], "x": [2.0]})
-@example(obj={"x": [f'"{_MARK}"', [0.5]]})
+@example(obj={"s": ", ", "t": "a\nb\x00", "u": [1.0, 2.0], "v": '", "'})
+@example(obj={'"': [1.0], "x": [2.0], "[": ["{", 0.5]})
+@example(obj={"x": ['", "', [0.5]], "y": ({}, [], ()), "z": [None, True, 1]})
 @example(obj=[math.nan, -math.inf])
+@example(obj=(np.float64(0.1), [np.float64(-0.0)], {"a": np.float64(math.inf)}))
 def test_indented_json_is_json_dumps(obj):
     assert _indented_json(obj) == json.dumps(obj, sort_keys=True, indent=1)
 
 
-def test_only_plain_float_lists_skip_the_indenting_encoder():
-    lists = []
-    skeleton = _swap_float_lists(
-        {"a": [1, 2.0], "b": [True, 1.0], "c": [1, 2], "d": [], "e": [np.float64(1.0)],
-         "f": (1.0, 2.0), "g": [[0.5, 1.5]]}, lists)
-    assert lists == [[0.5, 1.5]]
-    assert skeleton["g"] == [_MARK]
+def test_a_flat_list_costs_one_encoder_call(monkeypatch):
+    # a list of numbers is one C-encoder call, however long, never one per element
+    calls = []
+    dumps = json.dumps
+
+    def counted(obj, **kw):
+        calls.append(type(obj))
+        return dumps(obj, **kw)
+
+    trace = [0.5 * i for i in range(100_000)]
+    expected = dumps(trace, sort_keys=True, indent=1)
+    monkeypatch.setattr(cli.json, "dumps", counted)
+    assert _indented_json(trace) == expected
+    assert calls == [list]
 
 
 def test_indented_json_leaves_no_reference_cycle():
-    # a nested recursive walker is a reference cycle that would keep each 100 000-float
-    # trace alive until the cyclic GC ran; the stdlib indenting encoder leaves
-    # its own closures as garbage on every call, so that is the baseline
+    # a nested recursive closure is a reference cycle that would keep each 100 000-float
+    # trace alive until the cyclic GC ran; the module-level writer never calls the
+    # stdlib indenting encoder, whose closures are garbage after each call
     Phi, nu = embeddings.PhiSequence.power_all(3.0), parse_modulus("power:0.25")
     report = embeddings.embedding_criterion(Phi, nu, 1.0, 4096)
     payload = report.to_json_dict()
@@ -601,10 +614,8 @@ def test_indented_json_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        json.dumps(payload, sort_keys=True, indent=1)
-        encoder_garbage = gc.collect()
         _indented_json(payload)
-        assert gc.collect() == encoder_garbage
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -667,6 +678,15 @@ def test_config_file_fourier_sweep(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,theta,rho,sigma,tau,eta"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("top", ["[1, 2]", '"x"', "null"])
+def test_config_file_must_be_an_object(top, tmp_path, capsys):
+    cfg = tmp_path / "top.json"
+    cfg.write_text(top)
+    assert main(["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid config: config must be a JSON object" in err
 
 
 def test_config_file_reports_all_violations(tmp_path, capsys):

@@ -31,6 +31,15 @@ def test_bracket_count():
         bracket_count(0.0, 1.0)
 
 
+@pytest.mark.parametrize("t,p", [(1e-120, 3.0), (5e-324, 1.0)])
+def test_bracket_count_overflow_is_a_value_error(t, p):
+    # floor(1/t)^p past the float range, or 1/t itself infinite
+    with pytest.raises(ValueError, match=rf"t={t!r}, p={p!r}"):
+        bracket_count(t, p)
+    with pytest.raises(ValueError, match="overflows a float"):
+        kfunctional_sweep(make_zigzag(9), [1.0, t], p)
+
+
 def test_select_knots_linear_uniform():
     knots, case = select_knots(LINEAR, 4, 1.0)
     assert case == "I"
