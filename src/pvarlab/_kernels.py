@@ -1,9 +1,10 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Two DP row steps, the dense ``_dp_row`` and the O(m) p = 1 ``_dp1_row``,
-serve the table (``dp_with_parents``) and the profiles; only this module
-picks the step for a p.  ``shift_max`` is the windowed maximum behind the
-modulus of continuity.  Their plain loop versions are in ``tests/oracles.py``.
+Two DP row steps, the dense ``_dp_row`` and the O(m) p = 1 ``_dp1_row``;
+``row_step`` is the one place that picks the step for a p.  ``_rows`` runs a
+step to the DP's fixed point, and the rows (``dp_with_parents``) and the
+profiles read it.  ``shift_max`` is the windowed maximum behind the modulus
+of continuity.  Their plain loop versions are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def backend_name() -> str:
 #   best[k][i] = max(best[k][i-1], max_{j<i} best[k-1][j] + |v[i]-v[j]|^p)
 # Row k + 1 depends only on row k and the fixed pair costs, so once a row
 # equals its predecessor bit for bit every later row holds the same floats:
-# each DP stops there and fills the rest.
+# each DP stops there and makes none of them.
 # ---------------------------------------------------------------------------
 
 def _pow_diff(values, p):
@@ -59,63 +60,54 @@ def _dp1_row(prev, values, cur):
     np.maximum.accumulate(cur[1:], out=cur[1:])
 
 
-def _profile(step, m, nmax):
-    """Last entries of rows 0..nmax of the DP whose row step is ``step(prev, cur)``."""
-    prev, cur = np.zeros(m), np.empty(m)
-    out = np.zeros(nmax + 1)
-    for k in range(1, nmax + 1):
+def row_step(values: np.ndarray, p: float):
+    """``(step, pair_sums)`` of the DP at p: the one place a row step is picked.
+
+    ``step(prev, cur)`` writes row k into ``cur`` from row k - 1: ``_dp1_row``
+    at p = 1, else ``_dp_row`` over the m x m pair costs.  ``pair_sums(prev,
+    i)`` gives the candidate of every start j < i in the step's own float
+    expressions, and rounding is monotone, so their max is the float the step
+    took: a backtrack finds a cell's maximizing start by exact equality.
+    """
+    if p == 1.0:
+        return (lambda prev, cur: _dp1_row(prev, values, cur),
+                lambda prev, i: np.maximum((prev[:i] - values[:i]) + values[i],
+                                           (prev[:i] + values[:i]) - values[i]))
+    diff = _pow_diff(values, float(p))
+    buf = np.empty(diff.shape)
+    return (lambda prev, cur: _dp_row(prev, diff, buf, cur),
+            lambda prev, i: prev[:i] + diff[:i, i])
+
+
+def _rows(step, m, n):
+    """Rows 1..K of the DP run by ``step``, each a new array: K is n, or the
+    first k whose row equals row k - 1, so row k of the DP is row min(k, K)."""
+    prev = np.zeros(m)
+    for _ in range(n):
+        cur = np.empty(m)
         step(prev, cur)
-        out[k] = cur[m - 1]
+        yield cur
         if np.array_equal(cur, prev):
-            out[k:] = out[k]
-            break
-        prev, cur = cur, prev
-    return out
+            return
+        prev = cur
 
 
 def dp_profile_pow(values: np.ndarray, p: float, nmax: int) -> np.ndarray:
-    """Profile of the DP objective (p-th powers) for interval budgets 0..nmax."""
-    diff = _pow_diff(values, float(p))
-    buf = np.empty(diff.shape)
-    return _profile(lambda prev, cur: _dp_row(prev, diff, buf, cur), values.shape[0], int(nmax))
+    """Last entries of DP rows 0..K (p-th powers), K <= nmax as in ``_rows``."""
+    step, _ = row_step(values, p)
+    return np.array([0.0, *(row[-1] for row in _rows(step, values.shape[0], int(nmax)))])
 
 
 def dp1_profile(values: np.ndarray, nmax: int) -> np.ndarray:
-    """First-variation DP profile (p = 1), O(m * nmax), from ``_dp1_row``."""
-    return _profile(lambda prev, cur: _dp1_row(prev, values, cur), values.shape[0], int(nmax))
-
-
-def dp_profile(values: np.ndarray, p: float, nmax: int) -> np.ndarray:
-    """``dp1_profile`` at p = 1, else ``dp_profile_pow``."""
-    return dp1_profile(values, nmax) if p == 1.0 else dp_profile_pow(values, p, nmax)
+    """``dp_profile_pow`` at p = 1: O(m) per row, no m x m array."""
+    return dp_profile_pow(values, 1.0, nmax)
 
 
 def dp_with_parents(values: np.ndarray, p: float, n: int):
-    """Full DP value table and its pair sums, for backtracking.
-
-    Returns ``(table, pair_sums)`` with table[k][i] = best[k][i] for k = 0..n;
-    every row is nondecreasing.  ``pair_sums(prev, i)`` gives the candidate of
-    every start j < i in the row step's own float expressions, and rounding is
-    monotone, so their max is the float the step took: a backtrack finds a
-    cell's maximizing start by exact equality.  At p = 1 the table is built by
-    ``_dp1_row`` and no m x m array exists.
-    """
-    m, n = values.shape[0], int(n)
-    if p == 1.0:
-        step, pair_sums = (lambda prev, cur: _dp1_row(prev, values, cur),
-                           lambda prev, i: np.maximum((prev[:i] - values[:i]) + values[i],
-                                                      (prev[:i] + values[:i]) - values[i]))
-    else:
-        diff, buf = _pow_diff(values, float(p)), np.empty((m, m))
-        step, pair_sums = (lambda prev, cur: _dp_row(prev, diff, buf, cur),
-                           lambda prev, i: prev[:i] + diff[:i, i])
-    table = np.zeros((n + 1, m))
-    for k in range(1, n + 1):
-        step(table[k - 1], table[k])
-        if np.array_equal(table[k], table[k - 1]):
-            table[k:] = table[k]
-            break
-    return table, pair_sums
+    """``(rows, pair_sums)`` for backtracking: rows 0..K as in ``_rows``, each
+    nondecreasing, with best[k] = rows[min(k, K)] for every k <= n."""
+    step, pair_sums = row_step(values, p)
+    return [np.zeros(values.shape[0]), *_rows(step, values.shape[0], int(n))], pair_sums
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def _emit_rows(args, header: str, rows: list[list[str]]):
 def _cmd_pvar(args) -> int:
     f = _load_function(args)
     value, sel, prof = _pvariation_solve(f, args.p, args.n)
-    rows = [[str(n), _fmt(v)] for n, v in zip(range(1, args.n + 1), prof)]
+    rows = [[str(n), _fmt(prof[min(n, prof.size) - 1])] for n in range(1, args.n + 1)]
     if args.selection_out:
         # Written before the rows, so a failed write leaves stdout empty.
         payload = {
@@ -237,10 +237,12 @@ def _cmd_embed(args) -> int:
     nu = parse_modulus(args.nu)
     report = embedding_criterion(Phi, nu, args.p, args.horizon)
     payload = report.to_json_dict()
+    witness = witness_generate(Phi, nu, args.p, args.k_max, report) if args.witness else None
     if args.witness:
-        witness = witness_generate(Phi, nu, args.p, args.k_max, report)
         payload["witness"] = None if witness is None else witness.to_json_dict()
     _write(args, _indented_json(payload) + "\n")
+    if witness is not None and not witness.certified:  # written, then exit 1
+        raise RuntimeError("witness certificates failed; see its certificates")
     return 0
 
 

@@ -87,13 +87,6 @@ def pvariation_bruteforce(f: SampledFunction, p: float, n: int):
     return value, _selection_from_indices(f, best_sel, p)
 
 
-def _padded(prof: np.ndarray, n: int) -> np.ndarray:
-    # v_p(n, f) stays constant once n reaches the swing count
-    if n > prof.size:
-        prof = np.concatenate([prof, np.full(n - prof.size, prof[-1])])
-    return prof
-
-
 def _check_scale(values: np.ndarray, p: float, n: int):
     """Reject samples whose DP sums could overflow or underflow.
 
@@ -134,22 +127,24 @@ def _reduced(f: SampledFunction, p: float, n: int, name: str = "n"):
     return red, min(n, len(red) - 1)
 
 
-def _backtrack(table: np.ndarray, pair_sums) -> list[tuple[int, int]]:
-    """One optimal selection (start, end) from ``_kernels.dp_with_parents``.
+def _backtrack(rows, pair_sums, n: int) -> list[tuple[int, int]]:
+    """One optimal selection (start, end) of at most n intervals from the rows
+    0..K of ``_kernels.dp_with_parents``; row k of the DP is rows[min(k, K)].
 
     At (k, i) the walk first moves i left to the first index of row k holding
     the same value (skipping wins ties), then takes the smallest start j whose
-    pair sum ``pair_sums(table[k - 1], i)[j]``, the row step's own float,
+    pair sum ``pair_sums(row k - 1, i)[j]``, the row step's own float,
     reproduces the cell exactly (the smallest start wins).
     """
     pairs = []
-    k, i = table.shape[0] - 1, table.shape[1] - 1
+    top = len(rows) - 1
+    k, i = n, rows[0].size - 1
     while k > 0 and i > 0:
-        row = table[k]
+        row = rows[min(k, top)]
         i = int(row.searchsorted(row[i]))
         if i == 0:
             break
-        j = int((pair_sums(table[k - 1], i) == row[i]).argmax())
+        j = int((pair_sums(rows[min(k - 1, top)], i) == row[i]).argmax())
         pairs.append((j, i))
         k, i = k - 1, j
     pairs.reverse()
@@ -157,14 +152,14 @@ def _backtrack(table: np.ndarray, pair_sums) -> list[tuple[int, int]]:
 
 
 def _pvariation_solve(f: SampledFunction, p: float, n: int):
-    """(v_p(n, f), optimal selection, profile v_p(1..n, f)) from one DP table."""
+    """(v_p(n, f), optimal selection, ``_profile``) from one DP's rows."""
     red, n_eff = _reduced(f, p, n)
-    kept = _kept_indices(f, red)
-    table, pair_sums = _kernels.dp_with_parents(red.values, p, n_eff)
-    pairs = [(int(kept[j]), int(kept[i])) for j, i in _backtrack(table, pair_sums)]
-    prof = _padded(table[1:, -1] ** (1.0 / p), n)
+    kept = np.searchsorted(f.grid, red.grid)
+    rows, pair_sums = _kernels.dp_with_parents(red.values, p, n_eff)
+    pairs = [(int(kept[j]), int(kept[i])) for j, i in _backtrack(rows, pair_sums, n_eff)]
+    prof = np.array([row[-1] for row in rows[1:]]) ** (1.0 / p)
     # the profile's array root, so the value and the profile agree bit for bit
-    return float(prof[n - 1]), _selection_from_indices(f, pairs, p), prof
+    return float(prof[-1]), _selection_from_indices(f, pairs, p), prof
 
 
 def pvariation_dp(f: SampledFunction, p: float, n: int):
@@ -179,22 +174,29 @@ def pvariation_dp(f: SampledFunction, p: float, n: int):
     return value, sel
 
 
-def _kept_indices(f: SampledFunction, red: SampledFunction) -> np.ndarray:
-    return np.searchsorted(f.grid, red.grid)
+def _profile(f: SampledFunction, p: float, n: int, name: str = "n") -> np.ndarray:
+    """v_p(1..K, f): the DP stops at its fixed point K <= n, at or before the
+    swing count, and v_p(k, f) = prof[min(k, K) - 1] for every k <= n."""
+    red, n_eff = _reduced(f, p, n, name)
+    return _kernels.dp_profile_pow(red.values, p, n_eff)[1:] ** (1.0 / p)
 
 
 def pvariation_profile(f: SampledFunction, p: float, n_max: int) -> np.ndarray:
     """(v_p(1, f), ..., v_p(n_max, f)) in one DP sweep; nondecreasing.
 
     The profile stabilizes once the budget reaches the number of monotone
-    swings, so the DP only runs up to that point and the tail is padded.
+    swings, so the DP only runs up to that point and the tail repeats it.
     """
-    red, n_eff = _reduced(f, p, n_max, "n_max")
-    return _padded(_kernels.dp_profile(red.values, p, n_eff)[1:] ** (1.0 / p), n_max)
+    prof = _profile(f, p, n_max, "n_max")
+    return prof[np.minimum(np.arange(n_max), prof.size - 1)]
 
 
 def vpnu_norm(f: SampledFunction, nu: ModulusOfVariation, p: float, n_max: int):
-    """(sup_{n <= n_max} v_p(n, f)/nu(n), sup |f|); their sum is the norm proxy."""
-    prof = pvariation_profile(f, p, n_max)
-    ratios = prof / nu.table(n_max)
-    return float(np.max(ratios)), f.sup_abs()
+    """(sup_{n <= n_max} v_p(n, f)/nu(n), sup |f|); their sum is the norm proxy.
+
+    v_p(n, f) is constant past the profile and nu is nondecreasing, so the sup
+    is reached within the profile.  A table nu shorter than n_max is refused.
+    """
+    prof = _profile(f, p, n_max, "n_max")
+    nu.value(n_max)
+    return float(np.max(prof / nu.table(prof.size))), f.sup_abs()

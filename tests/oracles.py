@@ -17,9 +17,10 @@ skip), so ties prefer skipping and then the smallest start.
 ``dp1_parent_loops`` is the same loop at p = 1 with the pair sums written as
 the p = 1 row step writes them, max((prev_j - v_j) + v_i, (prev_j + v_j) - v_i),
 so its table is the kernel's bit for bit.  ``backtrack_take`` walks either
-record.  ``dense_dp_with_parents`` is the kernel's dense table at any p, p = 1
-included: the m x m row step that ``_kernels.dp_with_parents`` runs only for
-p > 1.  ``extrema_reduce_loop`` scans the
+record.  ``dense_dp_with_parents`` is the kernel's DP at any p, p = 1
+included, with the m x m row step that ``_kernels.dp_with_parents`` runs only
+for p > 1, and all n + 1 rows stored: the rows past the fixed point are
+copies of its row.  ``extrema_reduce_loop`` scans the
 values once and keeps the endpoints and the point before each direction flip;
 ``swing_count_loop`` counts the monotone runs in the same scan.
 ``fourier_coeffs_loop`` is the rectangle rule as an N x m trig matrix product,
@@ -168,7 +169,8 @@ def dp1_parent_loops(values, n):
 
 
 def dense_dp_with_parents(values, p, n):
-    """``_kernels.dp_with_parents`` with the dense m x m row step at every p."""
+    """``_kernels.dp_with_parents`` with the dense m x m row step at every p,
+    as an (n + 1) x m table padded past the fixed point."""
     m = values.shape[0]
     diff, buf = _kernels._pow_diff(values, float(p)), np.empty((m, m))
     table = np.zeros((n + 1, m))

@@ -219,14 +219,14 @@ def test_kfunc_profiles_the_input_once(monkeypatch, capsys):
 
     values = from_spec("random:200").values
     widths = []
-    profile = kfunctional.pvariation_profile
+    profile = kfunctional._profile
 
-    def counted(f, p, n_max):
+    def counted(f, p, n):
         if np.array_equal(f.values, values):
-            widths.append(n_max)
-        return profile(f, p, n_max)
+            widths.append(n)
+        return profile(f, p, n)
 
-    monkeypatch.setattr(kfunctional, "pvariation_profile", counted)
+    monkeypatch.setattr(kfunctional, "_profile", counted)
     argv = ["kfunc", "--function", "random:200", "--p", "2", "--t", "1,0.5,0.25,0.1,0.05"]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 6
@@ -633,19 +633,62 @@ def test_orlicz_power_witness_is_the_power_witness(q, nu, k_max, capsys):
     assert outs[0] == outs[1]
 
 
-def test_embed_witness_k3_peak_memory():
-    code = ("import contextlib, io, resource\n"
-            "from pvarlab.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = main(['embed', '--phi', 'power:2', '--nu', 'log', '--p', '1',\n"
-            "               '--k-max', '3', '--witness'])\n"
-            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+def _peak_rss(code):
+    """(stdout lines, peak RSS in MB) of ``code`` run in a fresh interpreter.
+
+    The peak is the child's own VmHWM: ru_maxrss would also count the RSS of
+    the forked test process from before the exec.
+    """
+    code += ("import re\nwith open('/proc/self/status') as fh:\n"
+             "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1))\n")
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(embeddings.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    rc, maxrss_kb = proc.stdout.split()
-    assert rc == "0"
-    assert int(maxrss_kb) / 1024 < 350  # ru_maxrss is in KB on Linux
+    *lines, hwm_kb = proc.stdout.splitlines()
+    return lines, int(hwm_kb) / 1024
+
+
+def test_embed_witness_k3_peak_memory():
+    lines, mb = _peak_rss("import contextlib, io\n"
+                          "from pvarlab.cli import main\n"
+                          "with contextlib.redirect_stdout(io.StringIO()):\n"
+                          "    rc = main(['embed', '--phi', 'power:2', '--nu', 'log', '--p', '1',\n"
+                          "               '--k-max', '3', '--witness'])\n"
+                          "print(rc)\n")
+    assert lines == ["0"]
+    assert mb < 350
+
+
+def test_kfunc_tiny_t_runs_only_the_rows_to_the_fixed_point(capsys):
+    # M = 10^8 at t = 1e-4; zigzag:9 has 8 swings, and no row or profile entry
+    # past them is made (a profile padded to M took 1.5 GB)
+    argv = ["kfunc", "--function", "zigzag:9", "--p", "2", "--t", "1e-4,1"]
+    lines, mb = _peak_rss("import contextlib, io\nfrom pvarlab.cli import main\n"
+                          "buf = io.StringIO()\nwith contextlib.redirect_stdout(buf):\n"
+                          f"    rc = main({argv!r})\nprint(rc)\nprint(buf.getvalue(), end='')\n")
+    assert lines == ["0", "t,M,lower,upper,ratio,case",
+                     "0.0001,100000000,0.000282842712475,0.000506840968822,1.79195343018,II",
+                     "1,1,1,1,1,I"]
+    assert mb < 150
+
+
+def test_pvariation_dp_budget_past_the_swings_peak_memory():
+    # n = 10^8 on 8 swings: the selection's rows stop at the fixed point
+    lines, mb = _peak_rss("from pvarlab import pvariation_dp\n"
+                          "from pvarlab.functions import make_zigzag\n"
+                          "f = make_zigzag(9)\n"
+                          "v, sel = pvariation_dp(f, 2.0, 10 ** 8)\n"
+                          "w, ref = pvariation_dp(f, 2.0, 8)\n"
+                          "print(len(sel.intervals), v == w, sel.intervals == ref.intervals)\n")
+    assert lines == ["8 True True"]
+    assert mb < 150
+
+
+@pytest.mark.parametrize("p,t", [("2", "1e-6"), ("1", "1e-7")])
+def test_kfunc_over_the_knot_cap_exits_2(p, t, capsys):
+    assert main(["kfunc", "--function", "zigzag:9", "--p", p, "--t", f"1,{t}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "over the cap" in captured.err
 
 
 def test_embed_witness_never_builds_an_omitted_function(monkeypatch, capsys):

@@ -444,7 +444,8 @@ def test_witness_small_run_certified():
     window = extrema_reduce(SampledFunction(w.function.grid[:hi], w.function.values[:hi]))
     assert len(window) == 2 * blk.r + 1
     assert blk.n >= 2 * blk.r
-    assert cert.window_dp_value == _kernels.dp1_profile(window.values, blk.n)[blk.n]
+    prof = _kernels.dp1_profile(window.values, blk.n)  # rows 0..K, row n is row min(n, K)
+    assert prof.size <= blk.n + 1 and cert.window_dp_value == prof[min(blk.n, prof.size - 1)]
 
 
 def test_window_value_rejects_a_window_off_its_closed_form():
@@ -467,7 +468,8 @@ def test_window_value_is_the_dp_value_on_random_teeth(rng):
         reduced = extrema_reduce(f).values
         for n in (2 * r, 2 * r + 3):
             blk = WitnessBlock(k=1, n=n, m=2, s=r, r=r, height=1.0, rate=1.0, literal=True)
-            ref = _kernels.dp1_profile(reduced, n)[n]
+            prof = _kernels.dp1_profile(reduced, n)
+            ref = prof[min(n, prof.size - 1)]
             assert abs(_window_dp_value(f, blk, 1.0) - ref) <= 1e-12 * ref
 
 
@@ -573,11 +575,26 @@ def test_orlicz_power_takes_the_closed_form_scan(q, monkeypatch):
     assert [c[:2] for c in orlicz] == [c[:2] for c in power]
 
 
-def test_a_failed_witness_certificate_raises(monkeypatch):
-    # a returned witness is always certified: a failed certificate raises instead
+def test_a_failed_witness_certificate_is_returned(monkeypatch, capsys):
+    # a failed certificate is returned with certified False, and embed --witness
+    # writes its JSON, then exits 1
+    import json
+
+    from pvarlab.cli import main
+
+    good = witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 1)
     monkeypatch.setattr(embeddings, "_prefix_dp_check", lambda window, blk, p: False)
-    with pytest.raises(RuntimeError, match="witness certificates failed"):
-        witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 1)
+    w = witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 1)
+    assert good.certified and w is not None and not w.certified
+    assert [c.prefix_dp_ok for c in w.certificates] == [False]
+    assert w.blocks == good.blocks and w.varphi_total == good.varphi_total
+    rc = main(["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--k-max", "1",
+               "--witness"])
+    captured = capsys.readouterr()
+    assert rc == 1 and "witness certificates failed" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["witness"]["certified"] is False
+    assert '"certified": false' in captured.out
 
 
 def test_witness_block_with_colliding_teeth_is_a_grid_error(monkeypatch):

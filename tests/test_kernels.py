@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import (backtrack_take, dp1_parent_loops, dp1_profile_loops, dp_parent_loops,
-                     dp_profile_loops, shift_max_loops)
+from oracles import (backtrack_take, dense_dp_with_parents, dp1_parent_loops, dp1_profile_loops,
+                     dp_parent_loops, dp_profile_loops, shift_max_loops)
 from pvarlab import SampledFunction, _kernels, extrema_reduce
 from pvarlab.variation import _backtrack
+
+
+def _at(rows, n):
+    """Rows 0..n of a DP that made rows 0..K only: row k is row min(k, K)."""
+    assert len(rows) <= n + 1
+    return np.asarray(rows)[np.minimum(np.arange(n + 1), len(rows) - 1)]
 
 
 @pytest.mark.parametrize("m,p,n", [(8, 2.0, 3), (40, 1.5, 6), (120, 3.0, 10)])
@@ -12,7 +18,7 @@ def test_profile_backends_agree(m, p, n, rng):
     values = rng.uniform(-2, 2, m)
     a = _kernels.dp_profile_pow(values, p, n)
     b = dp_profile_loops(values, p, n)
-    assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(_at(a, n), b, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -26,8 +32,9 @@ def test_dp_with_parents_matches_loop_oracle(p, rng):
             values = rng.integers(-3, 4, m).astype(np.float64)  # many exact ties
         else:
             values = rng.uniform(-2, 2, m)
-        table, pair_sums = _kernels.dp_with_parents(values, p, n)
-        pairs = _backtrack(table, pair_sums)
+        rows, pair_sums = _kernels.dp_with_parents(values, p, n)
+        pairs = _backtrack(rows, pair_sums, n)
+        table = _at(rows, n)
         ref_table, take = dp_parent_loops(values, p, n)
         assert np.allclose(table, ref_table, rtol=0.0, atol=1e-12)
         if p == 1.0:
@@ -43,17 +50,18 @@ def test_dp_with_parents_matches_loop_oracle(p, rng):
 def test_profile_kernel_is_last_column_of_parent_table(rng):
     values = rng.uniform(-2, 2, 50)
     for p in (1.0, 1.5, 2.0, 3.0):
-        table, _ = _kernels.dp_with_parents(values, p, 9)
-        assert np.array_equal(table[:, -1], _kernels.dp_profile(values, p, 9))
+        rows, _ = _kernels.dp_with_parents(values, p, 9)
+        assert np.array_equal(np.array(rows)[:, -1], _kernels.dp_profile_pow(values, p, 9))
 
 
 @pytest.mark.parametrize("m,n", [(10, 4), (64, 12), (300, 25)])
 def test_dp1_backends_agree(m, n, rng):
     values = rng.uniform(-2, 2, m)
-    a = _kernels.dp1_profile(values, n)
+    a = _at(_kernels.dp1_profile(values, n), n)
     b = dp1_profile_loops(values, n)
     assert np.allclose(a, b, atol=1e-12)
-    full = _kernels.dp_profile_pow(values, 1.0, n)
+    # the dense m x m row step at p = 1, against the O(m) one
+    full = dense_dp_with_parents(values, 1.0, n)[0][:, -1]
     assert np.allclose(a, full, atol=1e-10)
 
 
@@ -70,7 +78,7 @@ def test_dp1_total_variation_from_one_interval_per_swing(kind, rng):
         swings = values.size - 1
         total = float(np.cumsum(np.abs(np.diff(values)))[-1])
         for n in (swings, swings + 1, 2 * swings + 3):
-            ref = _kernels.dp1_profile(values, n)[n]
+            ref = _at(_kernels.dp1_profile(values, n), n)[n]
             assert abs(total - ref) <= 1e-12 * (1.0 + ref)
 
 
@@ -139,14 +147,16 @@ def test_dps_stop_at_their_fixed_point(monkeypatch):
     table, pair_sums = _kernels.dp_with_parents(values, p, n)
     used = len(rows) // 2
     assert len(rows) == 2 * used and used < n
-    assert np.array_equal(prof, every_row[:, -1]) and np.array_equal(table, every_row)
-    assert _backtrack(table, pair_sums) == _backtrack(every_row, pair_sums)
+    assert len(table) == prof.size == used + 1  # no row past the fixed point is made
+    assert np.array_equal(_at(prof, n), every_row[:, -1])
+    assert np.array_equal(_at(table, n), every_row)
+    assert _backtrack(table, pair_sums, n) == _backtrack(every_row, pair_sums, n)
     # the loop oracles run every row; a few rows past the stop they agree bit for bit
     k = used + 2
-    assert np.array_equal(dp_profile_loops(values, p, k), prof[:k + 1])
+    assert np.array_equal(dp_profile_loops(values, p, k), _at(prof, k))
     ref_table, take = dp_parent_loops(values, p, k)
-    assert np.array_equal(ref_table, table[:k + 1])
-    assert _backtrack(table[:k + 1], pair_sums) == backtrack_take(take)
+    assert np.array_equal(ref_table, _at(table, k))
+    assert _backtrack(table, pair_sums, k) == backtrack_take(take)
 
     # the p = 1 table runs only the O(m) row step and stops at the same fixed point
     every_row = np.zeros((n + 1, 300))
@@ -159,5 +169,24 @@ def test_dps_stop_at_their_fixed_point(monkeypatch):
     table, pair_sums = _kernels.dp_with_parents(values, 1.0, n)
     used = len(rows1) // 2
     assert len(rows1) == 2 * used and used < n and len(rows) == dense_rows
-    assert np.array_equal(prof, every_row[:, -1]) and np.array_equal(table, every_row)
-    assert _backtrack(table, pair_sums) == _backtrack(every_row, pair_sums)
+    assert len(table) == prof.size == used + 1
+    assert np.array_equal(_at(prof, n), every_row[:, -1])
+    assert np.array_equal(_at(table, n), every_row)
+    assert _backtrack(table, pair_sums, n) == _backtrack(every_row, pair_sums, n)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_backtrack_on_the_rows_is_the_backtrack_on_the_padded_table(p, rng):
+    # budgets far past the fixed point: the walk reads row min(k, K) where the
+    # padded table held a copy of row K, and picks the same intervals
+    for case in range(60):
+        m = int(rng.integers(2, 41))
+        if case % 2:
+            values = rng.integers(-3, 4, m).astype(np.float64)  # many exact ties
+        else:
+            values = rng.uniform(-2, 2, m)
+        for n in (1, int(rng.integers(1, m + 1)), m + 5):
+            rows, pair_sums = _kernels.dp_with_parents(values, p, n)
+            padded = _at(rows, n)
+            assert padded.shape == (n + 1, m)
+            assert _backtrack(rows, pair_sums, n) == _backtrack(padded, pair_sums, n)

@@ -177,6 +177,31 @@ def test_sweep_shapes():
     rows = kfunctional_sweep(LINEAR, [1.0, 0.5, 0.25], 1.0)
     assert [r.ratio for r in rows] == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
     assert kfunctional_sweep(LINEAR, [], 1.0) == []
+    # the empty sweep checks p as every other one does
+    for p in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            kfunctional_sweep(LINEAR, [], p)
+
+
+def test_knot_walk_bound_is_checked_before_the_walk(monkeypatch):
+    # f(x) = x at p = 1: threshold = v_1(M) / M = 1 / M, so the walk's bound
+    # min(M - 1, TV / threshold) is M - 1, and the walk places exactly that many
+    from pvarlab import kfunctional
+
+    f = SampledFunction(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+    monkeypatch.setattr(kfunctional, "_MAX_KNOTS", 63)
+    knots, case = select_knots(f, 64, 1.0)
+    assert knots.size == 65 and case == "I"
+    monkeypatch.setattr(kfunctional, "_MAX_KNOTS", 62)
+    with pytest.raises(ValueError, match="over the cap of 62"):
+        select_knots(f, 64, 1.0)
+    with pytest.raises(ValueError, match="over the cap of 62"):
+        kfunctional_bounds(f, 1 / 64, 1.0)
+    # at p = 2 the bound is TV M^(1/2) / v_2(M) = 8 M^(1/2) / 8^(1/2) on an
+    # 8-swing zigzag, below M - 1: 28.3 at M = 100 passes, 70.7 at M = 625 does not
+    assert kfunctional_bounds(make_zigzag(9), 0.1, 2.0).M == 100
+    with pytest.raises(ValueError, match="knot walk at M = 625 may place 70.7 knots"):
+        kfunctional_bounds(make_zigzag(9), 0.04, 2.0)
 
 
 def test_sweep_shares_one_profile(rng, monkeypatch):
@@ -184,17 +209,17 @@ def test_sweep_shares_one_profile(rng, monkeypatch):
 
     ts = [1.0, 0.5, 0.3, 0.25, 0.2, 0.1, 0.07]
     profiled = []
-    profile = kfunctional.pvariation_profile
+    profile = kfunctional._profile
 
-    def counted(g, p, n_max):
+    def counted(g, p, n):
         profiled.append(g)
-        return profile(g, p, n_max)
+        return profile(g, p, n)
 
     for p in (1.0, 1.5, 2.0, 3.0):
         for values in (rng.uniform(-1, 1, 60), rng.integers(-3, 4, 40).astype(float)):
             f = SampledFunction(np.linspace(0.0, 1.0, values.size), values)
             separate = [kfunctional_bounds(f, t, p) for t in ts]
-            monkeypatch.setattr(kfunctional, "pvariation_profile", counted)
+            monkeypatch.setattr(kfunctional, "_profile", counted)
             profiled.clear()
             assert kfunctional_sweep(f, ts, p) == separate
             monkeypatch.undo()
@@ -204,9 +229,6 @@ def test_sweep_shares_one_profile(rng, monkeypatch):
             for t in ts:
                 M = bracket_count(t, p)
                 assert np.array_equal(pvariation_profile(f, p, M), full[:M])
-    M = bracket_count(0.25, 2.0)
-    with pytest.raises(ValueError, match="profile has"):
-        kfunctional_bounds(ZIGZAG, 0.25, 2.0, pvariation_profile(ZIGZAG, 2.0, M - 1))
 
 
 def test_zigzag_log_spaced_ratios():

@@ -105,7 +105,9 @@ def test_dp_profile_matches_pvariation_profile(rng):
         for p in (1.0, 1.5, 2.0, 3.0):
             n = int(rng.integers(1, 12))
             value, sel, prof = _pvariation_solve(f, p, n)
-            assert np.allclose(prof, pvariation_profile(f, p, n), rtol=1e-12, atol=0.0)
+            assert prof.size <= n  # v_p(k, f) = prof[min(k, K) - 1]
+            padded = prof[np.minimum(np.arange(n), prof.size - 1)]
+            assert np.allclose(padded, pvariation_profile(f, p, n), rtol=1e-12, atol=0.0)
             assert value == pytest.approx(prof[-1], rel=1e-12)
             dp_value, dp_sel = pvariation_dp(f, p, n)
             assert (value, sel.intervals) == (dp_value, dp_sel.intervals)
