@@ -33,7 +33,7 @@ from .embeddings import (
 )
 from .functions import from_spec
 from .kfunctional import kfunctional_sweep, lower_monotone_in_t
-from .modulus import parse_modulus
+from .modulus import _spec_fields, parse_modulus
 from .sampled import SampledFunction
 from .variation import _pvariation_solve
 from .verify import run_battery
@@ -51,24 +51,6 @@ def _setup_logging():
     if level not in levels:
         raise ValueError(f"PVARLAB_LOG must be one of {sorted(levels)}, got {level!r}")
     logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
-
-
-def _spec_fields(spec: str, what: str, forms: dict, grammar: str) -> tuple[str, list[float]]:
-    """The head and the numeric fields of ``spec``, which must match one of ``forms``.
-
-    ``forms`` maps a head such as ``orlicz:power`` to its allowed field counts.
-    A missing, extra or non-numeric field is a ValueError naming the grammar.
-    """
-    s = spec.strip().lower()
-    head = next((h for h in forms if s == h or s.startswith(h + ":")), None)
-    if head is not None:
-        try:
-            fields = [float(v) for v in s[len(head) + 1:].split(":")] if s != head else []
-        except ValueError:
-            fields = None
-        if fields is not None and len(fields) in forms[head]:
-            return head, fields
-    raise ValueError(f"unknown {what} spec {spec!r} ({grammar})")
 
 
 def _parse_omega(spec: str):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .modulus import _spec_fields
 from .sampled import SampledFunction
 
 TWO_PI = 2.0 * np.pi
@@ -71,13 +72,10 @@ def from_spec(spec: str, seed: int = 0) -> SampledFunction:
     Blanks around it are ignored.  The point count after the colon defaults
     per family when absent and must be at least 2; any other field is rejected.
     """
-    name, *fields = spec.strip().split(":")
-    try:
-        default, build = _SPECS[name.lower()]
-        (points,) = [int(v) for v in fields] or [default]
-    except (KeyError, ValueError):
-        grammar = " | ".join(f"{family}[:<points>]" for family in _SPECS)
-        raise ValueError(f"unknown function spec {spec!r} ({grammar})") from None
+    grammar = " | ".join(f"{family}[:<points>]" for family in _SPECS)
+    head, fields = _spec_fields(spec, "function", dict.fromkeys(_SPECS, (0, 1)), grammar, int)
+    default, build = _SPECS[head]
+    (points,) = fields or [default]
     if points < 2:
         raise ValueError(f"function spec {spec!r} needs at least 2 points")
     return build(points, seed)

@@ -78,13 +78,14 @@ class KSandwich:
 def bracket_count(t: float, p: float) -> int:
     """floor(1/t) raised to p, rounded down to an integer (at least 1).
 
-    A ValueError when floor(1/t)^p is not a finite float.
+    1/t gets 1e-12 plus 4 ulps of slack, so a decimal t gets its exact floor
+    (1/1e-5 is 99999.99999999999).  A ValueError when the power is not finite.
     """
     if not (0.0 < t <= 1.0):
         raise ValueError(f"t must lie in (0, 1], got {t!r}")
     _check_p(p)
     try:
-        power = math.floor(1.0 / t + 1e-12) ** p
+        power = math.floor(1.0 / t + (1e-12 + 4 * math.ulp(1.0 / t))) ** p
     except OverflowError:  # 1/t is inf, or the power overflows a float
         raise ValueError(f"floor(1/t)^p overflows a float at t={t!r}, p={p!r}") from None
     return max(1, int(math.floor(power + 1e-9)))

@@ -1,4 +1,5 @@
-"""Variation moduli: validated nondecreasing concave positive sequences."""
+"""Variation moduli: validated nondecreasing concave positive sequences, and
+the input rules the API and the CLI share (``_check_p``, ``_spec_fields``)."""
 
 from __future__ import annotations
 
@@ -23,6 +24,28 @@ def _check_p(p: float, name: str = "p"):
     """The one rule for an exponent such as p, shared by the API and the CLI."""
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"{name} must be finite and >= 1, got {p!r}")
+
+
+def _spec_fields(spec: str, what: str, forms: dict, grammar: str, kind=float):
+    """The head and the fields of ``spec``: the one reader of every spec string.
+
+    ``forms`` maps each head, such as ``orlicz:power``, to its allowed counts
+    of ``:``-separated fields, or to None for one comma list of at least one
+    field, each read by ``kind``.  Blanks around ``spec`` and case are ignored;
+    a missing, extra or unreadable field is a ValueError naming the grammar.
+    """
+    s = spec.strip().lower()
+    head = next((h for h in forms if s == h or s.startswith(h + ":")), None)
+    if head is not None:
+        counts = forms[head]
+        try:
+            body = s[len(head) + 1:].split("," if counts is None else ":")
+            fields = [kind(v) for v in body] if s != head else []
+        except ValueError:
+            fields = None
+        if fields is not None and (fields if counts is None else len(fields) in counts):
+            return head, fields
+    raise ValueError(f"unknown {what} spec {spec!r} ({grammar})")
 
 
 class ModulusOfVariation:
@@ -135,21 +158,12 @@ def parse_modulus(candidate) -> ModulusOfVariation:
     if isinstance(candidate, ModulusOfVariation):
         return candidate
     if isinstance(candidate, str):
-        s = candidate.strip().lower()
-        head, _, body = s.partition(":")
-        try:
-            fields = [float(x) for x in body.split(",")]
-        except ValueError:
-            fields = []
-        if s == "log":
-            return ModulusOfVariation.log()
-        if head == "power" and len(fields) == 1:
+        forms = {"power": (1,), "log": (0,), "table": None}
+        head, fields = _spec_fields(candidate, "modulus", forms,
+                                    "power:<alpha>, log, table:v1,v2,...")
+        if head == "power":
             return ModulusOfVariation.power(fields[0])
-        if head == "table" and fields:
-            return ModulusOfVariation.from_table(fields)
-        raise ValueError(
-            f"unknown modulus spec {candidate!r} (power:<alpha>, log, table:v1,v2,...)"
-        )
+        return ModulusOfVariation.log() if head == "log" else ModulusOfVariation.from_table(fields)
     return ModulusOfVariation.from_table(candidate)
 
 

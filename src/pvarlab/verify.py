@@ -129,14 +129,14 @@ def fejer_kernel_gaps(ns) -> np.ndarray:
     return np.array([abs(fourier.fejer_kernel_integral(n) - np.pi) for n in ns])
 
 
-def fejer_contraction(cases, horizon: int) -> np.ndarray:
-    """V_{2, sqrt} norm ratio ||sigma_n f|| / ||f|| up to ``horizon`` intervals
-    per case (f, N, n), sigma_n from N coefficients; 0 where f is constant."""
+def fejer_contraction(cases) -> np.ndarray:
+    """V_{2, sqrt} norm ratio ||sigma_n f|| / ||f|| per case (f, N, n),
+    sigma_n from N coefficients; 0 where f is constant."""
     def one(f, N, n):
         fn = SampledFunction(f.grid, fourier.fejer_mean(fourier.fourier_coeffs(f, N), n, f.grid),
                              periodic=True, period=f.period)
-        vf, _ = vpnu_norm(f, _NU_SQRT, 2.0, horizon)
-        return vpnu_norm(fn, _NU_SQRT, 2.0, horizon)[0] / vf if vf > 0 else 0.0
+        vf, _ = vpnu_norm(f, _NU_SQRT, 2.0)
+        return vpnu_norm(fn, _NU_SQRT, 2.0)[0] / vf if vf > 0 else 0.0
     return np.array([one(*c) for c in cases])
 
 
@@ -312,7 +312,7 @@ class Battery:
         worst = _worst(fejer_kernel_gaps((0, 1, 5, 10)))
         self.record("fejer_kernel_integral", worst <= 1e-9, worst)
         contraction = _worst(fejer_contraction(
-            [(make_square_wave(256), 24, 24), (make_square_wave(128), 24, 24)], 16))
+            [(make_square_wave(256), 24, 24), (make_square_wave(128), 24, 24)]))
         self.record("fejer_contraction", contraction <= 1.05, contraction)
 
     def check_lemma_q(self):

@@ -31,6 +31,11 @@ Luxemburg norm of one support with its modular summed down an (n, 1) column.
 ``whole_window_check`` builds a witness block's whole tooth window and
 validates it as a ``SampledFunction``: the reference for the closed-form
 grid test ``embeddings._check_window``.
+``gauge_spec_fields``, ``parse_modulus_split`` and ``from_spec_split`` are
+the three spec readers that ``modulus._spec_fields`` replaced, kept as they
+were: the gauge and omega reader of the CLI, the modulus reader that splits
+on the first ``:`` and then on ``,``, and the function reader that splits on
+every ``:``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ import numpy as np
 
 from pvarlab import SampledFunction, _kernels
 from pvarlab.embeddings import _bisect_increasing, _tooth_window
+from pvarlab.functions import _SPECS
 from pvarlab.kfunctional import _first_crossing
+from pvarlab.modulus import ModulusOfVariation
 
 
 def dp_profile_loops(values, p, nmax):
@@ -280,3 +287,67 @@ def luxemburg_column(xs, phi_j) -> float:
 def whole_window_check(blk) -> None:
     """Raise ``SampledFunction``'s ValueError if the block's whole window has one."""
     SampledFunction(*_tooth_window(blk))
+
+
+def gauge_spec_fields(spec: str, what: str, forms: dict, grammar: str) -> tuple[str, list[float]]:
+    """The head and the numeric fields of ``spec``, which must match one of ``forms``.
+
+    ``forms`` maps a head such as ``orlicz:power`` to its allowed field counts.
+    A missing, extra or non-numeric field is a ValueError naming the grammar.
+    """
+    s = spec.strip().lower()
+    head = next((h for h in forms if s == h or s.startswith(h + ":")), None)
+    if head is not None:
+        try:
+            fields = [float(v) for v in s[len(head) + 1:].split(":")] if s != head else []
+        except ValueError:
+            fields = None
+        if fields is not None and len(fields) in forms[head]:
+            return head, fields
+    raise ValueError(f"unknown {what} spec {spec!r} ({grammar})")
+
+
+def parse_modulus_split(candidate) -> ModulusOfVariation:
+    """Modulus from a spec string, a modulus, or a table of values.
+
+    Specs are ``power:<alpha>``, ``log`` and ``table:v1,v2,...``; the API and
+    the CLI both parse them here, and any other string is a ValueError naming
+    that grammar.
+    """
+    if isinstance(candidate, ModulusOfVariation):
+        return candidate
+    if isinstance(candidate, str):
+        s = candidate.strip().lower()
+        head, _, body = s.partition(":")
+        try:
+            fields = [float(x) for x in body.split(",")]
+        except ValueError:
+            fields = []
+        if s == "log":
+            return ModulusOfVariation.log()
+        if head == "power" and len(fields) == 1:
+            return ModulusOfVariation.power(fields[0])
+        if head == "table" and fields:
+            return ModulusOfVariation.from_table(fields)
+        raise ValueError(
+            f"unknown modulus spec {candidate!r} (power:<alpha>, log, table:v1,v2,...)"
+        )
+    return ModulusOfVariation.from_table(candidate)
+
+
+def from_spec_split(spec: str, seed: int = 0) -> SampledFunction:
+    """Build a function from a CLI spec like ``zigzag:9`` or ``random:13``.
+
+    Blanks around it are ignored.  The point count after the colon defaults
+    per family when absent and must be at least 2; any other field is rejected.
+    """
+    name, *fields = spec.strip().split(":")
+    try:
+        default, build = _SPECS[name.lower()]
+        (points,) = [int(v) for v in fields] or [default]
+    except (KeyError, ValueError):
+        grammar = " | ".join(f"{family}[:<points>]" for family in _SPECS)
+        raise ValueError(f"unknown function spec {spec!r} ({grammar})") from None
+    if points < 2:
+        raise ValueError(f"function spec {spec!r} needs at least 2 points")
+    return build(points, seed)

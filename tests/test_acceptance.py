@@ -152,7 +152,7 @@ def test_fejer_identities():
     worst = float(np.max(inv.fejer_kernel_gaps(range(0, 51))))
     contraction = float(np.max(inv.fejer_contraction(
         [(f, 24, n) for f in (make_square_wave(256), make_square_wave(512),
-                              make_zigzag_periodic()) for n in (8, 24)], 16), initial=0.0))
+                              make_zigzag_periodic()) for n in (8, 24)]), initial=0.0))
     _report("fejer-identities", worst <= 1e-8 and contraction <= 1.05,
             f"kernel gap {worst:.2e}, contraction factor {contraction:.4f}")
 

@@ -18,7 +18,10 @@ from pvarlab import _kernels, embeddings, validate_modulus
 from pvarlab import cli
 from pvarlab.cli import _indented_json, main
 from pvarlab.functions import from_spec
-from pvarlab.modulus import parse_modulus
+from pvarlab.modulus import ModulusOfVariation, parse_modulus
+from pvarlab.sampled import SampledFunction
+
+from oracles import from_spec_split, gauge_spec_fields, parse_modulus_split
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -282,6 +285,52 @@ def test_function_spec_strips_blanks_like_the_other_specs(capsys):
     padded = capsys.readouterr().out
     assert main(["pvar", "--function", "zigzag:5", "--p", "1", "--n", "2"]) == 0
     assert padded == capsys.readouterr().out
+
+
+SPEC_HEADS = ["power", "log", "table", "orlicz:exp", "orlicz:power", "orlicz", "lambda", "zigzag",
+              "sine", "random", "linear", "square", "sawtooth", "exp", "tablex", ""]
+SPEC_FIELDS = ["", "0.5", "0.25", "1", "2", "3", "9", "-4", "x", "nan", "inf", " 4 ", "+5", "1e400", "1_0"]
+
+
+def _spec_strings() -> list[str]:
+    """Heads x fields x separators, each as given, upper case, padded and
+    with a trailing colon."""
+    lists = ([(a, b) for a in ("1", "2", "0.5", "x", "") for b in ("1.5", "0.5", "2", "")]
+             + [("1", "1.5", "2"), ("1", "2", "2.5"), ("2", "0.5", "9"), ("1", "x", "2")])
+    bodies = ["", *(":" + v for v in SPEC_FIELDS),
+              *(":" + sep.join(f) for f in lists for sep in ":,")]
+    specs = [head + body for head in SPEC_HEADS for body in bodies]
+    return list(dict.fromkeys(v for s in specs for v in (s, s.upper(), f"  {s} \t", s + ":")))
+
+
+def _spec_outcome(read, spec):
+    """What ``read`` makes of ``spec``, as comparable data, or its exception."""
+    try:
+        obj = read(spec)
+    except Exception as e:
+        return type(e), str(e)
+    if isinstance(obj, ModulusOfVariation):
+        return obj.describe(), obj.table(int(min(obj.max_index, 16))).tolist()
+    if isinstance(obj, SampledFunction):
+        return obj.grid.tolist(), obj.values.tolist(), obj.periodic, obj.period
+    if isinstance(obj, embeddings.PhiSequence):
+        return obj.name, [obj.phi(j, np.array([0.25, 1.0, 3.0])).tolist() for j in (1, 2, 7)]
+    return obj.name, [obj(d) for d in (1e-3, 0.1, 0.5)]
+
+
+def test_spec_readers_match_their_oracles(monkeypatch):
+    specs = _spec_strings()
+    assert len(specs) >= 2000
+    readers = {"modulus": parse_modulus, "function": from_spec,
+               "phi": cli._parse_phi, "omega": cli._parse_omega}
+    got = {what: [_spec_outcome(read, s) for s in specs] for what, read in readers.items()}
+    monkeypatch.setattr(cli, "_spec_fields", gauge_spec_fields)
+    oracles = {"modulus": parse_modulus_split, "function": from_spec_split,
+               "phi": cli._parse_phi, "omega": cli._parse_omega}
+    for what, read in oracles.items():
+        want = [_spec_outcome(read, s) for s in specs]
+        assert [s for s, a, b in zip(specs, got[what], want) if a != b] == [], what
+        assert sum(not isinstance(w[0], type) for w in want) >= 10, what
 
 
 @pytest.mark.parametrize("argv", [

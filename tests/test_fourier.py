@@ -120,7 +120,7 @@ def test_fejer_kernel_values_and_integral():
 def test_fejer_contraction_on_samples():
     fs = (make_square_wave(256), make_square_wave(512))
     cases = [(f, 32, n) for f in fs for n in (4, 16, 32)]
-    assert np.all(inv.fejer_contraction(cases, 24) <= 1.05)
+    assert np.all(inv.fejer_contraction(cases) <= 1.05)
 
 
 def _random_period_grid(rng, m, duplicated, offset):

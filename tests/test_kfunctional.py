@@ -31,6 +31,13 @@ def test_bracket_count():
         bracket_count(0.0, 1.0)
 
 
+@pytest.mark.parametrize("literal,floor", [*((f"1e-{j}", 10 ** j) for j in range(1, 8)),
+                                           ("2e-5", 50_000), ("4e-5", 25_000), ("5e-6", 200_000)])
+def test_bracket_count_at_decimal_t(literal, floor):
+    # 1/1e-5 is 99999.99999999999 in floats; the decimal's floor is 10^5
+    assert bracket_count(float(literal), 1.0) == floor
+
+
 @pytest.mark.parametrize("t,p", [(1e-120, 3.0), (5e-324, 1.0)])
 def test_bracket_count_overflow_is_a_value_error(t, p):
     # floor(1/t)^p past the float range, or 1/t itself infinite

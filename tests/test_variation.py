@@ -353,7 +353,7 @@ def test_extrema_reduce_preserves_dp(rng):
 
 def test_vpnu_norm_zigzag():
     nu = ModulusOfVariation.power(0.5)
-    v, sup = vpnu_norm(ZIGZAG, nu, 2.0, 8)
+    v, sup = vpnu_norm(ZIGZAG, nu, 2.0)
     assert v == pytest.approx(1.0, abs=1e-12)
     assert sup == 1.0
 
@@ -361,9 +361,34 @@ def test_vpnu_norm_zigzag():
 def test_vpnu_norm_constant_and_scaling(rng):
     nu = ModulusOfVariation.power(0.5)
     c = SampledFunction([0.0, 1.0], [2.5, 2.5])
-    assert vpnu_norm(c, nu, 2.0, 4) == (0.0, 2.5)
+    assert vpnu_norm(c, nu, 2.0) == (0.0, 2.5)
     f = make_random(rng, 9)
-    v1, s1 = vpnu_norm(f, nu, 2.0, 6)
-    v2, s2 = vpnu_norm(f.scaled(2.0), nu, 2.0, 6)
+    v1, s1 = vpnu_norm(f, nu, 2.0)
+    v2, s2 = vpnu_norm(f.scaled(2.0), nu, 2.0)
     assert v2 == pytest.approx(2 * v1, rel=1e-12)
     assert s2 == pytest.approx(2 * s1, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_vpnu_norm_is_the_sup_over_every_n(p, rng):
+    """The max over n <= swing count of v_p(n, f)/nu(n), each v_p from its
+    own DP; a horizon, read from the profile, never gives more."""
+    for nu in (ModulusOfVariation.power(0.5), ModulusOfVariation.log(),
+               ModulusOfVariation.power(1.0)):
+        for m in (3, 6, 9, 14):
+            f = make_random(rng, m)
+            swings = len(extrema_reduce(f)) - 1
+            v, sup = vpnu_norm(f, nu, p)
+            dp = np.array([pvariation_dp(f, p, n)[0] for n in range(1, swings + 1)])
+            assert v == float(np.max(dp / nu.table(swings)))
+            assert sup == f.sup_abs()
+            for h in range(1, swings + 3):
+                assert np.max(pvariation_profile(f, p, h) / nu.table(h)) <= v
+
+
+def test_vpnu_norm_reads_a_table_past_the_fixed_point():
+    f = make_zigzag(3)  # v_1(n, f) = 1, 2, 2, ...: the DP stops at row 2
+    dips = ModulusOfVariation.from_table([1.0, 2.0, 2.0 - 5e-13])  # within the 1e-12 slack
+    assert vpnu_norm(f, dips, 1.0)[0] == 2.0 / (2.0 - 5e-13)
+    with pytest.raises(ValueError, match="beyond table"):
+        vpnu_norm(f, ModulusOfVariation.from_table([1.0]), 1.0)
