@@ -1,10 +1,13 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Two DP row steps, the dense ``_dp_row`` and the O(m) p = 1 ``_dp1_row``;
-``row_step`` is the one place that picks the step for a p.  ``_rows`` runs a
-step to the DP's fixed point, and the rows (``dp_with_parents``) and the
-profiles read it.  ``shift_max`` is the windowed maximum behind the modulus
-of continuity.  Their plain loop versions are in ``tests/oracles.py``.
+Two DP row steps: ``_pair_row`` at p > 1, over the candidate pairs (i, j)
+of ``_pairs`` (the starts that can win at i; no m x m array), and the O(m)
+p = 1 ``_dp1_row``.  ``row_step`` is the one place that picks the step for
+a p.  ``_rows`` runs a step to the DP's fixed point, and the rows
+(``dp_with_parents``) and the profiles read it.  ``shift_max`` is the
+windowed maximum behind the modulus of continuity.  Their plain loop
+versions, and the dense m x m row step the p > 1 rows must equal bit for
+bit, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,20 +32,93 @@ def backend_name() -> str:
 # each DP stops there and makes none of them.
 # ---------------------------------------------------------------------------
 
-def _pow_diff(values, p):
-    return np.abs(values[:, None] - values[None, :]) ** p  # diff[j, i]
+# Candidate pairs of the p > 1 step (see ``row_step``).  Up to
+# _ALL_PAIRS_M points every pair j < i is a candidate, sliced from one table
+# made at import: the i-major list of all pairs on m points is the first
+# m (m - 1) / 2 pairs on more points.  The cut is verify's: 99.5 % of its
+# p > 1 DPs have m <= 16 and they run 2.6 rows on average, too few for the
+# reach pass to pay for itself (its DPs of three batches, replayed as build
+# plus K rows: 317 ms with the reach pass at every m, 192 ms with all pairs
+# up to 16 points).  Past 16 points the cut is a wash: replaying every p > 1
+# DP of three pvar and three analysis batches (median K 4 to 11 at m <= 128,
+# up to 71 rows at m <= 512) at cuts 16, 32, 64 and 128 took 31.8, 31.7,
+# 31.6 and 31.4 ms for pvar and 31.3, 30.8, 31.5 and 31.7 ms for analysis,
+# under 0.4 % of their batch times, and end-to-end runs at those four cuts
+# did not tell them apart (2 vCPU, numpy 2.4).  The step holds 24 bytes a
+# pair (start index, cost, row buffer) while the DP runs, and about 32 at
+# the build's peak, so more than _MAX_PAIRS pairs are refused before any is
+# allocated: a converging zigzag of 5 793 points has 2^24 - 688 pairs and
+# peaked at 513 MB over the interpreter (2.5 s for 4 rows at p = 2), one
+# more point is refused.
+_ALL_PAIRS_M = 16
+_MAX_PAIRS = 1 << 24
+_ALL_ENDS, _ALL_STARTS = np.tril_indices(_ALL_PAIRS_M, -1)
+_ALL_OFFSETS = _ALL_ENDS.searchsorted(np.arange(1, _ALL_PAIRS_M))
 
 
-def _dp_row(prev, diff, buf, cur):
-    """One DP row into ``cur``, using the m x m scratch ``buf``.
+def _reach(values) -> np.ndarray:
+    """last[j] for j < m - 1: the last end i at which start j is a strict
+    suffix minimum or maximum of v[0..i-1].
 
-    buf[j, i] = prev[j] + diff[j, i], accumulated down the columns, so its
-    superdiagonal holds ext[i-1] = max_{j <= i-1} prev[j] + diff[j, i].
+    That is min(max(nse(j), nge(j)), m - 1), with nse(j) (nge(j)) the first
+    k > j with v[k] <= v[j] (v[k] >= v[j]).  One of the two is j + 1, so a
+    start waits only for the other: a rising start (v[j + 1] > v[j]) for a
+    value <= v[j], a falling one for a value >= v[j].  Each waits on a stack,
+    and a waiting start is below (above) every value after it, so each stack
+    is monotone and one pass pops every start once.
     """
-    np.add(prev[:, None], diff, out=buf)
-    np.maximum.accumulate(buf, axis=0, out=buf)
+    v = values.tolist()
+    m = len(v)
+    last = [m - 1] * (m - 1)
+    rising, falling = [], []
+    for k in range(1, m):
+        x = v[k]
+        while rising and v[rising[-1]] >= x:
+            last[rising.pop()] = k
+        while falling and v[falling[-1]] <= x:
+            last[falling.pop()] = k
+        if x > v[k - 1]:
+            rising.append(k - 1)
+        elif x < v[k - 1]:
+            falling.append(k - 1)
+        else:
+            last[k - 1] = k
+    return np.array(last)
+
+
+def _pairs(values):
+    """(ends, starts, offsets): the candidate pairs (i, j) of the p > 1 step
+    sorted by (i, j), and offsets[i - 1], where the run of end i begins."""
+    m = values.shape[0]
+    if m <= _ALL_PAIRS_M:
+        size = m * (m - 1) // 2
+        return _ALL_ENDS[:size], _ALL_STARTS[:size], _ALL_OFFSETS[:m - 1]
+    first = np.arange(m - 1)
+    count = _reach(values) - first
+    size = int(count.sum())
+    if size > _MAX_PAIRS:
+        raise ValueError(f"the p > 1 DP on {m} points needs {size} candidate pairs, "
+                         f"over the cap of {_MAX_PAIRS}; use fewer points")
+    ends = np.repeat(first + 1 - (np.cumsum(count) - count), count)
+    ends += np.arange(size)  # start-major: j's ends are j + 1 .. last[j]
+    order = np.argsort(ends, kind="stable")
+    starts = np.repeat(first, count)[order]
+    ends = ends[order]
+    return ends, starts, ends.searchsorted(first + 1)
+
+
+def _pair_row(prev, starts, cost, offsets, buf, cur):
+    """One p > 1 DP row into ``cur`` over the candidate pairs, using ``buf``.
+
+    buf holds prev[j] + cost of every pair; each end's run of it reduces to
+    ext[i] = max over its candidate starts.  Every start is in range, so the
+    gather clips instead of checking, which spares it a buffered copy.
+    """
+    np.take(prev, starts, out=buf, mode="clip")
+    buf += cost
     cur[0] = 0.0
-    np.maximum(np.diagonal(buf, offset=1), 0.0, out=cur[1:])
+    np.maximum.reduceat(buf, offsets, out=cur[1:])
+    np.maximum(cur[1:], 0.0, out=cur[1:])
     np.maximum.accumulate(cur[1:], out=cur[1:])
 
 
@@ -64,19 +140,46 @@ def row_step(values: np.ndarray, p: float):
     """``(step, pair_sums)`` of the DP at p: the one place a row step is picked.
 
     ``step(prev, cur)`` writes row k into ``cur`` from row k - 1: ``_dp1_row``
-    at p = 1, else ``_dp_row`` over the m x m pair costs.  ``pair_sums(prev,
-    i)`` gives the candidate of every start j < i in the step's own float
-    expressions, and rounding is monotone, so their max is the float the step
-    took: a backtrack finds a cell's maximizing start by exact equality.
+    at p = 1, else ``_pair_row`` over the candidate pairs of ``_pairs``.
+    ``pair_sums(prev, i)`` gives the candidate of every start j < i in the
+    step's own float expressions, and rounding is monotone, so their max is
+    the float the step took: a backtrack finds a cell's maximizing start by
+    exact equality, and the smallest such start wins.
+
+    Why the candidates suffice at p > 1.  Rows are nondecreasing in i, so a
+    later start j' > j has prev[j'] >= prev[j].  For an up-move ending at i
+    (v[j] <= v[i]), a later start with v[j'] <= v[j] has |v[i] - v[j']| >=
+    |v[i] - v[j]|, so it does at least as well; a down-move works the same
+    way with v[j'] >= v[j].  The only starts that can win at i are therefore
+    the strict suffix minima and strict suffix maxima of v[0..i-1].  Start j
+    is one of them exactly while no k in (j, i) has v[k] <= v[j] (or
+    v[k] >= v[j]), that is for every i in [j + 1, nse(j)] or [j + 1, nge(j)]
+    (``_reach``, clipped to m - 1).  The pairs are fixed per input and do not
+    depend on the row: about 2 m ln m on noise (a suffix-extremum count is
+    a harmonic number), m (m - 1) / 2 on a converging zigzag, where every
+    start can win at every later end; ``_MAX_PAIRS`` caps them.
+
+    The dominance holds in floats too.  IEEE subtraction and addition round
+    monotonically, so fl(v[i] - v[j']) >= fl(v[i] - v[j]) and prev[j'] + c'
+    >= prev[j] + c whenever both terms are >=; numpy's ``abs`` is exact, and
+    its float64 ``**`` is nondecreasing in the base (``x * x`` at p = 2; no
+    adjacent-float pair inverted among 8e7 tried per p in 1.25, 1.5, 2, 3).
+    Every cost is the same float as ``abs(v[j] - v[i]) ** p`` of a dense
+    pair-cost matrix (elementwise, whatever the array shape), and max is
+    exact, so any superset of the winners gives the dense row bit for bit.
+    Up to ``_ALL_PAIRS_M`` points the candidates are all pairs j < i, which
+    costs less to set up than the reach pass.
     """
     if p == 1.0:
         return (lambda prev, cur: _dp1_row(prev, values, cur),
                 lambda prev, i: np.maximum((prev[:i] - values[:i]) + values[i],
                                            (prev[:i] + values[:i]) - values[i]))
-    diff = _pow_diff(values, float(p))
-    buf = np.empty(diff.shape)
-    return (lambda prev, cur: _dp_row(prev, diff, buf, cur),
-            lambda prev, i: prev[:i] + diff[:i, i])
+    p = float(p)
+    ends, starts, offsets = _pairs(values)
+    cost = np.abs(values[starts] - values[ends]) ** p
+    buf = np.empty(cost.shape)
+    return (lambda prev, cur: _pair_row(prev, starts, cost, offsets, buf, cur),
+            lambda prev, i: prev[:i] + np.abs(values[:i] - values[i]) ** p)
 
 
 def _rows(step, m, n):

@@ -33,7 +33,7 @@ from .embeddings import (
 )
 from .functions import from_spec
 from .kfunctional import kfunctional_sweep, lower_monotone_in_t
-from .modulus import _spec_fields, parse_modulus
+from .modulus import _read_number, _spec_fields, parse_modulus
 from .sampled import SampledFunction
 from .variation import _pvariation_solve
 from .verify import run_battery
@@ -77,7 +77,7 @@ def _parse_phi(spec: str) -> PhiSequence:
 def _number_list(text: str, option: str, kind=float) -> list:
     """The comma list ``text`` given to ``option``, each entry read by ``kind``."""
     try:
-        return [kind(v) for v in text.split(",")]
+        return [_read_number(v, kind) for v in text.split(",")]
     except ValueError:
         what = "integers such as 8,16" if kind is int else "numbers such as 0.5,-1"
         raise ValueError(f"{option} takes a comma list of {what}, got {text!r}") from None

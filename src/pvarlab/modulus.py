@@ -1,5 +1,6 @@
 """Variation moduli: validated nondecreasing concave positive sequences, and
-the input rules the API and the CLI share (``_check_p``, ``_spec_fields``)."""
+the input rules the API and the CLI share (``_check_p``, ``_spec_fields``,
+``_read_number``)."""
 
 from __future__ import annotations
 
@@ -26,6 +27,14 @@ def _check_p(p: float, name: str = "p"):
         raise ValueError(f"{name} must be finite and >= 1, got {p!r}")
 
 
+def _read_number(text: str, kind=float):
+    """``kind(text)`` for a plain number: the digit-group underscores that
+    Python's ``int`` and ``float`` accept (``1_0``) are refused."""
+    if "_" in text:
+        raise ValueError(f"not a plain number: {text!r}")
+    return kind(text)
+
+
 def _spec_fields(spec: str, what: str, forms: dict, grammar: str, kind=float):
     """The head and the fields of ``spec``: the one reader of every spec string.
 
@@ -40,7 +49,7 @@ def _spec_fields(spec: str, what: str, forms: dict, grammar: str, kind=float):
         counts = forms[head]
         try:
             body = s[len(head) + 1:].split("," if counts is None else ":")
-            fields = [kind(v) for v in body] if s != head else []
+            fields = [_read_number(v, kind) for v in body] if s != head else []
         except ValueError:
             fields = None
         if fields is not None and (fields if counts is None else len(fields) in counts):

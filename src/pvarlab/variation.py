@@ -197,8 +197,10 @@ def vpnu_norm(f: SampledFunction, nu: ModulusOfVariation, p: float):
     Exact: v_p(n, f) = v_p(K, f) for n >= K, the DP's fixed point, and nu is
     nondecreasing, so the sup is the max over n <= K.  A table nu shorter
     than K is refused, and a longer one is read to its end, since tables may
-    dip by 1e-12.  At p > 1 that is K rows of the dense m x m DP: 1.06 s for
-    K = 123 on a 2 000-step walk at p = 2, 0.16 s for 16 rows (2 vCPU).
+    dip by 1e-12.  At p > 1 that is K rows of the candidate-pair DP: 0.024 s
+    for K = 123 on a 2 000-step walk at p = 2, where a dense m x m DP took
+    0.97 s; 5.1 s and 74 MB peak RSS for K = 855 on a 20 000-step walk
+    (2 vCPU, numpy 2.4).
     """
     prof = _profile(f, p, len(f) - 1)
     n = prof.size if nu.kind != "table" else max(prof.size, int(nu.max_index))

@@ -18,10 +18,11 @@ skip), so ties prefer skipping and then the smallest start.
 the p = 1 row step writes them, max((prev_j - v_j) + v_i, (prev_j + v_j) - v_i),
 so its table is the kernel's bit for bit.  ``backtrack_take`` walks either
 record.  ``dense_dp_with_parents`` is the kernel's DP at any p, p = 1
-included, with the m x m row step that ``_kernels.dp_with_parents`` runs only
-for p > 1, and all n + 1 rows stored: the rows past the fixed point are
-copies of its row.  ``extrema_reduce_loop`` scans the
-values once and keeps the endpoints and the point before each direction flip;
+included, with the dense m x m row step ``dense_row`` over every pair cost
+``pow_diff`` in place of the kernel's candidate pairs, and all n + 1 rows
+stored: the rows past the fixed point are copies of its row.
+``extrema_reduce_loop`` scans the values once and keeps the endpoints and
+the point before each direction flip;
 ``swing_count_loop`` counts the monotone runs in the same scan.
 ``fourier_coeffs_loop`` is the rectangle rule as an N x m trig matrix product,
 and ``trig_sum_loop`` sums weighted harmonics one at a time at any points.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pvarlab import SampledFunction, _kernels
+from pvarlab import SampledFunction
 from pvarlab.embeddings import _bisect_increasing, _tooth_window
 from pvarlab.functions import _SPECS
 from pvarlab.kfunctional import _first_crossing
@@ -175,14 +176,31 @@ def dp1_parent_loops(values, n):
     return table, take
 
 
+def pow_diff(values, p):
+    return np.abs(values[:, None] - values[None, :]) ** p  # diff[j, i]
+
+
+def dense_row(prev, diff, buf, cur):
+    """One DP row into ``cur``, using the m x m scratch ``buf``.
+
+    buf[j, i] = prev[j] + diff[j, i], accumulated down the columns, so its
+    superdiagonal holds ext[i-1] = max_{j <= i-1} prev[j] + diff[j, i].
+    """
+    np.add(prev[:, None], diff, out=buf)
+    np.maximum.accumulate(buf, axis=0, out=buf)
+    cur[0] = 0.0
+    np.maximum(np.diagonal(buf, offset=1), 0.0, out=cur[1:])
+    np.maximum.accumulate(cur[1:], out=cur[1:])
+
+
 def dense_dp_with_parents(values, p, n):
     """``_kernels.dp_with_parents`` with the dense m x m row step at every p,
     as an (n + 1) x m table padded past the fixed point."""
     m = values.shape[0]
-    diff, buf = _kernels._pow_diff(values, float(p)), np.empty((m, m))
+    diff, buf = pow_diff(values, float(p)), np.empty((m, m))
     table = np.zeros((n + 1, m))
     for k in range(1, n + 1):
-        _kernels._dp_row(table[k - 1], diff, buf, table[k])
+        dense_row(table[k - 1], diff, buf, table[k])
         if np.array_equal(table[k], table[k - 1]):
             table[k:] = table[k]
             break

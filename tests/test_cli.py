@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,13 +184,45 @@ def test_pvar_runs_one_dp(p, tmp_path, monkeypatch):
 
 def test_pvar_p1_builds_no_pair_costs(tmp_path, monkeypatch):
     def forbidden(*args):
-        raise AssertionError("pvar --p 1 built the m x m pair costs")
+        raise AssertionError("pvar --p 1 built the candidate pairs and their costs")
 
-    monkeypatch.setattr(_kernels, "_pow_diff", forbidden)
+    monkeypatch.setattr(_kernels, "_pairs", forbidden)
     values = ",".join(f"{v:.6f}" for v in np.random.default_rng(3).uniform(-1, 1, 40))
     rc = main(["pvar", "--values", values, "--p", "1", "--n", "6",
                "--selection-out", str(tmp_path / "sel.json")])
     assert rc == 0
+
+
+def test_pvar_over_the_pair_cap_exits_2_before_building_pairs(capsys):
+    # a converging zigzag has m (m - 1) / 2 candidate pairs: the smallest m over the cap
+    cap = _kernels._MAX_PAIRS
+    m = next(m for m in range(2, 10**5) if m * (m - 1) // 2 > cap)
+    k = np.arange(m)
+    values = (1.0 - 0.9 * k / m) * np.where(k % 2, -1.0, 1.0)
+    argv = ["pvar", "--values", ",".join(map(repr, values.tolist())), "--p", "2", "--n", "4"]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert f"on {m} points needs {m * (m - 1) // 2} candidate pairs, over the cap of {cap}" in err
+    assert peak < 32 * 2 ** 20  # the pairs' start indices alone are 8 * cap bytes = 128 MB
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["pvar", "--function", "zigzag:1_0", "--p", "1", "--n", "1"], "unknown function spec 'zigzag:1_0'"),
+    (["embed", "--phi", "power:1_0", "--nu", "log", "--p", "1", "--horizon", "64"],
+     "unknown phi spec 'power:1_0'"),
+    (["pvar", "--values", "1_0,2", "--p", "1", "--n", "1"],
+     "--values takes a comma list of numbers such as 0.5,-1, got '1_0,2'"),
+])
+def test_digit_group_underscores_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_pvar_json_format(tmp_path):
@@ -329,8 +362,16 @@ def test_spec_readers_match_their_oracles(monkeypatch):
                "phi": cli._parse_phi, "omega": cli._parse_omega}
     for what, read in oracles.items():
         want = [_spec_outcome(read, s) for s in specs]
-        assert [s for s, a, b in zip(specs, got[what], want) if a != b] == [], what
+        assert [s for s, a, b in zip(specs, got[what], want) if a != b and "_" not in s] == [], what
         assert sum(not isinstance(w[0], type) for w in want) >= 10, what
+    # the oracles read 1_0 as 10 through Python's float/int; the one reader refuses it
+    # with the message of any other unreadable field
+    assert sum("_" in s for s in specs) >= 50
+    for what in readers:
+        for s, outcome in zip(specs, got[what]):
+            if "_" in s:
+                assert outcome[0] is ValueError, s
+                assert outcome[1].startswith(f"unknown {what} spec {s!r} ("), s
 
 
 @pytest.mark.parametrize("argv", [
@@ -706,6 +747,20 @@ def test_embed_witness_k3_peak_memory():
                           "print(rc)\n")
     assert lines == ["0"]
     assert mb < 350
+
+
+def test_vpnu_norm_on_a_long_walk_peak_memory():
+    # 4 995 reduced points and K = 397 rows at p = 2 over 417 690 candidate
+    # pairs; the two m x m arrays of a dense step would hold 400 MB
+    lines, mb = _peak_rss("import numpy as np\n"
+                          "from pvarlab import SampledFunction\n"
+                          "from pvarlab.modulus import ModulusOfVariation\n"
+                          "from pvarlab.variation import vpnu_norm\n"
+                          "walk = np.cumsum(np.random.default_rng(0).standard_normal(10_001))\n"
+                          "f = SampledFunction(np.linspace(0.0, 1.0, walk.size), walk)\n"
+                          "print(vpnu_norm(f, ModulusOfVariation.log(), 2.0))\n")
+    assert lines == ["(286.22050314689756, 111.8501785254723)"]
+    assert mb < 200
 
 
 def test_kfunc_tiny_t_runs_only_the_rows_to_the_fixed_point(capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import (backtrack_take, dense_dp_with_parents, dp1_parent_loops, dp1_profile_loops,
-                     dp_parent_loops, dp_profile_loops, shift_max_loops)
+from oracles import (backtrack_take, dense_dp_with_parents, dense_row, dp1_parent_loops,
+                     dp1_profile_loops, dp_parent_loops, dp_profile_loops, pow_diff, shift_max_loops)
 from pvarlab import SampledFunction, _kernels, extrema_reduce
 from pvarlab.variation import _backtrack
 
@@ -52,6 +52,56 @@ def test_profile_kernel_is_last_column_of_parent_table(rng):
     for p in (1.0, 1.5, 2.0, 3.0):
         rows, _ = _kernels.dp_with_parents(values, p, 9)
         assert np.array_equal(np.array(rows)[:, -1], _kernels.dp_profile_pow(values, p, 9))
+
+
+def _pruning_values(rng, kind, m):
+    if kind == "random":
+        return rng.uniform(-2, 2, m)
+    if kind == "walk":
+        return np.cumsum(rng.standard_normal(m))
+    if kind == "integer":  # steps of +-1, +-2: many equal values, never two in a row
+        return np.cumsum(rng.choice([-2.0, -1.0, 1.0, 2.0], m))
+    if kind == "plateau":
+        return np.repeat(rng.integers(-3, 4, m).astype(np.float64), int(rng.integers(2, 5)))[:m]
+    # a converging zigzag: every start can win at every later end, m (m - 1) / 2 pairs
+    k = np.arange(m)
+    return rng.uniform(0.5, 2.0) * (1.0 - rng.uniform(0.2, 1.0) * k / m) * np.where(k % 2, -1.0, 1.0)
+
+
+def test_candidate_pair_rows_match_the_dense_step(rng):
+    # the rows and the backtracked selections equal the dense m x m step's bit
+    # for bit, on both sides of the all-pairs cut; budgets to the fixed point too
+    cut, cases = _kernels._ALL_PAIRS_M, 0
+    for p in (1.25, 1.5, 2.0, 3.0):
+        for case in range(520):
+            kind = ("random", "walk", "integer", "plateau", "zigzag")[case % 5]
+            m = int(rng.integers(2, cut + 1) if case % 2 else rng.integers(cut + 1, 192))
+            n = m if case % 13 == 0 else int(rng.integers(1, 9))
+            values = _pruning_values(rng, kind, m)
+            rows, pair_sums = _kernels.dp_with_parents(values, p, n)
+            table, dense_sums = dense_dp_with_parents(values, p, n)
+            assert np.array_equal(_at(rows, n), table), (kind, m, n, p)
+            assert _backtrack(rows, pair_sums, n) == _backtrack(table, dense_sums, n), (kind, m, n, p)
+            cases += 1
+    assert cases >= 2000
+
+
+def test_candidate_pairs_are_the_suffix_extrema(rng):
+    # past the all-pairs cut, end i's run of starts is exactly the strict
+    # suffix minima and maxima of v[0..i-1], in increasing order
+    for case in range(200):
+        m = int(rng.integers(_kernels._ALL_PAIRS_M + 1, 2 * _kernels._ALL_PAIRS_M))
+        values = _pruning_values(rng, ("random", "walk", "integer", "plateau", "zigzag")[case % 5], m)
+        ends, starts, offsets = _kernels._pairs(values)
+        bounds, v = [*offsets.tolist(), ends.size], values.tolist()
+        for i in range(1, m):
+            want, lo, hi = [], np.inf, -np.inf  # min and max of v[j + 1..i - 1]
+            for j in range(i - 1, -1, -1):
+                if v[j] < lo or v[j] > hi:
+                    want.append(j)
+                lo, hi = min(lo, v[j]), max(hi, v[j])
+            assert starts[bounds[i - 1]:bounds[i]].tolist() == want[::-1], (case, i)
+            assert np.all(ends[bounds[i - 1]:bounds[i]] == i)
 
 
 @pytest.mark.parametrize("m,n", [(10, 4), (64, 12), (300, 25)])
@@ -135,14 +185,14 @@ def test_dps_stop_at_their_fixed_point(monkeypatch):
     x = np.linspace(0.0, 1.0, 300)
     values = np.sin(12 * x) + 0.02 * np.random.default_rng(0).normal(size=300)
     p, n = 2.0, 200
-    diff, buf = _kernels._pow_diff(values, p), np.empty((300, 300))
+    diff, buf = pow_diff(values, p), np.empty((300, 300))
     every_row = np.zeros((n + 1, 300))
     for k in range(1, n + 1):
-        _kernels._dp_row(every_row[k - 1], diff, buf, every_row[k])
+        dense_row(every_row[k - 1], diff, buf, every_row[k])
 
     rows = []
-    row = _kernels._dp_row
-    monkeypatch.setattr(_kernels, "_dp_row", lambda *a: rows.append(1) or row(*a))
+    row = _kernels._pair_row
+    monkeypatch.setattr(_kernels, "_pair_row", lambda *a: rows.append(1) or row(*a))
     prof = _kernels.dp_profile_pow(values, p, n)
     table, pair_sums = _kernels.dp_with_parents(values, p, n)
     used = len(rows) // 2
