@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -83,6 +84,14 @@ def _number_list(text: str, option: str, kind=float) -> list:
         raise ValueError(f"{option} takes a comma list of {what}, got {text!r}") from None
 
 
+def _number(kind):
+    """An argparse ``type`` reading one plain number as ``_read_number`` does;
+    its usage errors name ``kind`` (``invalid int value: '1_0'``)."""
+    read = functools.partial(_read_number, kind=kind)
+    read.__name__ = kind.__name__
+    return read
+
+
 def _load_function(args) -> SampledFunction:
     if getattr(args, "values", None):
         vals = _number_list(args.values, "--values")
@@ -123,14 +132,15 @@ def _indented_json(obj, pad="\n") -> str:
     """The text of ``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte.
 
     CPython 3.11 sends any indented dump through the pure-Python encoder.
-    This writer recurses over each non-empty dict (keys sorted; string keys)
-    and each non-empty list or tuple itself, ``pad`` holding the newline and
-    indent of the current level.  A list whose compact C encoding holds no
-    ``"`` and no inner ``[`` (numbers, booleans, nulls and empty dicts only:
-    any other dict has a quoted key) is written by that one ``json.dumps``
-    call, its ``", "`` separators re-joined at the indent: the same
-    ``float.__repr__`` and ``NaN``/``Infinity`` tokens, with no Python step
-    per element.  Every other value is ``json.dumps``.
+    This writer recurses over each non-empty dict (keys sorted; string keys,
+    quoted by the encoder's own C function) and each non-empty list or tuple
+    itself, ``pad`` holding the newline and indent of the current level.  A
+    list whose compact C encoding holds no ``"`` and no inner ``[`` (numbers,
+    booleans, nulls and empty dicts only: any other dict has a quoted key) is
+    written by that one ``json.dumps`` call, its ``", "`` separators
+    re-joined at the indent: the same ``float.__repr__`` and
+    ``NaN``/``Infinity`` tokens, with no Python step per element.  Every
+    other value is ``json.dumps``.
     """
     if isinstance(obj, (list, tuple)) and obj:
         inner, flat = pad + " ", json.dumps(obj)
@@ -139,7 +149,7 @@ def _indented_json(obj, pad="\n") -> str:
         return "[" + ",".join(inner + _indented_json(v, inner) for v in obj) + pad + "]"
     if isinstance(obj, dict) and obj:
         inner = pad + " "
-        return "{" + ",".join(inner + json.dumps(k) + ": " + _indented_json(v, inner)
+        return "{" + ",".join(inner + _quote(k) + ": " + _indented_json(v, inner)
                               for k, v in sorted(obj.items())) + pad + "}"
     return json.dumps(obj)
 
@@ -150,7 +160,7 @@ def _emit_rows(args, header: str, rows: list[list[str]]):
     cols = header.split(",")
     if args.format == "json":
         data = [{c: _json_cell(v) for c, v in zip(cols, r)} for r in rows]
-        _write(args, json.dumps(data, sort_keys=True, indent=1) + "\n")
+        _write(args, _indented_json(data) + "\n")
     else:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([cols, *rows])
@@ -174,7 +184,7 @@ def _cmd_pvar(args) -> int:
             "intervals": [[int(i), int(j)] for i, j in sel.intervals],
             "differences": [float(d) for d in sel.differences],
         }
-        _write_file(args.selection_out, json.dumps(payload, sort_keys=True, indent=1))
+        _write_file(args.selection_out, _indented_json(payload))
     try:
         _emit_rows(args, "n,value", rows)
     except ValueError:
@@ -295,28 +305,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--values", default=None, help="comma list sampled on [0,1]")
             p.add_argument("--function", default=None,
                            help="zigzag[:n] | square[:n] | sine[:n] | sawtooth[:n] | linear[:n] | random[:n]")
-            p.add_argument("--seed", type=int, default=0, help="seed of a random[:n] function")
+            p.add_argument("--seed", type=_number(int), default=0, help="seed of a random[:n] function")
 
     p = sub.add_parser("pvar", help="modulus of p-variation profile")
     common(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", type=_number(float), required=True)
+    p.add_argument("--n", type=_number(int), required=True)
     p.add_argument("--selection-out", default=None, help="write the optimal selection JSON here")
     p.set_defaults(fn=_cmd_pvar)
 
     p = sub.add_parser("kfunc", help="K-functional sandwich sweep")
     common(p)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_number(float), required=True)
     p.add_argument("--t", required=True, help="comma list of t values in (0,1]")
     p.set_defaults(fn=_cmd_kfunc)
 
     p = sub.add_parser("fourier", help="convergence-criterion sweep or coefficient decay")
     common(p)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_number(float), required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--omega", default=None)
     p.add_argument("--n-list", dest="n_list", default="8,16,32,64,128,256,512")
-    p.add_argument("--n-max", dest="n_max", type=int, default=64,
+    p.add_argument("--n-max", dest="n_max", type=_number(int), default=64,
                    help="largest coefficient index of the decay report")
     p.add_argument("--decay", action="store_true", help="emit the coefficient-decay report")
     p.set_defaults(fn=_cmd_fourier)
@@ -325,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, function=False)
     p.add_argument("--phi", required=True)
     p.add_argument("--nu", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--k-max", dest="k_max", type=int, default=3)
+    p.add_argument("--p", type=_number(float), required=True)
+    p.add_argument("--horizon", type=_number(int), default=100_000)
+    p.add_argument("--k-max", dest="k_max", type=_number(int), default=3)
     p.add_argument("--witness", action="store_true")
     p.set_defaults(fn=_cmd_embed)
 
@@ -336,16 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True,
                    choices=["marcinkiewicz", "lorentz", "orlicz", "modular"])
     p.add_argument("--x", default=None, help="comma list of entries")
-    p.add_argument("--n", type=int, default=None, help="indicator length instead of --x")
+    p.add_argument("--n", type=_number(int), default=None, help="indicator length instead of --x")
     p.add_argument("--nu", default="power:0.5")
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=2.0)
+    p.add_argument("--p", type=_number(float), default=1.0)
+    p.add_argument("--q", type=_number(float), default=2.0)
     p.add_argument("--phi", default="power:2")
     p.set_defaults(fn=_cmd_seqnorm)
 
     p = sub.add_parser("verify", help="run the invariant battery")
     common(p, function=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int), default=0)
     p.set_defaults(fn=_cmd_verify)
     return ap
 

@@ -9,9 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .modulus import ModulusOfVariation, _check_p
-from .sampled import SampledFunction, extrema_reduce
+from .sampled import SampledFunction
 from .variation import pvariation_dp
 
 __all__ = [
@@ -549,8 +548,6 @@ def wu_bound_check(Phi: PhiSequence, x, p: float, var_budget: float):
 _N_MAX = 1 << 34            # largest block index searched
 _LITERAL_N_MAX = 1 << 27    # scan cap while chasing the full 2^(4k) rate
 _MAX_POINTS = 30_000_000    # total grid points over all blocks
-_DP_OPS = 6e8               # full-window DP cost cap (value ops), checked on
-                            # the closed-form reduced size 2r + 1 before reducing
 _PREFIX_TEETH = 40          # teeth in the small replica DP check
 
 
@@ -814,13 +811,31 @@ def _materialize(blocks) -> SampledFunction:
     return SampledFunction(np.concatenate(xs_parts), np.concatenate(vs_parts))
 
 
-def _certificate_objective(blk: WitnessBlock, p: float) -> float:
-    """(sum |d|^p)^(1/p) over the certificate's 2r differences: |h - 0| up
-    onto each tooth and |0 - h| down off it, each exactly h, so
-    ``np.full(2r, h)`` is the window's difference array bit for bit."""
+def _certificate_objective(blk: WitnessBlock, p: float) -> tuple[float, float]:
+    """(objective, window value) of a block, both from one array of 2r floats.
+
+    The objective is (sum |d|^p)^(1/p) over the certificate's 2r differences:
+    |h - 0| up onto each tooth and |0 - h| down off it, each exactly h, so
+    ``np.full(2r, h)`` is the window's difference array bit for bit.
+
+    The window value is v_p(n) of the whole window, the DP's value, read
+    without building the window.  The window (a leading zero, then (h, h, 0)
+    per tooth) reduces to the 2r + 1 alternating points 0, h, 0, ..., h, 0,
+    so every interval of it changes by exactly 0 or h and costs 0 or
+    c = fl(h^p).  Let s_0 = 0 and s_j = fl(s_(j-1) + c), the in-order sums.
+    Row k of the DP holds s_min(k, i) at point i: cell i takes the max of
+    prev[j] plus the cost of (j, i) over j < i, and j = i - 1 gives
+    fl(s_min(k-1, i-1) + c) = s_min(k, i), while every other j adds 0 or c
+    to an s no larger, which IEEE addition, being monotone, keeps no larger.
+    The caller refuses a count 2r over n, so row n ends in s_2r: ``np.cumsum``
+    of the 2r powers, taken in place (at p = 1 the powers are the
+    differences h themselves).  ``tests/oracles.py`` runs the DP on the
+    built window and must give the same float.
+    """
     d = np.full(2 * blk.r, blk.height)
     d **= p  # the floats of d ** p, without a second array
-    return float(np.sum(d) ** (1.0 / p))
+    objective = float(np.sum(d) ** (1.0 / p))
+    return objective, float(np.cumsum(d, out=d)[-1] ** (1.0 / p))
 
 
 def _prefix_dp_check(window: SampledFunction, blk: WitnessBlock, p: float) -> bool:
@@ -830,29 +845,6 @@ def _prefix_dp_check(window: SampledFunction, blk: WitnessBlock, p: float) -> bo
     val, _ = pvariation_dp(window, p, 2 * t)
     expected = (2.0 * t) ** (1.0 / p) * blk.height
     return abs(val - expected) <= 1e-9 * (1.0 + expected)
-
-
-def _window_dp_admitted(blk: WitnessBlock, p: float) -> bool:
-    # The window is a leading zero, then (h, h, 0) per tooth: it reduces to the
-    # 2r + 1 alternating points 0, h, 0, ..., h, 0, so the cap is decided first.
-    m = 2 * blk.r + 1
-    return (m * float(blk.n) if p == 1.0 else m * m * float(blk.n)) <= _DP_OPS
-
-
-def _window_dp_value(window: SampledFunction, blk: WitnessBlock, p: float) -> float:
-    """v_p(n) of an admitted block's whole window, which must reduce to 2r + 1 points."""
-    m = 2 * blk.r + 1
-    sub = extrema_reduce(window)
-    if len(sub) != m:
-        raise RuntimeError(
-            f"block k = {blk.k}: window reduced to {len(sub)} points, expected {m}"
-        )
-    if p == 1.0:
-        # The certificate uses 2r <= n intervals, one per swing, so by the
-        # triangle inequality v_1(n) is the total variation, summed in order.
-        return float(np.cumsum(np.abs(np.diff(sub.values)))[-1])
-    # the DP's last row is row n: it stops at its fixed point, at or before n
-    return float(_kernels.dp_profile_pow(sub.values, p, blk.n)[-1] ** (1.0 / p))
 
 
 def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: int,
@@ -869,10 +861,10 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
     which check failed.
 
     A block is certified without its whole tooth window: one closed-form
-    test settles its grid, the objective reads the 2r differences, each
-    exactly h, and the prefix DP reads the first 40 teeth.  The whole window
-    is built only for an admitted window DP; the step function only when
-    ``Witness.function`` is read.
+    test settles its grid, the objective and the window's DP value read the
+    2r differences, each exactly h, and the prefix DP reads the first 40
+    teeth.  The step function is built only when ``Witness.function`` is
+    read.
     """
     if not (1 <= k_max <= 5):
         raise ValueError("k_max must lie in 1..5")
@@ -899,7 +891,7 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
     for blk in reversed(blocks):
         _check_window(blk)
         count = 2 * blk.r
-        objective = _certificate_objective(blk, p)
+        objective, window_val = _certificate_objective(blk, p)
         if count > blk.n:
             raise RuntimeError("certificate selection uses more intervals than allowed")
         ratio = objective / nu.value(blk.n)
@@ -909,15 +901,13 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
         varphi_total += term
         prefix = SampledFunction(*_tooth_window(blk, min(blk.r, _PREFIX_TEETH)))
         prefix_ok = _prefix_dp_check(prefix, blk, p)
-        window_val = (_window_dp_value(SampledFunction(*_tooth_window(blk)), blk, p)
-                      if _window_dp_admitted(blk, p) else None)
         ok = (ratio >= required and term <= cap * (1.0 + 1e-9) and prefix_ok
-              and (window_val is None or window_val >= objective * (1.0 - 1e-9)))
+              and window_val >= objective * (1.0 - 1e-9))
         all_ok = all_ok and ok
         certs.append(BlockCertificate(
             k=blk.k, n=blk.n, intervals=count, objective=objective, ratio=float(ratio),
             required=required, varphi_term=term, varphi_cap=cap, prefix_dp_ok=prefix_ok,
-            window_dp_ran=window_val is not None, window_dp_value=window_val,
+            window_dp_ran=True, window_dp_value=window_val,
         ))
     certs.sort(key=lambda c: c.k)
     return Witness(

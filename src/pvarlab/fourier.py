@@ -329,31 +329,22 @@ def unif2_verdicts(nu: ModulusOfVariation, p: float, horizon: int) -> Unif2Repor
     For power/log families the integral test decides convergence (the
     partial-sum increment heuristic misclassifies series on the p-series
     boundary at finite horizons); the raw partials make this auditable.
-    Table moduli fall back to the increment heuristic.
+    A table modulus is undecided, since a finite table cannot show a limit:
+    each verdict is None, with method "undecided", and the partials stay.
     """
     _check_p(p)
     if horizon < 16:
         raise ValueError("horizon must be >= 16")
     terms = _series_terms(nu, p, horizon)
     half = horizon // 2
-    partials = {k: float(np.sum(v)) for k, v in terms.items()}
-    half_partials = {k: float(np.sum(v[:half])) for k, v in terms.items()}
     truth = _family_converges(nu, p)
-    converges = {}
-    for k in _SERIES_LABELS:
-        if truth is not None:
-            converges[k] = truth
-        else:
-            inc = partials[k] - half_partials[k]
-            converges[k] = inc < max(1e-6, 1e-3 * partials[k])
-    agree = len(set(converges.values())) == 1
     return Unif2Report(
         horizon=int(horizon),
-        partials=partials,
-        half_partials=half_partials,
-        converges=converges,
-        agree=agree,
-        method="integral-test" if truth is not None else "increment-heuristic",
+        partials={k: float(np.sum(v)) for k, v in terms.items()},
+        half_partials={k: float(np.sum(v[:half])) for k, v in terms.items()},
+        converges=dict.fromkeys(_SERIES_LABELS, truth),
+        agree=True,  # the five series share one verdict
+        method="integral-test" if truth is not None else "undecided",
     )
 
 

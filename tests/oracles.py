@@ -31,7 +31,9 @@ Phi_k^{-1}(1) from the bracket [0, 2^j].  ``luxemburg_column`` is the
 Luxemburg norm of one support with its modular summed down an (n, 1) column.
 ``whole_window_check`` builds a witness block's whole tooth window and
 validates it as a ``SampledFunction``: the reference for the closed-form
-grid test ``embeddings._check_window``.
+grid test ``embeddings._check_window``.  ``whole_window_dp_value`` builds
+that window, reduces it and runs the DP on it: the reference for the window
+value ``embeddings._certificate_objective`` reads from the differences.
 ``gauge_spec_fields``, ``parse_modulus_split`` and ``from_spec_split`` are
 the three spec readers that ``modulus._spec_fields`` replaced, kept as they
 were: the gauge and omega reader of the CLI, the modulus reader that splits
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pvarlab import SampledFunction
+from pvarlab import SampledFunction, _kernels, extrema_reduce
 from pvarlab.embeddings import _bisect_increasing, _tooth_window
 from pvarlab.functions import _SPECS
 from pvarlab.kfunctional import _first_crossing
@@ -305,6 +307,25 @@ def luxemburg_column(xs, phi_j) -> float:
 def whole_window_check(blk) -> None:
     """Raise ``SampledFunction``'s ValueError if the block's whole window has one."""
     SampledFunction(*_tooth_window(blk))
+
+
+def whole_window_dp_value(blk, p, window=None) -> float:
+    """v_p(n) of the block's whole window (or of ``window``, which must
+    reduce to the 2r + 1 points of the block's closed form)."""
+    if window is None:
+        window = SampledFunction(*_tooth_window(blk))
+    m = 2 * blk.r + 1
+    sub = extrema_reduce(window)
+    if len(sub) != m:
+        raise RuntimeError(
+            f"block k = {blk.k}: window reduced to {len(sub)} points, expected {m}"
+        )
+    if p == 1.0:
+        # The certificate uses 2r <= n intervals, one per swing, so by the
+        # triangle inequality v_1(n) is the total variation, summed in order.
+        return float(np.cumsum(np.abs(np.diff(sub.values)))[-1])
+    # the DP's last row is row n: it stops at its fixed point, at or before n
+    return float(_kernels.dp_profile_pow(sub.values, p, blk.n)[-1] ** (1.0 / p))
 
 
 def gauge_spec_fields(spec: str, what: str, forms: dict, grammar: str) -> tuple[str, list[float]]:

@@ -225,6 +225,32 @@ def test_digit_group_underscores_exit_2(argv, message, capsys):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("argv,option,kind", [
+    (["pvar", "--values", "0,1,0", "--p", "1_0", "--n", "1"], "--p", "float"),
+    (["pvar", "--values", "0,1,0", "--p", "1", "--n", "1_0"], "--n", "int"),
+    (["pvar", "--function", "random:8", "--seed", "1_0", "--p", "1", "--n", "1"], "--seed",
+     "int"),
+    (["kfunc", "--values", "0,1,0", "--p", "1_0", "--t", "1"], "--p", "float"),
+    (["fourier", "--function", "square:64", "--p", "1", "--nu", "log", "--decay",
+      "--n-max", "1_0"], "--n-max", "int"),
+    (["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--horizon", "6_4"], "--horizon",
+     "int"),
+    (["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--k-max", "1_0"], "--k-max",
+     "int"),
+    (["seqnorm", "--space", "lorentz", "--n", "4", "--q", "1_0"], "--q", "float"),
+    (["seqnorm", "--space", "orlicz", "--n", "1_0"], "--n", "int"),
+    (["verify", "--seed", "1_0"], "--seed", "int"),
+])
+def test_numeric_options_refuse_digit_group_underscores(argv, option, kind, capsys):
+    # every numeric option is read by the spec fields' plain-number rule
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {option}: invalid {kind} value: " in err
+    # the same number without its underscore is read
+    assert main([a.replace("_", "") if a[0].isdigit() else a for a in argv]) == 0
+    capsys.readouterr()
+
+
 def test_pvar_json_format(tmp_path):
     out = tmp_path / "pvar.json"
     rc = main(["pvar", "--values", "0,1,0", "--p", "2", "--n", "2",
@@ -621,11 +647,11 @@ def test_embed_witness_stdout_is_pinned(capsys):
 # sha256 of `embed --witness` stdout at p = 1: the benchmark's four witness
 # families, then the k_max = 3 case.
 WITNESS_STDOUT_SHA256 = [
-    ("power:3", "power:0.1", 3, "73ae35d11bddfd44326fd420a8bcf012b51ce37d7cf13366a2e7071e1e035dd3"),
-    ("power:3", "power:0.25", 2, "d18e8eef1321917cf3359c7b162874ad9fb2d28df62be5482ff7c02e2bcba350"),
-    ("power:2", "power:0.25", 2, "8ad6606167827a0109bf651532cf9a4b010e364b8fd7bcdbbfc7d6c348779785"),
-    ("power:2", "log", 2, "1ad3c4c848e93c146e9b2556a1ce916223313b7661b26b069264cd2de3808736"),
-    ("power:2", "log", 3, "fe5b62187cd9fd0c642083060eee4f095597ef528f8a05e248cdc1fb838e5912"),
+    ("power:3", "power:0.1", 3, "5af07fe860c828bef282406a2f4020668378a789604acd38e1d83381ecfe3423"),
+    ("power:3", "power:0.25", 2, "084180e00db8b3d54e517b70b330191ec6ad8e12e1725a58283afa2aa5bf38fe"),
+    ("power:2", "power:0.25", 2, "2a27ef420fe825054a28f9d3f1949b2afeddfc81d5dc98a83f3caa6bd233b30f"),
+    ("power:2", "log", 2, "e6ff42dcdaa62629f8384818b86f56454a608978ccd4cfd5c1d54a49f1bb4f8d"),
+    ("power:2", "log", 3, "ee3e3371edaef5630e22744a478ae7d38c365c59403845c44fd030d4905db12e"),
 ]
 
 
@@ -673,6 +699,8 @@ def _nested(depth):
 @example(obj={"x": ['", "', [0.5]], "y": ({}, [], ()), "z": [None, True, 1]})
 @example(obj=[math.nan, -math.inf])
 @example(obj=(np.float64(0.1), [np.float64(-0.0)], {"a": np.float64(math.inf)}))
+@example(obj=[{"n": 1, "value": 0.5}, {"n": 2, "value": "inf"}, {}])  # --format json rows
+@example(obj={"intervals": [[0, 3], [3, 4]], "differences": [], "value": 2.0})  # a selection
 def test_indented_json_is_json_dumps(obj):
     assert _indented_json(obj) == json.dumps(obj, sort_keys=True, indent=1)
 

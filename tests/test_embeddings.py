@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import inverse_at_one_loop, whole_window_check
+from oracles import inverse_at_one_loop, whole_window_check, whole_window_dp_value
 from pvarlab import (
     LambdaSequence,
     ModulusOfVariation,
@@ -26,7 +26,12 @@ from pvarlab import (
 )
 from pvarlab import _kernels, embeddings
 from pvarlab import verify as inv
-from pvarlab.embeddings import WitnessBlock, _bisect_increasing, _tooth_window, _window_dp_value
+from pvarlab.embeddings import (
+    WitnessBlock,
+    _bisect_increasing,
+    _certificate_objective,
+    _tooth_window,
+)
 from pvarlab.functions import make_zigzag
 
 NU_SQRT = ModulusOfVariation.power(0.5)
@@ -452,11 +457,11 @@ def test_window_value_rejects_a_window_off_its_closed_form():
     blk = WitnessBlock(k=1, n=8, m=2, s=2, r=2, height=1.0, rate=1.0, literal=True)
     grid = np.linspace(0.0, 1.0, 7)
     good = SampledFunction(grid, [0, 1, 1, 0, 1, 1, 0])
-    assert _window_dp_value(good, blk, 1.0) == 4.0
+    assert whole_window_dp_value(blk, 1.0, good) == 4.0 == _certificate_objective(blk, 1.0)[1]
     # the last tooth never comes back to zero: 4 reduced points, not 2r + 1 = 5
     bad = SampledFunction(grid, [0, 1, 1, 0, 1, 1, 1])
     with pytest.raises(RuntimeError, match="expected 5"):
-        _window_dp_value(bad, blk, 1.0)
+        whole_window_dp_value(blk, 1.0, bad)
 
 
 def test_window_value_is_the_dp_value_on_random_teeth(rng):
@@ -470,7 +475,31 @@ def test_window_value_is_the_dp_value_on_random_teeth(rng):
             blk = WitnessBlock(k=1, n=n, m=2, s=r, r=r, height=1.0, rate=1.0, literal=True)
             prof = _kernels.dp1_profile(reduced, n)
             ref = prof[min(n, prof.size - 1)]
-            assert abs(_window_dp_value(f, blk, 1.0) - ref) <= 1e-12 * ref
+            assert abs(whole_window_dp_value(blk, 1.0, f) - ref) <= 1e-12 * ref
+
+
+def test_window_value_is_the_whole_window_dp_value():
+    # The closed form is the DP on the built window bit for bit: r from 1 to
+    # several thousand, h over 2^-40..2^40 and decimals d 10^e (d < 10^4, e in
+    # -16..8), every p, n from 2r to 2r + 50.  The p > 1 DP runs 2r rows over ~4r pairs, so r past a
+    # few hundred is drawn at p = 1 and in a handful of p > 1 blocks.
+    rng = np.random.default_rng(25)
+    blocks = []
+    for i in range(2000):
+        p = (1.0, 1.25, 1.5, 2.0, 3.0)[i % 5]
+        top = 5000 if p == 1.0 else 300
+        r = int(2.0 ** rng.uniform(0.0, math.log2(top)))
+        if rng.random() < 0.5:
+            h = 2.0 ** int(rng.integers(-40, 41))
+        else:
+            h = float(f"{int(rng.integers(1, 10_000))}e{int(rng.integers(-16, 9))}")
+        blocks.append((r, h, p))
+    blocks += [(r, 0.1, p) for r, p in ((2500, 1.25), (1200, 1.5), (1000, 2.0), (800, 3.0))]
+    for r, h, p in blocks:
+        n = 2 * r + int(rng.integers(0, 51))
+        blk = WitnessBlock(k=1, n=n, m=r, s=r, r=r, height=h, rate=1.0, literal=False)
+        value = _certificate_objective(blk, p)[1]
+        assert value.hex() == whole_window_dp_value(blk, p).hex(), (r, h, p, n)
 
 
 def test_witness_json_omits_huge_grids():
@@ -487,33 +516,28 @@ def test_witness_json_omits_huge_grids():
     (PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic()), NU_SQRT, 2),
 ])
 def test_witness_function_is_the_windows_certified(Phi, nu, k_max, monkeypatch):
-    prefixes, windows = {}, {}
-    prefix_dp_check, window_dp_value = embeddings._prefix_dp_check, embeddings._window_dp_value
+    prefixes = {}
+    prefix_dp_check = embeddings._prefix_dp_check
 
     def recording_prefix(window, blk, p):
         prefixes[blk.k] = window.values.copy()
         return prefix_dp_check(window, blk, p)
 
-    def recording_window(window, blk, p):
-        windows[blk.k] = window.values.copy()
-        return window_dp_value(window, blk, p)
-
     monkeypatch.setattr(embeddings, "_prefix_dp_check", recording_prefix)
-    monkeypatch.setattr(embeddings, "_window_dp_value", recording_window)
     w = witness_generate(Phi, nu, 1.0, k_max)
     assert sorted(prefixes) == list(range(1, k_max + 1))
-    ran = {c.k for c in w.certificates if c.window_dp_ran}
-    assert ran and set(windows) == ran  # only a window whose DP runs is built
+    assert all(c.window_dp_ran for c in w.certificates)
     # blocks sit in decreasing k; each window's leading zero is the previous trailing zero
     start = 0
     for blk in sorted(w.blocks, key=lambda b: b.k, reverse=True):
         stop = start + 3 * blk.r + 1
         block_slice = w.function.values[start:stop]
         assert np.array_equal(block_slice, _tooth_window(blk)[1])
+        # the window value's closed form: the slice reduces to 0, h, 0, ..., h, 0
+        assert len(extrema_reduce(SampledFunction(w.function.grid[start:stop], block_slice))
+                   ) == 2 * blk.r + 1
         # the prefix DP reads the first min(r, 40) teeth of that slice
         assert np.array_equal(prefixes[blk.k], block_slice[:1 + 3 * min(blk.r, 40)])
-        if blk.k in windows:
-            assert np.array_equal(windows[blk.k], block_slice)
         start = stop - 1
     assert len(w.function) == w.to_json_dict(max_function_points=0)["function"]["points"]
     assert len(w.function) - start in (1, 2)  # the last trailing zero, then maybe (1, 0)
@@ -640,7 +664,7 @@ def test_closed_form_grid_check_is_sound_against_the_whole_window():
     assert 0 < refused < checked
 
 
-def test_witness_builds_no_unadmitted_window_beyond_the_prefix(monkeypatch):
+def test_witness_builds_no_window_beyond_the_prefix(monkeypatch):
     built = []
     tooth_window = embeddings._tooth_window
 
@@ -651,9 +675,25 @@ def test_witness_builds_no_unadmitted_window_beyond_the_prefix(monkeypatch):
 
     monkeypatch.setattr(embeddings, "_tooth_window", recording)
     w = witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 2)
-    skipped = {c.k for c in w.certificates if not c.window_dp_ran}
-    assert skipped and min(b.r for b in w.blocks if b.k in skipped) > embeddings._PREFIX_TEETH
-    assert all(teeth <= embeddings._PREFIX_TEETH for k, teeth in built if k in skipped)
+    assert all(c.window_dp_ran for c in w.certificates)
+    assert min(b.r for b in w.blocks) > embeddings._PREFIX_TEETH
+    assert sorted(k for k, _ in built) == [1, 2]  # one prefix per block, nothing else
+    assert all(teeth <= embeddings._PREFIX_TEETH for _, teeth in built)
+
+
+def test_p_above_one_witness_checks_its_whole_window():
+    # one block of r = 36 179 teeth at p = 1.5: its window value, read from the
+    # differences, is checked against the objective like any other
+    w = witness_generate(PhiSequence.power_all(3.0), ModulusOfVariation.power(0.1), 1.5, 1)
+    assert w is not None and w.certified
+    assert [b.r for b in w.blocks] == [36_179]
+    for cert in w.certificates:
+        assert cert.window_dp_ran and cert.window_dp_value >= cert.objective * (1 - 1e-9)
+    # a small p > 1 witness agrees with the DP on its built window
+    Phi = PhiSequence.orlicz_over_lambda(power_orlicz(3.0), LambdaSequence.harmonic())
+    w = witness_generate(Phi, ModulusOfVariation.power(0.1), 1.5, 1)
+    assert w.certified and [b.r for b in w.blocks] == [101]
+    assert w.certificates[0].window_dp_value == whole_window_dp_value(w.blocks[0], 1.5)
 
 
 def test_witness_whose_last_tooth_ends_at_one_has_no_closing_point():

@@ -315,10 +315,14 @@ def test_unif2_log_golden_partial():
     assert rep.partials["nu_tail"] == pytest.approx(1.799734063019002, abs=1e-9)
 
 
-def test_unif2_table_uses_increment_heuristic():
+def test_unif2_table_is_undecided():
+    # a finite table cannot show a limit: no verdict, but the partials stay
     nu = ModulusOfVariation.from_table(np.sqrt(np.arange(1, 2001, dtype=float)))
     rep = unif2_verdicts(nu, 2.0, 2000)
-    assert rep.method == "increment-heuristic"
+    assert rep.method == "undecided"
+    assert list(rep.converges.values()) == [None] * 5
+    assert rep.partials.keys() == rep.half_partials.keys() == rep.converges.keys()
+    assert all(math.isfinite(v) for v in [*rep.partials.values(), *rep.half_partials.values()])
 
 
 def test_unif2_rejects_small_horizon():
