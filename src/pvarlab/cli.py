@@ -139,19 +139,50 @@ def _indented_json(obj, pad="\n") -> str:
     booleans, nulls and empty dicts only: any other dict has a quoted key) is
     written by that one ``json.dumps`` call, its ``", "`` separators
     re-joined at the indent: the same ``float.__repr__`` and
-    ``NaN``/``Infinity`` tokens, with no Python step per element.  Every
-    other value is ``json.dumps``.
+    ``NaN``/``Infinity`` tokens, with no Python step per element.  A dict
+    whose values are all numbers, booleans or None has its sorted values
+    encoded the same way and split at those separators, one token per key;
+    a list of such dicts (the ``--format json`` rows) encodes the values of
+    4096 of them per call.  Every other value is ``json.dumps``.
     """
     if isinstance(obj, (list, tuple)) and obj:
-        inner, flat = pad + " ", json.dumps(obj)
+        inner = pad + " "
+        texts = _scalar_dicts(obj, inner) if isinstance(obj[0], dict) else None
+        if texts is not None:
+            return "[" + inner + ("," + inner).join(texts) + pad + "]"
+        flat = json.dumps(obj)
         if '"' not in flat and flat.find("[", 1) < 0:
             return "[" + inner + flat[1:-1].replace(", ", "," + inner) + pad + "]"
         return "[" + ",".join(inner + _indented_json(v, inner) for v in obj) + pad + "]"
     if isinstance(obj, dict) and obj:
+        texts = _scalar_dicts([obj], pad)
+        if texts is not None:
+            return texts[0]
         inner = pad + " "
         return "{" + ",".join(inner + _quote(k) + ": " + _indented_json(v, inner)
                               for k, v in sorted(obj.items())) + pad + "}"
     return json.dumps(obj)
+
+
+def _scalar_dicts(dicts, pad):
+    """``_indented_json`` of each of ``dicts`` when every one is a non-empty
+    dict of numbers, booleans and None, else None.  The sorted values of up
+    to 4096 dicts go through one ``json.dumps``, split at its ``", "``
+    separators: the block bounds the temporaries to a few MB."""
+    inner, texts = pad + " ", []
+    for start in range(0, len(dicts), 4096):
+        rows = []
+        for d in dicts[start:start + 4096]:
+            if not (isinstance(d, dict) and d):
+                return None
+            items = sorted(d.items())
+            if not all(v is None or isinstance(v, (int, float)) for _, v in items):
+                return None
+            rows.append(items)
+        tokens = iter(json.dumps([v for items in rows for _, v in items])[1:-1].split(", "))
+        texts += ["{" + ",".join(inner + _quote(k) + ": " + next(tokens) for k, _ in items)
+                  + pad + "}" for items in rows]
+    return texts
 
 
 def _emit_rows(args, header: str, rows: list[list[str]]):
@@ -286,7 +317,13 @@ class _Parser(argparse.ArgumentParser):
 
     argparse only takes a plain negative number for a value; ``--values`` and
     the other comma lists would otherwise fail on a leading minus sign.
+    Option prefixes are not matched (``allow_abbrev=False``, inherited by the
+    subcommand parsers), so a new option never changes what an argv or a
+    ``--config`` key means.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def _parse_optional(self, arg_string):
         if arg_string.startswith("-") and _is_number_list(arg_string):

@@ -37,8 +37,8 @@ __all__ = [
 _CROSSING_TOL = 1e-9
 # Each knot moves f by the threshold, so a walk places at most
 # min(M - 1, TV(f) / threshold) knots; a bound over this cap is refused.  At
-# the cap (p = 1, t = 2^-20) kfunc took 8.0 s / 130 MB on f(x) = x and
-# 18.7 s / 137 MB on random:20000 (2 vCPU, CPython 3.11, numpy 2.4).
+# the cap (p = 1, t = 2^-20) kfunc took 2.5-2.7 s / 126 MB on f(x) = x and
+# 8.7-9.5 s / 133 MB on random:20000 (2 vCPU, CPython 3.11, numpy 2.4).
 _MAX_KNOTS = 1 << 20
 
 
@@ -118,83 +118,129 @@ def select_knots(f: SampledFunction, M: int, p: float):
     _require_unit_domain(f)
     if M < 1:
         raise ValueError("M must be >= 1")
-    return _knots(f, M, p, _profile(f, p, M)[-1])
+    knots, _, case = _knots(f, M, p, _profile(f, p, M)[-1])
+    return knots, case
 
 
-def _knots(f: SampledFunction, M: int, p: float, ups: float):
-    """``select_knots`` with ups = v_p(M, f) given; a walk that could place
-    more than ``_MAX_KNOTS`` knots is a ValueError."""
-    threshold = ups / M ** (1.0 / p)
-    knots = [0.0]
+def _knots(f: SampledFunction, M: int, p: float, ups: float, nodes=None):
+    """``select_knots`` with ups = v_p(M, f) given, returning (knots, knot
+    values, case); a walk that could place more than ``_MAX_KNOTS`` knots is
+    a ValueError.  ``nodes`` is ``(f.grid.tolist(), f.values.tolist())``,
+    passed in by a caller that walks f more than once.
+
+    One left-to-right walk over floats, carrying the segment s of the
+    current knot x: the last segment start with grid[s] <= x, which is
+    ``searchsorted(grid, x, "right") - 1`` clamped to [0, n - 1], stepped to
+    from the segment the hit lay on.  Each hop tests the segment holding x,
+    from x on, with ``_first_crossing``.  The later segments of the first
+    16-segment chunk are tested inline with its own predicate: for each
+    level, dl = vals[j] - level and dr = vals[j + 1] - level, flagged when
+    dl == 0, (dl < 0) != (dr < 0) or dr == 0.  Longer hops screen the rest
+    as arrays over galloping chunks (32, 64, ... segments) with the same
+    predicate.  An unflagged segment has no candidate, and the flagged ones
+    go to ``_first_crossing`` in order, with the arguments a
+    segment-by-segment walk gives it, so the knot is the same float.  Past
+    the first segment grid[j] > x, so every candidate the scalar test
+    returns there (grid[j] itself, or grid[j] plus a nonnegative step) is
+    > x: the first flagged segment gives the hit unless its step overflows
+    to nan.
+
+    The knot values are ``np.interp(knots, grid, vals)`` bit for bit.  For a
+    scalar x, np.interp returns vals[0] left of the grid, vals[n] at or right
+    of grid[n], vals[j] at a node grid[j], and otherwise
+    ``slope * (x - grid[j]) + vals[j]`` with grid[j] < x < grid[j + 1] and
+    ``slope = (vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j])``; its nan
+    retry cannot fire on finite samples, where x - grid[j] > 0.
+    ``_place`` evaluates the same expression on floats.  A segment walk
+    that calls np.interp afresh starts each hop's first segment at
+    max(grid[s], x) = x with np.interp at x as its left value: the same call
+    that gave the knot its value, which is also the hop's center, so the
+    walk reuses that value.  At the first knot, 0.0, a grid may start at
+    5e-13, and np.interp at 0.0 and at grid[0] both give vals[0].  A later
+    segment's left value is vals[j], np.interp at the node grid[j].
+    """
+    threshold = float(ups / M ** (1.0 / p))
     if threshold <= _CROSSING_TOL * f.sup_abs():  # relative: K(cf, t) = c K(f, t)
-        knots.append(1.0)
-        return np.asarray(knots), "II"
+        ends = np.array([0.0, 1.0])
+        return ends, np.interp(ends, f.grid, f.values), "II"
     walk = min(M - 1, float(np.sum(np.abs(np.diff(f.values)))) / threshold)
     if walk > _MAX_KNOTS:
         raise ValueError(f"the knot walk at M = {M} may place {walk:.3g} knots, "
                          f"over the cap of {_MAX_KNOTS}; use a larger t")
 
     grid, vals = f.grid, f.values
-    cur_x = 0.0
-    cur_val = float(vals[0])
+    xs, vs = nodes if nodes is not None else (grid.tolist(), vals.tolist())
+    n = len(xs) - 1  # segments
+    s, vl = _place(xs, vs, 0, 0.0)
+    xl = max(xs[s], 0.0)  # a grid may start at 5e-13, where np.interp(0.0) is vals[0]
+    knots, values = [0.0], [vl]
+    cur_x, center = 0.0, vs[0]
     produced = 0
     while produced < M - 1:
-        nxt = _next_hit(grid, vals, cur_x, cur_val, threshold)
-        if nxt is None:
+        hit, j = None, s
+        if xs[s + 1] > cur_x:
+            hit = _first_crossing(xl, vl, xs[s + 1], vs[s + 1], center, threshold, cur_x)
+        hi, lo, b = center + threshold, center - threshold, min(s + 17, n)
+        while hit is None and j + 1 < b:
+            j += 1
+            v0, v1 = vs[j], vs[j + 1]
+            for level in (hi, lo):
+                dl, dr = v0 - level, v1 - level
+                if dl == 0.0 or (dl < 0.0) != (dr < 0.0) or dr == 0.0:
+                    hit = _first_crossing(xs[j], v0, xs[j + 1], v1, center, threshold, cur_x)
+                    break
+        if hit is None and b < n:
+            hit, j = _screen(xs, vs, vals, b, center, threshold, cur_x)
+        if hit is None:
             break
-        cur_x = nxt
-        cur_val = float(np.interp(nxt, grid, vals))
+        cur_x = min(hit, 1.0)
+        s, vl = _place(xs, vs, j, cur_x)  # the hit lies on segment j
+        xl, center = cur_x, vl
         knots.append(cur_x)
+        values.append(vl)
         produced += 1
         if cur_x >= 1.0 - 1e-15:
             break
     if knots[-1] < 1.0 - 1e-15:
         knots.append(1.0)
+        values.append(_place(xs, vs, s, 1.0)[1])
     case = "I" if produced == M - 1 else "II"
-    return np.asarray(knots), case
+    return np.asarray(knots), np.asarray(values), case
 
 
-def _next_hit(grid, vals, cur_x, cur_val, threshold):
-    """First x > cur_x where the sampled f reaches cur_val +- threshold, or None.
+def _place(xs, vs, s, x):
+    """(s', np.interp(x, xs, vs)), s' the last segment start with xs[s'] <= x
+    (0 if none), stepped to from segment s."""
+    n = len(xs) - 1
+    while s > 0 and xs[s] > x:  # a hit past 1.0, clamped back to it
+        s -= 1
+    while s + 1 < n and xs[s + 1] <= x:
+        s += 1
+    if x >= xs[n]:
+        return s, vs[n]
+    if x <= xs[s]:  # a node, or left of the grid
+        return s, vs[s]
+    return s, (vs[s + 1] - vs[s]) / (xs[s + 1] - xs[s]) * (x - xs[s]) + vs[s]
 
-    The first segment, which may start at cur_x partway along, is tested by
-    ``_first_crossing`` alone.  The later segments s are screened as arrays
-    over galloping chunks (16, 32, ... segments) with ``_first_crossing``'s
-    own predicate: for each level, dl = vals[s] - level and
-    dr = vals[s+1] - level, flagged when dl == 0, (dl < 0) != (dr < 0) or
-    dr == 0.  An unflagged segment has no candidate, and the flagged ones go
-    to ``_first_crossing`` in order, with the arguments the segment walk
-    gave it, so the knot is the same float.  Past the first segment
-    grid[s] > cur_x, so every candidate the scalar test returns there
-    (grid[s] itself, or grid[s] plus a nonnegative step) is > cur_x: the
-    first flagged segment gives the hit unless its step overflows to nan.
-    np.interp at a grid node returns vals[s], or a zero of the other sign,
-    and neither changes the predicate.
-    """
-    n = grid.size - 1  # segments
-    i0 = int(np.searchsorted(grid, cur_x, side="right")) - 1
-    i0 = max(0, min(i0, n - 1))
-    if grid[i0 + 1] > cur_x:
-        xl_eff = max(grid[i0], cur_x)
-        vl_eff = float(np.interp(xl_eff, grid, vals))
-        hit = _first_crossing(xl_eff, vl_eff, grid[i0 + 1], float(vals[i0 + 1]),
-                              cur_val, threshold, cur_x)
-        if hit is not None:
-            return float(min(hit, 1.0))
-    levels = np.array([[cur_val + threshold], [cur_val - threshold]])
-    a, width = i0 + 1, 16
+
+def _screen(xs, vs, vals, a, center, threshold, after):
+    """(first hit, its segment) on segments a, a + 1, ... by
+    ``_first_crossing``, screened as arrays over galloping chunks of 32, 64,
+    ... segments, or (None, None)."""
+    n = len(xs) - 1
+    levels = np.array([[center + threshold], [center - threshold]])
+    width = 32
     while a < n:
         b = min(a + width, n)
         d = vals[a:b + 1] - levels  # one row per level
         zero, neg = d == 0.0, d < 0.0
         flag = (zero[:, :-1] | (neg[:, :-1] != neg[:, 1:]) | zero[:, 1:]).any(axis=0)
-        for s in a + np.flatnonzero(flag):
-            hit = _first_crossing(grid[s], float(np.interp(grid[s], grid, vals)), grid[s + 1],
-                                  float(vals[s + 1]), cur_val, threshold, cur_x)
+        for j in (a + np.flatnonzero(flag)).tolist():
+            hit = _first_crossing(xs[j], vs[j], xs[j + 1], vs[j + 1], center, threshold, after)
             if hit is not None:
-                return float(min(hit, 1.0))
+                return hit, j
         a, width = b, 2 * width
-    return None
+    return None, None
 
 
 def pl_interpolate(f: SampledFunction, knots) -> PLFunction:
@@ -223,9 +269,13 @@ def varp_pl(g: PLFunction, p: float) -> float:
 
 
 def _sup_diff(f: SampledFunction, g: PLFunction) -> float:
+    """max |f - g| over grid and knots and the midpoints between them.  The
+    midpoints are interleaved, not sorted in: a midpoint of two adjacent
+    floats may equal one of them, and a repeated point leaves the max as it is."""
     pts = np.unique(np.concatenate([f.grid, g.knots]))
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    xs = np.unique(np.concatenate([pts, mids]))
+    xs = np.empty(2 * pts.size - 1)
+    xs[0::2] = pts
+    xs[1::2] = 0.5 * (pts[:-1] + pts[1:])
     return float(np.max(np.abs(np.interp(xs, f.grid, f.values) - g(xs))))
 
 
@@ -234,12 +284,13 @@ def kfunctional_bounds(f: SampledFunction, t: float, p: float) -> KSandwich:
     return kfunctional_sweep(f, [t], p)[0]
 
 
-def _sandwich(f: SampledFunction, t: float, p: float, M: int, ups: float) -> KSandwich:
-    """``kfunctional_bounds`` at t, with M = bracket_count(t, p) and ups = v_p(M, f)."""
+def _sandwich(f: SampledFunction, t: float, p: float, M: int, ups: float, nodes) -> KSandwich:
+    """``kfunctional_bounds`` at t, with M = bracket_count(t, p), ups = v_p(M, f)
+    and nodes = (f.grid.tolist(), f.values.tolist())."""
     lower = t * ups
 
-    knot_xs, case = _knots(f, M, p, ups)
-    g = pl_interpolate(f, knot_xs)
+    knots, values, case = _knots(f, M, p, ups, nodes)
+    g = PLFunction(knots, values)
     var_g = varp_pl(g, p)
     err = _sup_diff(f, g)
     upper = err + t * var_g
@@ -267,7 +318,9 @@ def kfunctional_sweep(f: SampledFunction, t_grid, p: float) -> list[KSandwich]:
         _check_p(p)
         return []
     prof = _profile(f, p, max(Ms))
-    return [_sandwich(f, t, p, M, float(prof[min(M, prof.size) - 1])) for t, M in zip(ts, Ms)]
+    nodes = (f.grid.tolist(), f.values.tolist())
+    return [_sandwich(f, t, p, M, float(prof[min(M, prof.size) - 1]), nodes)
+            for t, M in zip(ts, Ms)]
 
 
 def lower_monotone_in_t(rows: list[KSandwich]) -> bool:

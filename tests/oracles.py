@@ -8,9 +8,11 @@ library code.
 ``dp_profile_loops``, ``dp1_profile_loops`` and ``shift_max_loops`` are the
 plain loop forms of the three ``_kernels`` profile and window kernels;
 ``shift_max_loops`` visits every pair in the kernel's window,
-grid[j] <= grid[i] + delta (1 + 1e-15) + 1e-15.  ``next_hit_loop`` is the
-knot search's segment-by-segment walk, ``_first_crossing`` on each segment
-from the current knot on.
+grid[j] <= grid[i] + delta (1 + 1e-15) + 1e-15.  ``knots_loop`` is the knot
+search hop by hop: ``next_hit_loop``, the segment-by-segment walk with
+``_first_crossing`` on each segment from the current knot on, then
+``np.interp`` for the knot's value.  ``sandwich_loop`` builds the
+K-functional sandwich on its knots through ``pl_interpolate``.
 ``dp_parent_loops`` is the plain O(n m^2) triple loop.  Its strict-improvement
 updates record, for each cell, the start of the interval ending there (-1 for
 skip), so ties prefer skipping and then the smallest start.
@@ -48,8 +50,10 @@ import numpy as np
 from pvarlab import SampledFunction, _kernels, extrema_reduce
 from pvarlab.embeddings import _bisect_increasing, _tooth_window
 from pvarlab.functions import _SPECS
-from pvarlab.kfunctional import _first_crossing
+from pvarlab.kfunctional import (_CROSSING_TOL, _first_crossing, bracket_count,
+                                 pl_interpolate, varp_pl)
 from pvarlab.modulus import ModulusOfVariation
+from pvarlab.variation import _profile
 
 
 def dp_profile_loops(values, p, nmax):
@@ -115,8 +119,50 @@ def shift_max_loops(grid, values, delta, limit):
     return best
 
 
+def knots_loop(f: SampledFunction, M: int, p: float, ups: float):
+    """``kfunctional._knots`` hop by hop: each knot from ``next_hit_loop``
+    and its value from ``np.interp``.  Returns (knots, case)."""
+    threshold = ups / M ** (1.0 / p)
+    if threshold <= _CROSSING_TOL * f.sup_abs():
+        return np.array([0.0, 1.0]), "II"
+    grid, vals = f.grid, f.values
+    knots = [0.0]
+    cur_x = 0.0
+    cur_val = float(vals[0])
+    produced = 0
+    while produced < M - 1:
+        nxt = next_hit_loop(grid, vals, cur_x, cur_val, threshold)
+        if nxt is None:
+            break
+        cur_x = nxt
+        cur_val = float(np.interp(nxt, grid, vals))
+        knots.append(cur_x)
+        produced += 1
+        if cur_x >= 1.0 - 1e-15:
+            break
+    if knots[-1] < 1.0 - 1e-15:
+        knots.append(1.0)
+    return np.asarray(knots), "I" if produced == M - 1 else "II"
+
+
+def sandwich_loop(f: SampledFunction, t: float, p: float):
+    """(knots, case, lower, upper, ratio) of ``kfunctional_bounds`` from
+    ``knots_loop``, ``pl_interpolate`` and the sup of |f - g| over the
+    sorted union of grid, knots and their midpoints."""
+    M = bracket_count(t, p)
+    ups = float(_profile(f, p, M)[-1])
+    knots, case = knots_loop(f, M, p, ups)
+    g = pl_interpolate(f, knots)
+    pts = np.unique(np.concatenate([f.grid, g.knots]))
+    xs = np.unique(np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])]))
+    err = float(np.max(np.abs(np.interp(xs, f.grid, f.values) - g(xs))))
+    lower = t * ups
+    upper = err + t * varp_pl(g, p)
+    return knots, case, lower, upper, upper / lower if lower > 0 else float("inf")
+
+
 def next_hit_loop(grid, vals, cur_x, cur_val, threshold):
-    """``kfunctional._next_hit`` as a walk: ``_first_crossing`` on every segment."""
+    """The knot search's hop from cur_x as a walk: ``_first_crossing`` on every segment."""
     i0 = int(np.searchsorted(grid, cur_x, side="right")) - 1
     i0 = max(0, min(i0, grid.size - 2))
     for i in range(i0, grid.size - 1):

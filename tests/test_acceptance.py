@@ -217,8 +217,8 @@ def test_wu_inequality():
     cases = [(Phi, np.sort(rng.uniform(0, 2, int(rng.integers(1, 12))))[::-1],
               float(rng.uniform(1.0, 2.0)), float(rng.choice([1.5, 2.0, 3.0])))
              for Phi in kinds for _ in range(300)]
-    violations = int(np.sum(inv.wu_violations(
-        [(Phi, x, p, factor) for Phi, x, factor, p in cases], 1e-12)))
+    violations = int(np.sum(inv.wu_ratios(
+        [(Phi, x, p, factor) for Phi, x, factor, p in cases], 1e-12) > 1.0 + 1e-12))
     _report("wu-inequality", violations == 0, f"{len(cases)} instances, {violations} violations")
 
 

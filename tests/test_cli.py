@@ -682,6 +682,11 @@ _LEAVES = (_SCALARS | _TEXT | st.lists(_FLOATS, max_size=6) | st.lists(_SCALARS,
            | st.lists(_SCALARS | _TEXT, max_size=4).map(tuple))
 
 
+# dicts of numbers, booleans and None, alone and in lists: the one-call row path
+_SCALAR_DICTS = st.dictionaries(_TEXT, _SCALARS, min_size=1, max_size=4)
+_LEAVES = _LEAVES | _SCALAR_DICTS | st.lists(_SCALAR_DICTS, max_size=4)
+
+
 def _nested(depth):
     if depth == 0:
         return _LEAVES
@@ -701,6 +706,11 @@ def _nested(depth):
 @example(obj=(np.float64(0.1), [np.float64(-0.0)], {"a": np.float64(math.inf)}))
 @example(obj=[{"n": 1, "value": 0.5}, {"n": 2, "value": "inf"}, {}])  # --format json rows
 @example(obj={"intervals": [[0, 3], [3, 4]], "differences": [], "value": 2.0})  # a selection
+@example(obj={"b": -0.0, "a": 10 ** 30, "c": None, "d": True, "e": math.nan, "f": -math.inf})
+@example(obj=[{"n": 1, "value": np.float64(5e-324)}, {"n": 2, "x": False}, {"n": 3}])
+@example(obj=[{"n": 1, "value": 0.5}, {"n": 2, "value": {}}])  # an empty dict is not a number
+@example(obj=[{"n": 1, "value": 0.5}, [1.0], {"n": 2}])
+@example(obj={", ": 1.0, '"': 2, "\n": None})
 def test_indented_json_is_json_dumps(obj):
     assert _indented_json(obj) == json.dumps(obj, sort_keys=True, indent=1)
 
@@ -719,6 +729,23 @@ def test_a_flat_list_costs_one_encoder_call(monkeypatch):
     monkeypatch.setattr(cli.json, "dumps", counted)
     assert _indented_json(trace) == expected
     assert calls == [list]
+
+
+def test_rows_of_numbers_cost_one_encoder_call_per_block(monkeypatch):
+    # the --format json rows: the values of 4096 rows per C-encoder call
+    calls = []
+    dumps = json.dumps
+
+    def counted(obj, **kw):
+        calls.append(type(obj))
+        return dumps(obj, **kw)
+
+    rows = [{"n": i, "value": 0.5 * i, "ok": i % 3 == 0, "none": None} for i in range(10_000)]
+    expected = dumps(rows, sort_keys=True, indent=1)
+    monkeypatch.setattr(cli.json, "dumps", counted)
+    assert _indented_json(rows) == expected
+    assert _indented_json(rows[1]) == dumps(rows[1], sort_keys=True, indent=1)
+    assert calls == [list] * 4  # three blocks of rows, then the one dict
 
 
 def test_indented_json_leaves_no_reference_cycle():
@@ -853,6 +880,24 @@ def test_config_file_fourier_sweep(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,theta,rho,sigma,tau,eta"
     assert len(lines) == 4
+
+
+def test_option_prefixes_are_not_matched(tmp_path, monkeypatch, capsys):
+    # --val and --sel are prefixes of --values and --selection-out, not options
+    monkeypatch.chdir(tmp_path)
+    assert main(["pvar", "--val", "0,1,0", "--p", "2", "--n", "2", "--sel", "s.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+    assert not (tmp_path / "s.json").exists()
+    # the same in --config keys, and --n is no longer an ambiguous prefix of --n-list
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "pvar",
+                               "params": {"values": "0,1,0", "p": 2, "n": 2, "sel": "s.json"}}))
+    assert main(["--config", str(cfg)]) == 2
+    assert main(["fourier", "--p", "2", "--nu", "log", "--n", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "ambiguous" not in err
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("top", ["[1, 2]", '"x"', "null"])

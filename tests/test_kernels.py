@@ -240,3 +240,18 @@ def test_backtrack_on_the_rows_is_the_backtrack_on_the_padded_table(p, rng):
             padded = _at(rows, n)
             assert padded.shape == (n + 1, m)
             assert _backtrack(rows, pair_sums, n) == _backtrack(padded, pair_sums, n)
+
+
+def test_pow_monotone():
+    # _pairs' pruning rests on one float assumption: float64 ** is nondecreasing
+    # in the base.  Checked on adjacent floats x < y = nextafter(x, inf) with the
+    # costs' own array expression, over the bases a difference of samples that
+    # _check_scale admits can take: bit patterns drawn uniformly from the
+    # smallest subnormal to max^(1/p), so every binade gets its share
+    rng = np.random.default_rng(13)
+    for p in (1.25, 1.5, 2.0, 3.0):
+        top = np.array([np.finfo(np.float64).max ** (1.0 / p)]).view(np.int64)[0]
+        x = rng.integers(1, top, 10 ** 6).view(np.float64)
+        y = np.nextafter(x, np.inf)
+        assert x.min() < 1e-300 and np.isfinite(x.max() ** p)
+        assert np.all(y ** p >= x ** p), p

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import next_hit_loop
+from oracles import knots_loop, sandwich_loop
 from pvarlab import (
     SampledFunction,
     bracket_count,
@@ -253,10 +253,10 @@ def test_lower_monotone_diagnostic():
     assert lower_monotone_in_t([])
 
 
-def _knot_search_inputs(rng, count):
+def _knot_search_inputs(rng, count, m_hi=90):
     """Random, plateau and integer-valued samples on uniform and nonuniform grids."""
     for trial in range(count):
-        m = int(rng.integers(2, 90))
+        m = int(rng.integers(2, m_hi))
         if trial % 2:
             g = np.linspace(0.0, 1.0, m)
         else:
@@ -271,48 +271,68 @@ def _knot_search_inputs(rng, count):
         yield SampledFunction(g, v)
 
 
-def test_next_hit_matches_the_segment_walk(rng):
-    from pvarlab.kfunctional import _next_hit
-
-    on_node = hits = 0
-    for f in _knot_search_inputs(rng, 600):
-        g, v = f.grid + float(rng.choice([0.0, 5e-13, -5e-13])), f.values  # g[0] around 0
-        i = int(rng.integers(0, g.size))
-        cur_x = float(rng.choice([g[i], rng.uniform(0, 1), 0.0, 1.0]))
-        threshold = float(rng.choice([1.0, 0.5, rng.uniform(0, 3), abs(v[-1] - v[0])]))
-        here = float(np.interp(cur_x, g, v))
-        # levels at cur_x and at the last sample: dl == 0 and dr == 0 hits
-        cur_val = float(rng.choice([here, v[i], here + threshold, v[-1] - threshold]))
-        got = _next_hit(g, v, cur_x, cur_val, threshold)
-        assert got == next_hit_loop(g, v, cur_x, cur_val, threshold), (g, v, cur_x, threshold)
-        on_node += cur_x in g
-        hits += got is not None
-    assert on_node > 150 and hits > 300
+def _knot_walk_cases(rng):
+    """The 520 original (f, t, p) cases, then 2 400 more on grids shifted by
+    0 or +-5e-13 with t down to 0.003, the zigzag at decimal scales, whose
+    crossings tie in the last ulp, and one pinned walk.  The short inputs
+    (m < 12) put the last node within a hop's first 16 segments, where an
+    exact level hit from above (dl > 0, dr == 0) at the end of a grid
+    shifted to 1 - 5e-13 is a knot of its own."""
+    for f in _knot_search_inputs(rng, 520):
+        yield f, [float(rng.choice([1.0, 0.5, 0.25, 0.1, 0.05, 0.02]))], \
+            float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+    for count, m_hi, t_grid in ((400, 90, [1.0, 0.5, 0.3, 0.1, 0.04, 0.01, 0.003]),
+                                (400, 12, [1.0, 0.5, 0.3, 0.25, 0.1])):
+        for f in _knot_search_inputs(rng, count, m_hi):
+            g = f.grid + float(rng.choice([0.0, 5e-13, -5e-13]))
+            ts = sorted(rng.choice(t_grid, 3, replace=False))
+            yield SampledFunction(g, f.values), [float(t) for t in ts], \
+                float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+    for c in (1.0, 1e-12, 3.0, 0.1):
+        yield make_zigzag(9).scaled(c), [1.0, 0.5, 0.25], 2.0
+    # the second hop's lower level is -2.0, met from above at the last node
+    yield SampledFunction(np.linspace(0.0, 1.0, 3) - 5e-13, np.array([-2.0, 1.0, -2.0])), [0.5], 2.0
 
 
 def test_select_knots_matches_the_segment_walk(rng, monkeypatch):
     from pvarlab import kfunctional
 
-    cases = [(f, float(rng.choice([1.0, 0.5, 0.25, 0.1, 0.05, 0.02])),
-              float(rng.choice([1.0, 1.5, 2.0, 3.0]))) for f in _knot_search_inputs(rng, 520)]
+    walks = []
+    knots_of = kfunctional._knots
+    monkeypatch.setattr(kfunctional, "_knots", lambda *a: walks.append(knots_of(*a)) or walks[-1])
+    cases = {"I": 0, "II": 0}
+    for f, ts, p in _knot_walk_cases(rng):
+        walks.clear()
+        rows = kfunctional_sweep(f, ts, p)
+        for t, row, (got, values, got_case) in zip(ts, rows, list(walks), strict=True):
+            knots, case, lower, upper, ratio = sandwich_loop(f, t, p)
+            assert (row.case, row.lower, row.upper, row.ratio) == (case, lower, upper, ratio), (f, t, p)
+            assert got.tobytes() == knots.tobytes() and got_case == case, (f, t, p)
+            assert values.tobytes() == np.interp(knots, f.grid, f.values).tobytes(), (f, t, p)
+            if len(ts) == 1:
+                got, got_case = select_knots(f, bracket_count(t, p), p)
+                assert got.tobytes() == knots.tobytes() and got_case == case
+            cases[case] += 1
+    assert sum(cases.values()) >= 2_930 and min(cases.values()) > 50
 
-    def run():
-        out = []
-        for f, t, p in cases:
-            M = bracket_count(t, p)
-            knots, case = select_knots(f, M, p)
-            ks = kfunctional_bounds(f, t, p)
-            out.append((knots.tobytes(), case, ks.upper, ks.case))
-        for c in (1.0, 1e-12, 3.0, 0.1):  # last-ulp ties at the zigzag's crossings
-            out += [(r.upper, r.case) for r in
-                    kfunctional_sweep(make_zigzag(9).scaled(c), [1, 0.5, 0.25], 2)]
-        return out
 
-    fast = run()
-    monkeypatch.setattr(kfunctional, "_next_hit", next_hit_loop)
-    assert fast == run()
-    assert sum(row[1] == "II" for row in fast[:len(cases)]) > 50
-    assert sum(row[1] == "I" for row in fast[:len(cases)]) > 50
+def test_knot_walk_on_grids_with_nodes_past_one(rng):
+    # a hit on a segment that starts past 1.0 is clamped back to the knot 1.0,
+    # whose value lies on an earlier segment
+    from pvarlab import kfunctional
+
+    for _ in range(300):
+        m, k = int(rng.integers(5, 10)), int(rng.integers(2, 4))
+        g = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, m - k - 1)),
+                            1.0 + 1e-13 * np.arange(1, k + 1)])
+        f = SampledFunction(g, rng.integers(-2, 3, g.size).astype(float))
+        t, p = float(rng.choice([1.0, 0.5, 0.25, 0.1])), float(rng.choice([1.0, 2.0]))
+        M = bracket_count(t, p)
+        ups = kfunctional._profile(f, p, M)[-1]
+        knots, case = knots_loop(f, M, p, ups)
+        got, values, got_case = kfunctional._knots(f, M, p, ups)
+        assert got.tobytes() == knots.tobytes() and got_case == case, f
+        assert values.tobytes() == np.interp(knots, f.grid, f.values).tobytes(), f
 
 
 def test_knot_search_calls_the_scalar_test_per_knot(monkeypatch):
