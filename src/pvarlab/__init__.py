@@ -37,7 +37,6 @@ from .fourier import (
     fourier_coeffs,
     modulus_of_continuity,
     nikolskii_bound_check,
-    omega_of,
     partial_sum,
     q_sequence,
     sine_integral_lower,
@@ -46,7 +45,6 @@ from .fourier import (
 )
 from .kfunctional import (
     KSandwich,
-    PLFunction,
     bracket_count,
     kfunctional_bounds,
     kfunctional_sweep,
@@ -57,14 +55,12 @@ from .kfunctional import (
 from .modulus import (
     ModulusOfVariation,
     ModulusValidation,
-    epsilon_p,
     epsilon_p_table,
     validate_modulus,
 )
 from .sampled import SampledFunction, extrema_reduce
 from .seqspaces import (
     dual_harmonic_estimate,
-    fundamental_sequence,
     lorentz_norm,
     marcinkiewicz_norm,
     modular_norm,

@@ -34,7 +34,7 @@ from .embeddings import (
 )
 from .functions import from_spec
 from .kfunctional import kfunctional_sweep, lower_monotone_in_t
-from .modulus import _read_number, _spec_fields, parse_modulus
+from .modulus import _check_count, _read_number, _spec_fields, parse_modulus
 from .sampled import SampledFunction
 from .variation import _pvariation_solve
 from .verify import run_battery
@@ -203,6 +203,7 @@ def _emit_rows(args, header: str, rows: list[list[str]]):
 # ---------------------------------------------------------------------------
 
 def _cmd_pvar(args) -> int:
+    _check_count(args.n)  # one row per n
     f = _load_function(args)
     value, sel, prof = _pvariation_solve(f, args.p, args.n)
     rows = [[str(n), _fmt(prof[min(n, prof.size) - 1])] for n in range(1, args.n + 1)]
@@ -276,6 +277,7 @@ def _cmd_seqnorm(args) -> int:
     else:
         if args.n is None or args.n < 1:
             raise ValueError("seqnorm needs --x or --n >= 1")
+        _check_count(args.n)
         x = np.ones(args.n)
         label = str(args.n)
     if args.space == "marcinkiewicz":

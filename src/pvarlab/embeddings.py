@@ -9,9 +9,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .modulus import ModulusOfVariation, _check_p
+from .modulus import ModulusOfVariation, _check_count, _check_p
 from .sampled import SampledFunction
-from .variation import pvariation_dp
+from .variation import pvariation_profile
 
 __all__ = [
     "OrliczFunction",
@@ -413,6 +413,7 @@ def embedding_criterion(Phi: PhiSequence, nu: ModulusOfVariation, p: float,
     _check_p(p)
     if horizon < 8:
         raise ValueError("horizon must be >= 8")
+    _check_count(horizon, "horizon")
     ks = np.arange(1, horizon + 1, dtype=np.float64)
     scores = ks ** (1.0 / p) * Phi.inverse_at_one_table(horizon)
     return _report_from_scores(scores, nu)
@@ -549,6 +550,7 @@ _N_MAX = 1 << 34            # largest block index searched
 _LITERAL_N_MAX = 1 << 27    # scan cap while chasing the full 2^(4k) rate
 _MAX_POINTS = 30_000_000    # total grid points over all blocks
 _PREFIX_TEETH = 40          # teeth in the small replica DP check
+_MAX_JSON_POINTS = 200_000  # a larger witness function is written as its point count
 
 
 @dataclass(frozen=True)
@@ -592,9 +594,9 @@ class Witness:
     def function(self) -> SampledFunction:
         return _materialize(self.blocks)
 
-    def to_json_dict(self, max_function_points: int = 200_000) -> dict:
+    def to_json_dict(self) -> dict:
         points = 1 + 3 * sum(b.r for b in self.blocks) + int(_closes_at_one(self.blocks))
-        if points <= max_function_points:
+        if points <= _MAX_JSON_POINTS:
             fn = self.function.to_json_dict()
         else:
             fn = {"points": points, "omitted": True}
@@ -842,7 +844,7 @@ def _prefix_dp_check(window: SampledFunction, blk: WitnessBlock, p: float) -> bo
     """Whether the DP on ``window``, the block's first t = min(r, 40) teeth,
     finds the 2t swings of height h."""
     t = min(blk.r, _PREFIX_TEETH)
-    val, _ = pvariation_dp(window, p, 2 * t)
+    val = float(pvariation_profile(window, p, 2 * t)[-1])
     expected = (2.0 * t) ** (1.0 / p) * blk.height
     return abs(val - expected) <= 1e-9 * (1.0 + expected)
 

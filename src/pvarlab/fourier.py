@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .modulus import ModulusOfVariation, _check_p, epsilon_p_table
+from .modulus import ModulusOfVariation, _check_count, _check_p, epsilon_p_table
 from .sampled import SampledFunction
 
 TWO_PI = 2.0 * math.pi
@@ -29,7 +29,6 @@ __all__ = [
     "modulus_of_continuity",
     "OmegaPower",
     "OmegaLog",
-    "omega_of",
     "theta",
     "ConvergenceSequences",
     "convergence_sequences",
@@ -211,16 +210,6 @@ class OmegaLog:
         return 1.0 / math.log(math.e + 1.0 / d) if d > 0 else 0.0
 
 
-def omega_of(f: SampledFunction):
-    """Measured modulus of continuity of a sampled function, as a callable."""
-
-    def w(d: float) -> float:
-        return modulus_of_continuity(f, d)
-
-    w.name = "measured"  # type: ignore[attr-defined]
-    return w
-
-
 # ---------------------------------------------------------------------------
 # Convergence criterion sequences
 # ---------------------------------------------------------------------------
@@ -234,6 +223,7 @@ def _split_objective(nu: ModulusOfVariation, omega, p: float, n: int):
     _check_p(p)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    _check_count(n)
     w = omega(1.0 / n)
     ks = np.arange(1, n, dtype=np.float64)  # 1..n-1
     harm = np.cumsum(1.0 / ks)
@@ -294,7 +284,6 @@ class Unif2Report:
     partials: dict
     half_partials: dict
     converges: dict
-    agree: bool
     method: str
 
 
@@ -342,8 +331,7 @@ def unif2_verdicts(nu: ModulusOfVariation, p: float, horizon: int) -> Unif2Repor
         horizon=int(horizon),
         partials={k: float(np.sum(v)) for k, v in terms.items()},
         half_partials={k: float(np.sum(v[:half])) for k, v in terms.items()},
-        converges=dict.fromkeys(_SERIES_LABELS, truth),
-        agree=True,  # the five series share one verdict
+        converges=dict.fromkeys(_SERIES_LABELS, truth),  # one verdict for all five
         method="integral-test" if truth is not None else "undecided",
     )
 

@@ -1,9 +1,10 @@
 """Two-sided bounds for the (L-infinity, BV_p) K-functional.
 
 The upper bound is constructive: a free-knot piecewise-linear interpolant
-whose knots are placed where |f - f(previous knot)| first reaches
-v_p(M, f) / M^(1/p), with M = floor(1/t)^p.  With lower = t * v_p(M, f) the
-certified sandwich is
+g whose knots are placed where |f - f(previous knot)| first reaches
+v_p(M, f) / M^(1/p), with M = floor(1/t)^p.  g is a ``SampledFunction`` on
+its knots, so Var_p(g) is the same DP as v_p(M, f).  With
+lower = t * v_p(M, f) the certified sandwich is
 
     lower / 2  <=  K(f, t)  <=  upper  <=  5 * lower.
 
@@ -24,7 +25,6 @@ from .modulus import _check_p
 from .variation import _profile
 
 __all__ = [
-    "PLFunction",
     "KSandwich",
     "select_knots",
     "pl_interpolate",
@@ -40,29 +40,6 @@ _CROSSING_TOL = 1e-9
 # the cap (p = 1, t = 2^-20) kfunc took 2.5-2.7 s / 126 MB on f(x) = x and
 # 8.7-9.5 s / 133 MB on random:20000 (2 vCPU, CPython 3.11, numpy 2.4).
 _MAX_KNOTS = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class PLFunction:
-    """Piecewise-linear function on [0, 1] given by its knots."""
-
-    knots: np.ndarray
-    knot_values: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.knots, dtype=np.float64)
-        v = np.asarray(self.knot_values, dtype=np.float64)
-        object.__setattr__(self, "knots", k)
-        object.__setattr__(self, "knot_values", v)
-        if k.size != v.size or k.size < 2:
-            raise ValueError("need matching knots/values with at least 2 knots")
-        if not np.all(np.diff(k) > 0):
-            raise ValueError("duplicate or decreasing knots")
-        if abs(k[0]) > 1e-12 or abs(k[-1] - 1.0) > 1e-12:
-            raise ValueError("knots must cover [0, 1]")
-
-    def __call__(self, x):
-        return np.interp(x, self.knots, self.knot_values)
 
 
 @dataclass(frozen=True)
@@ -243,36 +220,35 @@ def _screen(xs, vs, vals, a, center, threshold, after):
     return None, None
 
 
-def pl_interpolate(f: SampledFunction, knots) -> PLFunction:
-    """PL interpolant of f at the given knots (grid indices or abscissas)."""
+def pl_interpolate(f: SampledFunction, knots) -> SampledFunction:
+    """PL interpolant of f at the given knots (grid indices or abscissas),
+    which must cover [0, 1]: f sampled on the knots."""
     arr = np.asarray(knots)
-    if arr.dtype.kind in "iu":
-        xs = f.grid[arr]
-    else:
-        xs = arr.astype(np.float64)
+    xs = f.grid[arr] if arr.dtype.kind in "iu" else arr.astype(np.float64)
     if np.unique(xs).size != xs.size:
         raise ValueError("duplicate knots")
-    ys = np.interp(xs, f.grid, f.values)
-    return PLFunction(xs, ys)
+    g = SampledFunction(xs, np.interp(xs, f.grid, f.values))
+    if abs(xs[0]) > 1e-12 or abs(xs[-1] - 1.0) > 1e-12:
+        raise ValueError("knots must cover [0, 1]")
+    return g
 
 
-def varp_pl(g: PLFunction, p: float) -> float:
-    """Exact p-variation of a PL function.
+def varp_pl(g: SampledFunction, p: float) -> float:
+    """Exact p-variation of the PL function g.
 
     This is the unconstrained-selection supremum over the knot values (for
     p > 1 it can exceed the l_p norm of the alternating swings, because a
     selection may step across a small counter-swing); the interval-budget DP
     stabilizes at the swing count and returns exactly that supremum.
     """
-    sf = SampledFunction(g.knots, g.knot_values)
-    return float(_profile(sf, p, max(1, g.knots.size - 1))[-1])
+    return float(_profile(g, p, max(1, len(g) - 1))[-1])
 
 
-def _sup_diff(f: SampledFunction, g: PLFunction) -> float:
+def _sup_diff(f: SampledFunction, g: SampledFunction) -> float:
     """max |f - g| over grid and knots and the midpoints between them.  The
     midpoints are interleaved, not sorted in: a midpoint of two adjacent
     floats may equal one of them, and a repeated point leaves the max as it is."""
-    pts = np.unique(np.concatenate([f.grid, g.knots]))
+    pts = np.unique(np.concatenate([f.grid, g.grid]))
     xs = np.empty(2 * pts.size - 1)
     xs[0::2] = pts
     xs[1::2] = 0.5 * (pts[:-1] + pts[1:])
@@ -290,7 +266,7 @@ def _sandwich(f: SampledFunction, t: float, p: float, M: int, ups: float, nodes)
     lower = t * ups
 
     knots, values, case = _knots(f, M, p, ups, nodes)
-    g = PLFunction(knots, values)
+    g = SampledFunction(knots, values)
     var_g = varp_pl(g, p)
     err = _sup_diff(f, g)
     upper = err + t * var_g

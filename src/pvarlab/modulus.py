@@ -13,18 +13,26 @@ __all__ = [
     "ModulusOfVariation",
     "ModulusValidation",
     "validate_modulus",
-    "epsilon_p",
     "epsilon_p_table",
 ]
 
 _CONCAVITY_SLACK = 1e-12
 _VALIDATE_HORIZON = 4096
+# The largest count that sizes an allocation: pvar --n rows, the seqnorm --n
+# indicator, an embedding horizon and a Fourier n.
+_MAX_COUNT = 1 << 20
 
 
 def _check_p(p: float, name: str = "p"):
     """The one rule for an exponent such as p, shared by the API and the CLI."""
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"{name} must be finite and >= 1, got {p!r}")
+
+
+def _check_count(n: int, name: str = "n"):
+    """The one cap on a count that sizes an allocation, shared by the API and the CLI."""
+    if n > _MAX_COUNT:
+        raise ValueError(f"{name} must be <= {_MAX_COUNT}, got {n}")
 
 
 def _read_number(text: str, kind=float):
@@ -219,18 +227,8 @@ def validate_modulus(candidate, p: float) -> ModulusValidation:
     )
 
 
-def epsilon_p(nu: ModulusOfVariation, p: float, k: int) -> float:
-    """(nu(k)^p - nu(k-1)^p)^(1/p) for k >= 1."""
-    _check_p(p)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    a = nu.value(k) ** p
-    b = nu.value(k - 1) ** p
-    return float((a - b) ** (1.0 / p))
-
-
 def epsilon_p_table(nu: ModulusOfVariation, p: float, n: int) -> np.ndarray:
-    """Array of epsilon_p(1), ..., epsilon_p(n)."""
+    """Array of eps_p(1), ..., eps_p(n), eps_p(k) = (nu(k)^p - nu(k-1)^p)^(1/p)."""
     _check_p(p)
     t = np.concatenate(([0.0], nu.table(n))) ** p
     return np.diff(t) ** (1.0 / p)

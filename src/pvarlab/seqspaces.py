@@ -5,7 +5,9 @@ permutation and sign invariance definitional.  The Luxemburg norms (Orlicz
 and modular) are evaluated as a batch: ``orlicz_norms`` and
 ``modular_norms`` run one bisection over all their sequences, and
 ``orlicz_norm``/``modular_norm`` are the one-sequence case of the same code,
-so each value is bit-identical to its own call.
+so each value is bit-identical to its own call.  The fundamental sequence
+of a space, the norm of the n-term indicator, is any of these norms on
+``np.ones(n)`` (``seqnorm --n``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "orlicz_norms",
     "modular_norm",
     "modular_norms",
-    "fundamental_sequence",
     "dual_harmonic_estimate",
 ]
 
@@ -120,35 +121,6 @@ def modular_norms(seqs, Phi: PhiSequence) -> np.ndarray:
 def modular_norm(x, Phi: PhiSequence) -> float:
     """inf{c > 0 : sum phi_j(x*_j / c) <= 1} on the rearrangement."""
     return float(modular_norms([x], Phi)[0])
-
-
-def fundamental_sequence(space: str, n: int, *, nu: ModulusOfVariation | None = None,
-                         p: float | None = None, w=None, q: float | None = None,
-                         phi: OrliczFunction | None = None,
-                         Phi: PhiSequence | None = None) -> float:
-    """Norm of the n-term indicator sequence.
-
-    For the Marcinkiewicz space this equals n^(1/p)/nu(n) because
-    nu(m)/m^(1/p) is nonincreasing; the norm is computed and the closed form
-    asserted.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ones = np.ones(n)
-    s = space.lower()
-    if s == "marcinkiewicz":
-        val = marcinkiewicz_norm(ones, nu, p)
-        closed = n ** (1.0 / p) / nu.value(n)
-        if abs(val - closed) > 1e-10 * (1.0 + closed):
-            raise RuntimeError("Marcinkiewicz fundamental sequence differs from n^(1/p)/nu(n)")
-        return float(closed)
-    if s == "lorentz":
-        return lorentz_norm(ones, w, q)
-    if s == "orlicz":
-        return orlicz_norm(ones, phi)
-    if s == "modular":
-        return modular_norm(ones, Phi)
-    raise ValueError(f"unknown space {space!r}")
 
 
 def dual_harmonic_estimate(nu: ModulusOfVariation, p: float, horizon: int):

@@ -153,7 +153,7 @@ def sandwich_loop(f: SampledFunction, t: float, p: float):
     ups = float(_profile(f, p, M)[-1])
     knots, case = knots_loop(f, M, p, ups)
     g = pl_interpolate(f, knots)
-    pts = np.unique(np.concatenate([f.grid, g.knots]))
+    pts = np.unique(np.concatenate([f.grid, g.grid]))
     xs = np.unique(np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])]))
     err = float(np.max(np.abs(np.interp(xs, f.grid, f.values) - g(xs))))
     lower = t * ups

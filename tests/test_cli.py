@@ -437,6 +437,20 @@ def test_zero_and_negative_counts_exit_2(argv, message, capsys):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["pvar", "--values", "0,1,0", "--p", "2", "--n", "1048577"], "n"),
+    (["seqnorm", "--space", "marcinkiewicz", "--n", "1048577"], "n"),
+    (["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--horizon", "1048577"], "horizon"),
+    (["fourier", "--nu", "log", "--omega", "log", "--p", "1", "--n-list", "8,1048577"], "n"),
+])
+def test_counts_over_the_cap_exit_2_before_output(argv, option, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{option} must be <= 1048576, got 1048577" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("space", [["orlicz", "--q", "2"], ["modular", "--phi", "power:2"]])
 def test_seqnorm_at_tiny_scale(space, capsys):
     assert main(["seqnorm", "--space", *space, "--x", "3e-300,4e-300"]) == 0

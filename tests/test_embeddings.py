@@ -502,11 +502,13 @@ def test_window_value_is_the_whole_window_dp_value():
         assert value.hex() == whole_window_dp_value(blk, p).hex(), (r, h, p, n)
 
 
-def test_witness_json_omits_huge_grids():
+def test_witness_json_omits_huge_grids(monkeypatch):
     w = witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 1)
-    d = w.to_json_dict(max_function_points=10)
+    monkeypatch.setattr(embeddings, "_MAX_JSON_POINTS", 10)
+    d = w.to_json_dict()
     assert d["function"].get("omitted") is True
-    d2 = w.to_json_dict(max_function_points=10 ** 9)
+    monkeypatch.setattr(embeddings, "_MAX_JSON_POINTS", 10 ** 9)
+    d2 = w.to_json_dict()
     assert len(d2["function"]["grid"]) == len(w.function)
 
 
@@ -539,7 +541,8 @@ def test_witness_function_is_the_windows_certified(Phi, nu, k_max, monkeypatch):
         # the prefix DP reads the first min(r, 40) teeth of that slice
         assert np.array_equal(prefixes[blk.k], block_slice[:1 + 3 * min(blk.r, 40)])
         start = stop - 1
-    assert len(w.function) == w.to_json_dict(max_function_points=0)["function"]["points"]
+    monkeypatch.setattr(embeddings, "_MAX_JSON_POINTS", 0)
+    assert len(w.function) == w.to_json_dict()["function"]["points"]
     assert len(w.function) - start in (1, 2)  # the last trailing zero, then maybe (1, 0)
 
 
@@ -696,13 +699,14 @@ def test_p_above_one_witness_checks_its_whole_window():
     assert w.certificates[0].window_dp_value == whole_window_dp_value(w.blocks[0], 1.5)
 
 
-def test_witness_whose_last_tooth_ends_at_one_has_no_closing_point():
+def test_witness_whose_last_tooth_ends_at_one_has_no_closing_point(monkeypatch):
     w = witness_generate(PhiSequence.power_all(3.0), ModulusOfVariation.power(0.1), 1.0, 1)
     blk = w.blocks[0]
     assert (blk.n, blk.r, blk.s) == (134, 34, 34)
     assert w.function.grid[-1] == 1.0 and w.function.values[-1] == 0.0
     assert len(w.function) == 1 + 3 * blk.r == 103
-    assert w.to_json_dict(max_function_points=0)["function"] == {"points": 103, "omitted": True}
+    monkeypatch.setattr(embeddings, "_MAX_JSON_POINTS", 0)
+    assert w.to_json_dict()["function"] == {"points": 103, "omitted": True}
 
 
 def test_witness_lambda_gauge_literal_blocks():

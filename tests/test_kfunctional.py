@@ -91,6 +91,10 @@ def test_pl_interpolate_examples():
     assert full(ZIGZAG.grid) == pytest.approx(ZIGZAG.values, abs=1e-12)
     with pytest.raises(ValueError):
         pl_interpolate(LINEAR, np.array([0.0, 0.0, 1.0]))
+    # the interpolant is f sampled on its knots, which must cover [0, 1]
+    assert isinstance(g, SampledFunction) and g.grid.tolist() == [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError, match="cover"):
+        pl_interpolate(LINEAR, np.array([0.0, 0.5]))
 
 
 def test_varp_pl_examples():

@@ -3,7 +3,6 @@ import pytest
 
 from pvarlab import (
     ModulusOfVariation,
-    epsilon_p,
     epsilon_p_table,
     validate_modulus,
 )
@@ -52,14 +51,14 @@ def test_nu_zero_is_zero():
 
 
 def test_epsilon_examples():
-    assert epsilon_p(ModulusOfVariation.power(0.5), 2.0, 7) == pytest.approx(1.0, abs=1e-12)
-    assert epsilon_p(ModulusOfVariation.power(1 / 3), 1.0, 2) == pytest.approx(
+    assert epsilon_p_table(ModulusOfVariation.power(0.5), 2.0, 7)[6] == pytest.approx(1.0, abs=1e-12)
+    assert epsilon_p_table(ModulusOfVariation.power(1 / 3), 1.0, 2)[1] == pytest.approx(
         2 ** (1 / 3) - 1, abs=1e-12
     )
     nu = ModulusOfVariation.from_table([1.0, 1.5, 1.8])
-    assert epsilon_p(nu, 2.0, 2) == pytest.approx(np.sqrt(1.25), abs=1e-12)
-    with pytest.raises(ValueError):
-        epsilon_p(nu, 2.0, 0)
+    assert epsilon_p_table(nu, 2.0, 2)[1] == pytest.approx(np.sqrt(1.25), abs=1e-12)
+    with pytest.raises(ValueError, match="not extrapolated"):
+        epsilon_p_table(nu, 2.0, 4)
 
 
 @pytest.mark.parametrize("nu,p", [

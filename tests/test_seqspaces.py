@@ -12,7 +12,6 @@ from pvarlab import (
     dual_harmonic_estimate,
     epsilon_p_table,
     exp_orlicz,
-    fundamental_sequence,
     lorentz_norm,
     marcinkiewicz_norm,
     modular_norm,
@@ -169,16 +168,14 @@ def test_space_coincidence_with_pvariation(rng):
 
 
 def test_fundamental_sequences():
-    assert fundamental_sequence("marcinkiewicz", 1, nu=NU_SQRT, p=1.0) == pytest.approx(1.0)
-    assert fundamental_sequence("marcinkiewicz", 9, nu=NU_SQRT, p=1.0) == pytest.approx(3.0)
-    assert fundamental_sequence("lorentz", 3, w=[1, 0.5, 1 / 3], q=1.0) == pytest.approx(11 / 6)
+    # the norm of the n-term indicator; Marcinkiewicz has the closed form n^(1/p)/nu(n)
+    assert marcinkiewicz_norm(np.ones(1), NU_SQRT, 1.0) == pytest.approx(1.0)
+    assert marcinkiewicz_norm(np.ones(9), NU_SQRT, 1.0) == pytest.approx(3.0)
+    assert lorentz_norm(np.ones(3), [1, 0.5, 1 / 3], 1.0) == pytest.approx(11 / 6)
     # Orlicz indicator: c with n*phi(1/c) = 1
-    val = fundamental_sequence("orlicz", 4, phi=power_orlicz(2.0))
-    assert val == pytest.approx(2.0, rel=1e-9)
+    assert orlicz_norm(np.ones(4), power_orlicz(2.0)) == pytest.approx(2.0, rel=1e-9)
     # modular ties to the partial inverse
-    Phi = PhiSequence.power_all(2.0)
-    val2 = fundamental_sequence("modular", 4, Phi=Phi)
-    assert val2 == pytest.approx(2.0, rel=1e-9)
+    assert modular_norm(np.ones(4), PhiSequence.power_all(2.0)) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_dual_harmonic_estimates():

@@ -14,7 +14,6 @@ from pvarlab import (
     corollary_criteria,
     dual_harmonic_estimate,
     embedding_criterion,
-    epsilon_p,
     epsilon_p_table,
     marcinkiewicz_norm,
     extrema_reduce,
@@ -91,7 +90,7 @@ def test_invalid_p_rejected(p):
                  lambda: unif2_verdicts(nu, p, 16), lambda: coeff_decay_report(ZIGZAG, nu, p, 2),
                  lambda: embedding_criterion(PhiSequence.power_all(2.0), nu, p, 8),
                  lambda: corollary_criteria("BVq", nu, p, 8, q=2.0),
-                 lambda: q_sequence(p, [1.0, 2.0]), lambda: epsilon_p(nu, p, 2),
+                 lambda: q_sequence(p, [1.0, 2.0]),
                  lambda: epsilon_p_table(nu, p, 3),
                  lambda: wu_bound_check(PhiSequence.power_all(2.0), [0.5, 0.5], p, 0.5)):
         with pytest.raises(ValueError, match="p must be finite and >= 1"):
