@@ -73,7 +73,9 @@ def exp_orlicz() -> OrliczFunction:
 # themselves, so the bracket below works on them: a midpoint in bits is
 # geometric across binades and arithmetic within one.
 _TOP = int(np.float64(2.0 ** 1023).view(np.int64))  # the largest bracket end
-_SEEDED_STEP = 1 << 8    # 2^8 ulps: a 2^-44 relative half-width around a seed
+# Closed-form seeds at y = 1, k <= 100 000 lie at most 6 ulps from their roots (2 for power:2,
+# exp and power:3 over harmonic, 3 for power:3): the first gallop steps, 1 and 17 ulps, bracket them.
+_SEEDED_STEP = 1
 _UNSEEDED_STEP = 1 << 52  # one binade around 1
 _GALLOP = 16
 
@@ -83,7 +85,7 @@ def _bisect_increasing(fn, y, start=None):
 
     ``fn`` maps an array of x to an array of the same shape, entry i against
     target y[i].  Each target starts at ``start[i]`` where that is finite and
-    > 0, else at 1.  The bracket gallops out from there (2^8 ulps from a seed,
+    > 0, else at 1.  The bracket gallops out from there (1 ulp from a seed,
     one binade without ``start``, 16 times further each step) until
     fn(lo) < y <= fn(hi), with lo = 0 when fn reaches y at the smallest
     positive float, then halves in bit patterns until lo and hi are adjacent
@@ -430,6 +432,7 @@ def corollary_criteria(case: str, nu: ModulusOfVariation, p: float, horizon: int
     _check_p(p)
     if case not in _COROLLARY_CASES:
         raise ValueError(f"case must be one of {_COROLLARY_CASES}")
+    _check_count(horizon, "horizon")
     ks = np.arange(1, horizon + 1, dtype=np.float64)
     kp = ks ** (1.0 / p)
     if case == "BVq":

@@ -324,6 +324,7 @@ def unif2_verdicts(nu: ModulusOfVariation, p: float, horizon: int) -> Unif2Repor
     _check_p(p)
     if horizon < 16:
         raise ValueError("horizon must be >= 16")
+    _check_count(horizon, "horizon")
     terms = _series_terms(nu, p, horizon)
     half = horizon // 2
     truth = _family_converges(nu, p)

@@ -69,8 +69,8 @@ def bracket_count(t: float, p: float) -> int:
 
 
 def _require_unit_domain(f: SampledFunction):
-    if abs(f.grid[0]) > 1e-12 or abs(f.grid[-1] - 1.0) > 1e-12:
-        raise ValueError("expected a function sampled on [0, 1]")
+    if abs(f.grid[0]) > 1e-12 or abs(f.grid[-1] - 1.0) > 1e-12 or f.grid[-2] > 1.0:
+        raise ValueError("expected a function sampled on [0, 1], at most its last node past 1")
 
 
 def _first_crossing(xl, vl, xr, vr, center, threshold, after):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .embeddings import OrliczFunction, PhiSequence, _bisect_increasing
-from .modulus import ModulusOfVariation, _check_p, epsilon_p_table
+from .modulus import ModulusOfVariation, _check_count, _check_p, epsilon_p_table
 
 __all__ = [
     "rearrange",
@@ -70,7 +70,7 @@ def _support(x) -> np.ndarray:
     return xs[xs > 0]
 
 
-def _luxemburg(supports: list[np.ndarray], modular) -> np.ndarray:
+def _luxemburg(supports: list[np.ndarray], modular, q=None, lam=None) -> np.ndarray:
     """inf{c > 0 : modular(x / c) <= 1} per support x; 0 for an empty one.
 
     ``modular`` maps a C-contiguous (k, n) matrix of rows x / c to its k row
@@ -78,6 +78,9 @@ def _luxemburg(supports: list[np.ndarray], modular) -> np.ndarray:
     lone sequence does.  Supports are grouped by length, never padded.  The
     modular decreases in c, so its negation goes through the increasing
     inverse, one target per nonempty support.
+
+    ``q`` marks the power modular sum_j (x_j/c)^q / lambda_j (lambda_j = 1 without ``lam``):
+    its root s (sum_j (x_j/s)^q / lambda_j)^(1/q), s = max x, seeds the bisection, moving no bit.
     """
     groups: dict[int, list[int]] = {}
     for i, xs in enumerate(supports):
@@ -94,7 +97,13 @@ def _luxemburg(supports: list[np.ndarray], modular) -> np.ndarray:
         return -np.concatenate([modular(x / c[lo:hi, None])
                                 for x, lo, hi in zip(rows, cuts, cuts[1:])])
 
-    out[order] = _bisect_increasing(neg_modular, np.full(len(order), -1.0))
+    def power_root(x):
+        w = 1.0 if lam is None else lam.value(np.arange(1, x.shape[1] + 1))
+        return x[:, 0] * ((x / x[:, :1]) ** q / w).sum(axis=1) ** (1.0 / q)
+
+    with np.errstate(over="ignore"):  # an inf seed is ignored
+        seed = None if q is None else np.concatenate([power_root(x) for x in rows])
+    out[order] = _bisect_increasing(neg_modular, np.full(len(order), -1.0), seed)
     return out
 
 
@@ -102,7 +111,7 @@ def orlicz_norms(seqs, phi: OrliczFunction) -> np.ndarray:
     """Luxemburg norm inf{c > 0 : sum phi(|x_j|/c) <= 1} of each x in ``seqs``
     (0 for x = 0), by one bisection over all of them; each value is
     bit-identical to ``orlicz_norm(x, phi)``."""
-    return _luxemburg([_support(x) for x in seqs], lambda u: phi(u).sum(axis=1))
+    return _luxemburg([_support(x) for x in seqs], lambda u: phi(u).sum(axis=1), phi.q)
 
 
 def orlicz_norm(x, phi: OrliczFunction) -> float:
@@ -115,7 +124,8 @@ def modular_norms(seqs, Phi: PhiSequence) -> np.ndarray:
     ``seqs``, by one bisection over all of them; each value is bit-identical
     to ``modular_norm(x, Phi)``."""
     return _luxemburg([_support(x) for x in seqs],
-                      lambda u: Phi.phi(np.arange(1, u.shape[1] + 1), u).sum(axis=1))
+                      lambda u: Phi.phi(np.arange(1, u.shape[1] + 1), u).sum(axis=1),
+                      getattr(Phi.gauge, "q", None), Phi.lam)
 
 
 def modular_norm(x, Phi: PhiSequence) -> float:
@@ -132,6 +142,7 @@ def dual_harmonic_estimate(nu: ModulusOfVariation, p: float, horizon: int):
     _check_p(p)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    _check_count(horizon, "horizon")
     ks = np.arange(1, horizon + 1, dtype=np.float64)
     lower = float(np.sum(epsilon_p_table(nu, p, horizon) / ks))
     upper = float(np.sum(nu.table(horizon) / ks ** (1.0 + 1.0 / p)))

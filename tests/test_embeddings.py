@@ -229,13 +229,15 @@ def test_closed_inverse_at_one_is_the_scan_formula():
     assert no_closed_form.closed_inverse(ks, 1.0) is None
 
 
-def test_inverse_table_takes_at_most_16_evaluations():
+def test_inverse_table_takes_at_most_8_evaluations():
+    # every closed-form seed lies within 6 ulps of its root: the seed, 1 and
+    # 17 ulps out bracket it, and four halvings close the 16-ulp bracket
     Phi = PhiSequence.power_all(2.0)
     calls = []
     partial = Phi.partial
     Phi.partial = lambda n, x: calls.append(1) or partial(n, x)
     table = Phi.inverse_at_one_table(100_000)
-    assert len(calls) <= 16
+    assert len(calls) <= 8
     assert table.tobytes() == inverse_at_one_loop(PhiSequence.power_all(2.0), 1, 100_000).tobytes()
 
 
@@ -297,6 +299,11 @@ def test_power_q_equals_p_embeds():
 ])
 def test_corollary_crosscheck(case, kw):
     assert inv.crosscheck_gaps([(case, kw)], NU_SQRT, 2.0, 2048)[0] <= 1e-9
+
+
+def test_corollary_criteria_caps_the_horizon():
+    with pytest.raises(ValueError, match="horizon must be <="):
+        corollary_criteria("BVq", NU_LOG, 1.0, 2 ** 20 + 1, q=2.0)
 
 
 def test_salem_power_matches_bvq():

@@ -330,6 +330,11 @@ def test_unif2_rejects_small_horizon():
         unif2_verdicts(ModulusOfVariation.log(), 1.0, 8)
 
 
+def test_unif2_caps_the_horizon():
+    with pytest.raises(ValueError, match="horizon must be <="):
+        unif2_verdicts(ModulusOfVariation.log(), 1.0, 2 ** 20 + 1)
+
+
 # -- decay, sine integral, partial-sum bound ----------------------------------
 
 def test_coeff_decay_examples():

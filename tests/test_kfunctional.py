@@ -339,6 +339,13 @@ def test_knot_walk_on_grids_with_nodes_past_one(rng):
         assert values.tobytes() == np.interp(knots, f.grid, f.values).tobytes(), f
 
 
+def test_sandwich_refuses_two_nodes_past_one():
+    f = SampledFunction([0, 0.5, 1 + 1e-13, 1 + 2e-13], [0, 1, 2, -2])
+    with pytest.raises(ValueError, match="at most its last node past 1"):
+        kfunctional_bounds(f, 0.25, 1.0)
+    assert kfunctional_bounds(SampledFunction([0, 0.5, 1 + 1e-13], [0, 1, 2]), 0.25, 1.0).case == "I"
+
+
 def test_knot_search_calls_the_scalar_test_per_knot(monkeypatch):
     # the scalar crossing test runs on the knot's own segment and on the first
     # flagged one, not on every segment between knots

@@ -89,21 +89,29 @@ def test_luxemburg_norm_far_from_one_gallops(s, value):
     calls = []
     fn = phi._fn
     phi._fn = lambda u: calls.append(1) or fn(u)
-    assert orlicz_norm(np.array([0.3, 0.5, 0.2]) * s, phi) == float.fromhex(value)
-    assert len(calls) <= 100
+    x = np.array([0.3, 0.5, 0.2]) * s
+    assert orlicz_norm(x, phi) == float.fromhex(value)
+    assert len(calls) <= 8  # seeded at the closed-form root
+    calls.clear()
+    assert luxemburg_column(rearrange(x), lambda js, u: phi(u)) == float.fromhex(value)
+    assert len(calls) <= 100  # unseeded: the gallop from 1
 
 
+# power gauges (every one but exp and custom) seed their bisections at a closed form
 _LUXEMBURG = [(orlicz_norms, orlicz_norm, g)
-              for g in (power_orlicz(2.0), power_orlicz(3.0), exp_orlicz())] + [
+              for g in (power_orlicz(1.5), power_orlicz(2.0), power_orlicz(3.0), exp_orlicz())] + [
     (modular_norms, modular_norm, Phi)
-    for Phi in (PhiSequence.power_all(2.0), PhiSequence.orlicz_all(exp_orlicz()),
+    for Phi in (PhiSequence.power_all(1.5), PhiSequence.power_all(2.0), PhiSequence.power_all(3.0),
+                PhiSequence.orlicz_all(exp_orlicz()),
                 PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic()),
                 PhiSequence.custom([lambda u, j=j: u ** 2 / (1.0 + 0.1 * j) for j in range(20)]))]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("norms, norm, gauge", _LUXEMBURG,
                          ids=[f"{n.__name__}-{g.name}" for n, _, g in _LUXEMBURG])
 def test_batched_norms_bit_identical(norms, norm, gauge, rng):
+    # each norm is the unseeded bisection's float (``luxemburg_column``), alone or batched
     def draw(n, s):
         x = rng.uniform(-1, 1, n) * s
         x[rng.random(n) < 0.25] = 0.0
@@ -113,11 +121,12 @@ def test_batched_norms_bit_identical(norms, norm, gauge, rng):
         return [float(v).hex() for v in values]
 
     # lengths 0..20 straddle numpy's 8-element pairwise block; the extreme
-    # scales, whose brackets take about 1000 steps, form a batch of their own
+    # scales, whose unseeded brackets take about 1000 steps, form batches of their own
     seqs = [draw(n, 10.0 ** rng.uniform(-3, 3)) for n in range(21)] + [[], np.zeros(3)]
     extreme = [draw(n, s) for n in (3, 17) for s in (1e-300, 1e300)]
+    wide = [draw(int(n), 10.0 ** rng.uniform(-300, 300)) for n in rng.integers(1, 14, 60)]
     phi_j = gauge.phi if norms is modular_norms else (lambda js, u: gauge(u))
-    for batch in (extreme, seqs):
+    for batch in (extreme, wide, seqs):
         single = hexes(norm(x, gauge) for x in batch)
         supports = (xs[xs > 0] for xs in map(rearrange, batch))
         assert single == hexes(luxemburg_column(xs, phi_j) for xs in supports)
@@ -125,6 +134,8 @@ def test_batched_norms_bit_identical(norms, norm, gauge, rng):
     assert single[-2:] == hexes([0.0, 0.0])
     perm = rng.permutation(len(seqs))
     assert hexes(norms([seqs[i] for i in perm], gauge)) == [single[i] for i in perm]
+    with pytest.raises(ValueError, match="float range"):  # and an overflowing seed warns not
+        norms([np.full(11, 1.7e308)], gauge)
 
 
 @pytest.mark.parametrize("norm", inv.SEQUENCE_NORMS)
@@ -186,3 +197,9 @@ def test_dual_harmonic_estimates():
     cases = [(NU_SQRT, 2.0, 10_000)] + [(NU_LOG, 2.0, h) for h in (16, 64, 1024)]
     assert np.max(inv.dual_gaps(cases)) <= 1e-12
     assert inv.dual_gaps([(NU_LOG, 1.0, 10_000)])[0] <= 0.0
+
+
+def test_dual_harmonic_estimate_caps_the_horizon():
+    with pytest.raises(ValueError, match="horizon must be <="):
+        dual_harmonic_estimate(NU_SQRT, 2.0, 2 ** 20 + 1)
+
