@@ -36,11 +36,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class OrliczFunction:
-    """Increasing convex function with phi(0) = 0, vectorized over x."""
+    """Increasing convex function with phi(0) = 0 and its closed-form inverse,
+    both vectorized."""
 
     q: float | None = None  # set by ``power_orlicz``: phi(x) = x^q
 
-    def __init__(self, name: str, fn, inv=None):
+    def __init__(self, name: str, fn, inv):
         self.name = name
         self._fn = fn
         self._inv = inv
@@ -49,13 +50,8 @@ class OrliczFunction:
         return self._fn(np.asarray(x, dtype=np.float64))
 
     def inverse(self, y):
-        """phi^{-1}(y): the closed form if given, else the float where phi reaches y."""
-        y = np.asarray(y, dtype=np.float64)
-        if self._inv is not None:
-            return self._inv(y)
-        if np.any(y < 0):
-            raise ValueError("inverse needs y >= 0")
-        return _bisect_increasing(self._fn, y)
+        """phi^{-1}(y), in closed form."""
+        return self._inv(np.asarray(y, dtype=np.float64))
 
 
 def power_orlicz(q: float) -> OrliczFunction:
@@ -192,22 +188,20 @@ _CHECK_XS = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 class PhiSequence:
     """Nonincreasing-in-j sequence of increasing convex phi_j with phi_j(0) = 0.
 
-    Every Phi but a ``custom`` list is separable: phi_j = phi / lambda_j for
-    one gauge phi, so Phi_n = Lambda_n phi with Lambda_n = sum_{j<=n} 1/lambda_j.
+    Every Phi is one gauge over weights: phi_j = phi / lambda_j, so
+    Phi_n = Lambda_n phi with Lambda_n = sum_{j<=n} 1/lambda_j, and the
+    gauge's closed inverse gives Phi_n^{-1} in closed form up to rounding.
     ``power_all(q)`` (phi = x^q) and ``orlicz_all(phi)`` have lambda_j = 1,
     read as Lambda_n = n; ``orlicz_over_lambda(phi, lam)`` reads Lambda_n
-    from ``lam``.  ``custom`` evaluates its list term by term.
+    from ``lam``.
     """
 
-    def __init__(self, name: str, gauge: OrliczFunction | None = None,
-                 lam: LambdaSequence | None = None, phis: list | None = None):
+    def __init__(self, name: str, gauge: OrliczFunction, lam: LambdaSequence | None = None):
         self.name = name
         self.gauge = gauge
         self.lam = lam  # None: lambda_j = 1
-        self._phis = phis
         # q when every phi_j is the same x^q, else None
-        self.power_q = gauge.q if gauge is not None and lam is None else None
-        self._inv_one: np.ndarray = np.empty(0)
+        self.power_q = gauge.q if lam is None else None
         self._validate()
 
     # constructors ----------------------------------------------------------
@@ -225,25 +219,12 @@ class PhiSequence:
     def orlicz_over_lambda(cls, phi: OrliczFunction, lam: LambdaSequence) -> "PhiSequence":
         return cls(f"orlicz:{phi.name}/lambda:{lam.name}", phi, lam)
 
-    @classmethod
-    def custom(cls, phis: list) -> "PhiSequence":
-        """phi_j = phis[j - 1], validated like the other Phi-sequences.
-
-        The list is taken as the head of a divergent sequence (sum_j phi_j(x)
-        unbounded for x > 0), which the criteria assume and a finite list
-        cannot show; evaluating past its end raises.
-        """
-        if not phis:
-            raise ValueError("custom needs a list of functions")
-        return cls(f"custom[{len(phis)}]", phis=phis)
-
     # validation ------------------------------------------------------------
 
     def _validate(self):
-        max_j = len(self._phis) if self._phis else 8
         xs = _CHECK_XS
         prev = None
-        for j in range(1, max_j + 1):
+        for j in range(1, 9):
             vals = self.phi(j, xs)
             if abs(float(self.phi(j, 0.0))) > 1e-12:
                 raise ValueError(f"phi_{j}(0) != 0")
@@ -264,63 +245,32 @@ class PhiSequence:
             return np.asarray(n, dtype=np.float64)
         return self.lam.reciprocal_cumsum(int(np.max(n)))[np.asarray(n).astype(np.int64) - 1]
 
-    def _custom_terms(self, n, x, partial: bool):
-        """Custom Phi_n(x) (``partial``) or phi_n(x), elementwise; each x reaches
-        the list's functions as a 0-d array, over arrays as in a scalar call."""
-        if np.any(np.asarray(n) > len(self._phis)):
-            raise ValueError("index beyond the custom Phi list")
-        if np.ndim(n) == 0:
-            fs = self._phis[:int(n)] if partial else self._phis[int(n) - 1:int(n)]
-            return sum(np.asarray(f(x), dtype=np.float64) for f in fs)
-        ns, xs = np.broadcast_arrays(np.asarray(n).astype(np.int64), x)
-        return np.reshape([float(self._custom_terms(k, np.asarray(xx), partial))
-                           for k, xx in zip(ns.flat, xs.flat)], ns.shape)
-
     def phi(self, j, x):
         """phi_j(x), elementwise over an array of j the way ``partial`` takes n."""
-        x = np.asarray(x, dtype=np.float64)
-        if self._phis:
-            return self._custom_terms(j, x, partial=False)
         return self.gauge(x) if self.lam is None else self.gauge(x) / self.lam.value(j)
 
     def partial(self, n, x):
         """Phi_n(x) = sum_{j<=n} phi_j(x), elementwise over arrays of n and x."""
-        x = np.asarray(x, dtype=np.float64)
-        if self._phis:
-            return self._custom_terms(n, x, partial=True)
         return self._lambda_n(n) * self.gauge(x)
 
     def inverse_at_one_table(self, kmax: int) -> np.ndarray:
-        """[Phi_k^{-1}(1) for k = 1..kmax] by vectorized bisection (read-only).
+        """[Phi_k^{-1}(1) for k = 1..kmax]: one ``phi_partial_inverse`` call.
 
-        Each entry is bisected on its own, so the longest table computed so
-        far is kept and a shorter one is its prefix, bit for bit; a longer
-        one bisects only the new entries.
+        Each entry is bisected on its own, so a shorter table is a prefix of
+        a longer one, bit for bit.
         """
-        if self._phis and kmax > 4096:
-            raise ValueError("custom Phi inverse tables are capped at 4096")
-        have = self._inv_one.size
-        if kmax > have:
-            table = np.concatenate([self._inv_one, self._inverse_at_one(have + 1, kmax)])
-            table.flags.writeable = False
-            self._inv_one = table
-        return self._inv_one[:kmax]
-
-    def _inverse_at_one(self, lo_k: int, hi_k: int) -> np.ndarray:
-        return phi_partial_inverse(self, np.arange(lo_k, hi_k + 1, dtype=np.float64), 1.0)
+        return phi_partial_inverse(self, np.arange(1, kmax + 1, dtype=np.float64), 1.0)
 
     def closed_inverse(self, n, y):
         """Closed-form estimate phi^{-1}(y / Lambda_n) of Phi_n^{-1}(y), or
         n^(-1/q) y^(1/q) when every phi_j is x^q, elementwise over arrays of n
-        and y; None for ``custom`` or a gauge without a closed inverse.
+        and y.
 
         ``phi_partial_inverse`` starts its bisection here, so the estimate
         only needs to be near the root: its floats come from the bisection,
         not from this value.  The score scan reads it directly at y = 1, as
         n^(-1/q) (times 1^(1/q) = 1) or phi^{-1}(1/Lambda_n).
         """
-        if self.gauge is None or self.gauge._inv is None:
-            return None
         q = self.power_q
         if q is not None:
             return np.asarray(n, dtype=np.float64) ** (-1.0 / q) * np.asarray(y) ** (1.0 / q)
@@ -332,8 +282,8 @@ def phi_partial_inverse(Phi: PhiSequence, n, y):
 
     The result is the adjacent-float transition of the monotone bisection:
     the smallest float x with Phi_n(x) >= y, or the float just below it.
-    The bisection starts at ``Phi.closed_inverse(n, y)`` where there is one,
-    which shortens it but cannot move that transition.
+    The bisection starts at ``Phi.closed_inverse(n, y)``, which shortens it
+    but cannot move that transition.
     """
     scalar = np.ndim(n) == 0 and np.ndim(y) == 0
     ns, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(n, dtype=np.float64)),
@@ -643,12 +593,7 @@ class _ScoreScan:
 
     def _g_chunk(self, lo: int, hi: int) -> np.ndarray:
         ks = np.arange(lo, hi + 1, dtype=np.float64)
-        inv = self.Phi.closed_inverse(ks, 1.0)
-        if inv is None:
-            if hi > 1 << 22:
-                raise ValueError("generic Phi scans are capped at 2^22; no closed inverse")
-            inv = self.Phi.inverse_at_one_table(hi)[lo - 1:]
-        return ks ** (1.0 / self.p) * inv
+        return ks ** (1.0 / self.p) * self.Phi.closed_inverse(ks, 1.0)
 
     def argmax_upto(self, n: int) -> tuple[int, float]:
         if self._increasing:

@@ -21,6 +21,7 @@ _VALIDATE_HORIZON = 4096
 # The largest count that sizes an allocation: pvar --n rows, the seqnorm --n
 # indicator, an embedding horizon and a Fourier n.
 _MAX_COUNT = 1 << 20
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _check_p(p: float, name: str = "p"):
@@ -33,6 +34,27 @@ def _check_count(n: int, name: str = "n"):
     """The one cap on a count that sizes an allocation, shared by the API and the CLI."""
     if n > _MAX_COUNT:
         raise ValueError(f"{name} must be <= {_MAX_COUNT}, got {n}")
+
+
+def _check_magnitude(top: float, p: float, n: int, what: str, name: str = "p",
+                     weight: float = 1.0):
+    """The one rule for the scale of a sum of at most n terms, each at most
+    weight * top^p: that bound times n must be finite, and a nonzero
+    weight * top^p below the smallest normal float would round the largest
+    term of every sum to a subnormal or to zero, so that is refused too.
+    ``what`` names top in the message."""
+    try:
+        power = top ** p * weight
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(n * power):
+        raise ValueError(
+            f"values too large for {name} = {p:g}: {n} * ({what})^{name} overflows; rescale the input"
+        )
+    if top > 0 and power < _TINY:
+        raise ValueError(
+            f"values too small for {name} = {p:g}: ({what})^{name} underflows; rescale the input"
+        )
 
 
 def _read_number(text: str, kind=float):
@@ -228,7 +250,21 @@ def validate_modulus(candidate, p: float) -> ModulusValidation:
 
 
 def epsilon_p_table(nu: ModulusOfVariation, p: float, n: int) -> np.ndarray:
-    """Array of eps_p(1), ..., eps_p(n), eps_p(k) = (nu(k)^p - nu(k-1)^p)^(1/p)."""
+    """Array of eps_p(1), ..., eps_p(n), eps_p(k) = (nu(k)^p - nu(k-1)^p)^(1/p).
+
+    Where nu(k)^p overflows or falls below the smallest normal float, the
+    entry is read as nu(k) (1 - (nu(k-1)/nu(k))^p)^(1/p), with the bracket
+    from ``expm1`` of p log(nu(k-1)/nu(k)); every other entry is the
+    difference of powers above.
+    """
     _check_p(p)
-    t = np.concatenate(([0.0], nu.table(n))) ** p
-    return np.diff(t) ** (1.0 / p)
+    nus = np.concatenate(([0.0], nu.table(n)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        t = nus ** p
+        eps = np.diff(t) ** (1.0 / p)
+    out = ~((t[1:] >= _TINY) & (t[1:] < math.inf))
+    if out.any():
+        lo, hi = nus[:-1][out], nus[1:][out]
+        with np.errstate(divide="ignore"):  # log(0) = -inf at k = 1: the bracket is 1
+            eps[out] = hi * (-np.expm1(p * np.log(lo / hi))) ** (1.0 / p)
+    return eps

@@ -1,9 +1,7 @@
-"""Sampled functions on a real interval, with CSV/JSON round-tripping."""
+"""Sampled functions on a real interval, and their extrema reduction."""
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,42 +81,6 @@ class SampledFunction:
         if self.periodic:
             d["period"] = self.period
         return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SampledFunction":
-        return cls(
-            d["grid"],
-            d["values"],
-            bool(d.get("periodic", False)),
-            d.get("period"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SampledFunction":
-        return cls.from_json_dict(json.loads(text))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,f\n")
-        for x, v in zip(self.grid, self.values):
-            buf.write(f"{x:.17g},{v:.17g}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SampledFunction":
-        """The non-periodic function ``to_csv`` wrote (the CSV holds no period)."""
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].replace(" ", "") != "x,f":
-            raise ValueError("expected CSV with header 'x,f'")
-        xs, vs = [], []
-        for ln in lines[1:]:
-            sx, sv = ln.split(",")
-            xs.append(float(sx))
-            vs.append(float(sv))
-        return cls(xs, vs)
 
 
 def extrema_reduce(f: SampledFunction) -> SampledFunction:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .embeddings import OrliczFunction, PhiSequence, _bisect_increasing
-from .modulus import ModulusOfVariation, _check_count, _check_p, epsilon_p_table
+from .modulus import (ModulusOfVariation, _check_count, _check_magnitude, _check_p,
+                      epsilon_p_table)
 
 __all__ = [
     "rearrange",
@@ -44,17 +45,20 @@ def rearrange(x) -> np.ndarray:
 
 
 def marcinkiewicz_norm(x, nu: ModulusOfVariation, p: float) -> float:
-    """sup_n (sum_{j<=n} (x*_j)^p)^(1/p) / nu(n) over the support length."""
+    """sup_n (sum_{j<=n} (x*_j)^p)^(1/p) / nu(n) over the support length; its
+    sums obey the DP's magnitude rule, ``_check_magnitude``, with top = max |x|."""
     _check_p(p)
     xs = rearrange(x)
     if xs.size == 0 or xs[0] == 0.0:
         return 0.0
+    _check_magnitude(float(xs[0]), p, xs.size, "max |x|")
     partial = np.cumsum(xs ** p) ** (1.0 / p)
     return float(np.max(partial / nu.table(xs.size)))
 
 
 def lorentz_norm(x, w, q: float) -> float:
-    """(sum (x*_j)^q w_j)^(1/q) for a nonincreasing positive weight and finite q >= 1."""
+    """(sum (x*_j)^q w_j)^(1/q) for a nonincreasing positive weight and finite q >= 1;
+    its sum obeys ``_check_magnitude`` with top = max |x|, exponent q and weight w_1."""
     _check_p(q, "q")
     xs = rearrange(x)
     ws = _as_seq(w)
@@ -62,6 +66,8 @@ def lorentz_norm(x, w, q: float) -> float:
         raise ValueError("weights must be positive and nonincreasing")
     if ws.size < xs.size:
         raise ValueError("weight sequence shorter than the support")
+    if xs.size:
+        _check_magnitude(float(xs[0]), q, xs.size, "max |x|", "q", float(ws[0]))
     return float(np.sum(xs ** q * ws[: xs.size]) ** (1.0 / q))
 
 
@@ -125,7 +131,7 @@ def modular_norms(seqs, Phi: PhiSequence) -> np.ndarray:
     to ``modular_norm(x, Phi)``."""
     return _luxemburg([_support(x) for x in seqs],
                       lambda u: Phi.phi(np.arange(1, u.shape[1] + 1), u).sum(axis=1),
-                      getattr(Phi.gauge, "q", None), Phi.lam)
+                      Phi.gauge.q, Phi.lam)
 
 
 def modular_norm(x, Phi: PhiSequence) -> float:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .modulus import ModulusOfVariation, _check_p
+from .modulus import ModulusOfVariation, _check_magnitude, _check_p
 from .sampled import SampledFunction, extrema_reduce
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
 
 _BRUTE_MAX_POINTS = 15
 _BRUTE_MAX_N = 6
-_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,30 +85,6 @@ def pvariation_bruteforce(f: SampledFunction, p: float, n: int):
     return value, _selection_from_indices(f, best_sel, p)
 
 
-def _check_scale(values: np.ndarray, p: float, n: int):
-    """Reject samples whose DP sums could overflow or underflow.
-
-    A selection of at most n intervals sums at most n (max - min)^p, so that
-    bound must be finite for every cell of the DP to be finite.  Called with
-    n = min(budget, m - 1): no more intervals fit on m points.  A nonzero
-    (max - min)^p below the smallest normal float would round the largest
-    term of every sum to a subnormal or to zero, so that is refused too.
-    """
-    spread = float(np.max(values)) - float(np.min(values))
-    try:
-        power = spread ** p
-    except OverflowError:
-        power = math.inf
-    if not math.isfinite(n * power):
-        raise ValueError(
-            f"values too large for p = {p:g}: {n} * (max - min)^p overflows; rescale the input"
-        )
-    if spread > 0 and power < _TINY:
-        raise ValueError(
-            f"values too small for p = {p:g}: (max - min)^p underflows; rescale the input"
-        )
-
-
 def _reduced(f: SampledFunction, p: float, n: int, name: str = "n"):
     """The checks both DPs start from, then (extrema-reduced f, effective budget).
 
@@ -118,11 +92,16 @@ def _reduced(f: SampledFunction, p: float, n: int, name: str = "n"):
     differ and turn at every step, so len(red) - 1 is the swing count, past
     which v_p(n, f) stays constant.  A constant f reduces to its two equal
     ends, where the one-row DP gives 0.
+
+    A selection of at most min(n, m - 1) intervals (no more fit on m points)
+    sums at most that many (max - min)^p, the bound ``_check_magnitude`` holds
+    to the float range.
     """
     if n < 1:
         raise ValueError(f"{name} must be >= 1")
     _check_p(p)
-    _check_scale(f.values, p, min(n, len(f) - 1))
+    spread = float(np.max(f.values)) - float(np.min(f.values))
+    _check_magnitude(spread, p, min(n, len(f) - 1), "max - min")
     red = extrema_reduce(f)
     return red, min(n, len(red) - 1)
 

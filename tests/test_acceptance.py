@@ -211,7 +211,7 @@ def test_wu_inequality():
         PhiSequence.power_all(2.0),
         PhiSequence.orlicz_all(exp_orlicz()),
         PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic()),
-        PhiSequence.custom([lambda x, j=j: x ** 2 / (j + 1) for j in range(12)]),
+        PhiSequence.orlicz_over_lambda(power_orlicz(3.0), LambdaSequence.power(0.5)),
     ]
     cases = [(Phi, np.sort(rng.uniform(0, 2, int(rng.integers(1, 12))))[::-1],
               float(rng.uniform(1.0, 2.0)), float(rng.choice([1.5, 2.0, 3.0])))

@@ -99,6 +99,8 @@ def test_nan_and_inf_gauge_exponents_exit_2_before_output(argv, hint, capsys):
     ["kfunc", "--values=1e200,-1e200,1e200", "--p", "3", "--t", "0.5"],
     ["kfunc", "--function", "zigzag:9", "--p", "3", "--t", "1e-120"],  # floor(1/t)^p
     ["kfunc", "--function", "zigzag:9", "--p", "1", "--t", "5e-324"],  # 1/t = inf
+    ["seqnorm", "--space", "marcinkiewicz", "--x", "1e300,1e300", "--p", "2"],
+    ["seqnorm", "--space", "lorentz", "--x", "1e300,1e300", "--q", "2"],
 ])
 def test_overflowing_values_exit_2_before_output(argv, capsys):
     assert main(argv) == 2
@@ -117,6 +119,17 @@ def test_underflowing_values_exit_2_before_output(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "(max - min)^p underflows; rescale the input" in err
+
+
+@pytest.mark.parametrize("argv, power", [
+    (["seqnorm", "--space", "marcinkiewicz", "--x", "1e-200", "--p", "3"], "p"),
+    (["seqnorm", "--space", "lorentz", "--x", "1e-200", "--q", "2"], "q"),
+])
+def test_underflowing_norms_exit_2_before_output(argv, power, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"(max |x|)^{power} underflows; rescale the input" in err
 
 
 def test_small_values_above_underflow_give_rows(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -68,19 +69,19 @@ def test_phi_sequence_validation():
             PhiSequence.power_all(q)
         with pytest.raises(ValueError, match="q must be finite and >= 1"):
             power_orlicz(q)
-    with pytest.raises(ValueError):
-        PhiSequence.custom([lambda x: np.sqrt(x)])  # concave
-    # increasing in j is rejected
-    with pytest.raises(ValueError):
-        PhiSequence.custom([lambda x: x ** 2, lambda x: 2 * x ** 2])
+    with pytest.raises(ValueError, match="midpoint convexity"):
+        PhiSequence.orlicz_all(OrliczFunction("sqrt", np.sqrt, np.square))  # concave
+    # increasing in j is rejected: weights lambda_j = 1/j that decrease
+    shrinking = types.SimpleNamespace(name="shrinking", value=lambda j: 1.0 / np.asarray(j))
+    with pytest.raises(ValueError, match="must not exceed phi_j"):
+        PhiSequence.orlicz_over_lambda(power_orlicz(2.0), shrinking)
 
 
 def test_phi_sequences_are_a_gauge_over_weights():
     lam = LambdaSequence.harmonic()
     cases = [(PhiSequence.power_all(2.0), 2.0), (PhiSequence.orlicz_all(power_orlicz(3.0)), 3.0),
              (PhiSequence.orlicz_all(exp_orlicz()), None),
-             (PhiSequence.orlicz_over_lambda(power_orlicz(2.0), lam), None),
-             (PhiSequence.custom([lambda x: x ** 2]), None)]
+             (PhiSequence.orlicz_over_lambda(power_orlicz(2.0), lam), None)]
     for Phi, q in cases:
         assert not hasattr(Phi, "kind") and not hasattr(Phi, "q")
         assert Phi.power_q == q  # every phi_j is x^q, or None
@@ -119,24 +120,14 @@ def test_phi_partial_inverse_across_magnitudes(n):
     PhiSequence.power_all(2.5),
     PhiSequence.orlicz_all(exp_orlicz()),
     PhiSequence.orlicz_over_lambda(power_orlicz(3.0), LambdaSequence.harmonic()),
-    PhiSequence.custom([lambda x, j=j: x ** 2.5 / (j + 1) for j in range(12)]),
-], ids=["power", "orlicz", "orlicz-over-lambda", "custom"])
+    PhiSequence.orlicz_over_lambda(power_orlicz(2.5), LambdaSequence.harmonic()),
+], ids=["power", "orlicz", "orlicz-over-lambda", "harmonic-power2.5"])
 def test_partial_over_arrays_is_the_scalar_calls(Phi, rng):
     ns = rng.integers(1, 13, 300)
     xs = 10.0 ** rng.uniform(-6.0, 2.0, 300)
     scalar = [float(Phi.partial(int(n), x)).hex() for n, x in zip(ns, xs)]
     for batch_ns in (ns, ns.astype(np.float64)):  # the inverse passes float n
         assert [float(v).hex() for v in Phi.partial(batch_ns, xs)] == scalar
-
-
-def test_bisected_orlicz_inverse_across_magnitudes():
-    cube = OrliczFunction("cube", lambda x: x ** 3)
-    ys = np.array([1e-200, 8.0, 1e200])
-    xs = cube.inverse(ys)
-    assert xs[1] == 2.0
-    assert np.all(np.abs(xs / np.cbrt(ys) - 1.0) <= 1e-15)
-    with pytest.raises(ValueError, match="float range"):
-        OrliczFunction("capped", lambda x: np.minimum(x, 1.0)).inverse(2.0)
 
 
 @pytest.mark.parametrize("Phi", [
@@ -223,10 +214,6 @@ def test_closed_inverse_at_one_is_the_scan_formula():
     ]
     for Phi, expected in cases:
         assert Phi.closed_inverse(ks, 1.0).tobytes() == expected.tobytes()
-    custom = PhiSequence.custom([lambda x: x ** 2])
-    assert custom.closed_inverse(ks[:1], 1.0) is None
-    no_closed_form = PhiSequence.orlicz_all(OrliczFunction("cube", lambda x: x ** 3))
-    assert no_closed_form.closed_inverse(ks, 1.0) is None
 
 
 def test_inverse_table_takes_at_most_8_evaluations():
@@ -248,26 +235,21 @@ def test_inverse_table_takes_at_most_8_evaluations():
     PhiSequence.orlicz_all(exp_orlicz()),
     PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.power(1.0)),
 ])
-def test_inverse_table_is_kept_and_served_by_prefix(Phi, monkeypatch):
-    ref = Phi._inverse_at_one(1, 5000)  # one bisection over the whole table
-    bisected = []
-    inverse = PhiSequence._inverse_at_one
-    monkeypatch.setattr(PhiSequence, "_inverse_at_one",
-                        lambda self, lo, hi: bisected.append(hi - lo + 1) or inverse(self, lo, hi))
-    for kmax in (40, 5000, 7, 1200, 5000):
-        table = Phi.inverse_at_one_table(kmax)
-        assert table.tobytes() == ref[:kmax].tobytes()
-        assert not table.flags.writeable
-    assert bisected == [40, 4960]  # every entry is bisected once
+def test_inverse_table_is_kept_and_served_by_prefix(Phi):
+    # every entry is bisected on its own, so each keeps its float whatever the
+    # table length: a shorter table is served as a prefix of a longer one
+    ref = Phi.inverse_at_one_table(5000)
+    for kmax in (40, 7, 1200):
+        assert Phi.inverse_at_one_table(kmax).tobytes() == ref[:kmax].tobytes()
 
 
 def test_embed_witness_bisects_the_inverse_table_once(monkeypatch, tmp_path):
     from pvarlab.cli import main
 
     bisected = []
-    inverse = PhiSequence._inverse_at_one
-    monkeypatch.setattr(PhiSequence, "_inverse_at_one",
-                        lambda self, lo, hi: bisected.append(hi - lo + 1) or inverse(self, lo, hi))
+    table = PhiSequence.inverse_at_one_table
+    monkeypatch.setattr(PhiSequence, "inverse_at_one_table",
+                        lambda self, kmax: bisected.append(kmax) or table(self, kmax))
     out = tmp_path / "w.json"
     assert main(["embed", "--phi", "lambda:2", "--nu", "power:0.5", "--p", "1", "--horizon", "4096",
                  "--witness", "--k-max", "1", "--out", str(out)]) == 0

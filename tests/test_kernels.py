@@ -246,7 +246,7 @@ def test_pow_monotone():
     # _pairs' pruning rests on one float assumption: float64 ** is nondecreasing
     # in the base.  Checked on adjacent floats x < y = nextafter(x, inf) with the
     # costs' own array expression, over the bases a difference of samples that
-    # _check_scale admits can take: bit patterns drawn uniformly from the
+    # _check_magnitude admits can take: bit patterns drawn uniformly from the
     # smallest subnormal to max^(1/p), so every binade gets its share
     rng = np.random.default_rng(13)
     for p in (1.25, 1.5, 2.0, 3.0):

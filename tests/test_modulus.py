@@ -62,6 +62,30 @@ def test_epsilon_examples():
 
 
 @pytest.mark.parametrize("nu,p", [
+    (ModulusOfVariation.log(), 2000.0),
+    (ModulusOfVariation.log(), 3000.0),
+    (ModulusOfVariation.power(0.5), 2000.0),
+    (ModulusOfVariation.power(0.5), 3000.0),
+])
+def test_epsilon_at_large_p_stays_in_range(nu, p):
+    # nu(k)^p underflows at k = 1 and overflows from small k on: those entries
+    # come from the ratio nu(k-1)/nu(k), the rest from the difference of powers
+    eps = epsilon_p_table(nu, p, 4096)
+    nut = nu.table(4096)
+    assert np.all(np.isfinite(eps)) and np.all(eps >= 0.0) and np.all(eps <= nut)
+    assert eps[0] == nut[0]
+
+
+def test_epsilon_at_large_p_examples():
+    eps = epsilon_p_table(ModulusOfVariation.log(), 3000.0, 3)
+    assert eps == pytest.approx([np.log(2.0), np.log(3.0), np.log(4.0)], rel=1e-12)
+    # log(3)^3000 is in range: that entry is the difference of powers, bit for bit
+    assert eps[1] == (np.log(3.0) ** 3000.0 - np.log(2.0) ** 3000.0) ** (1.0 / 3000.0)
+    eps = epsilon_p_table(ModulusOfVariation.power(0.5), 2000.0, 5)
+    assert eps == pytest.approx(np.sqrt(np.arange(1.0, 6.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("nu,p", [
     (ModulusOfVariation.power(0.25), 2.0),
     (ModulusOfVariation.power(0.5), 1.0),
     (ModulusOfVariation.log(), 1.0),

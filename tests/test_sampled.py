@@ -29,19 +29,6 @@ def test_periodic_evaluation_wraps():
     assert np.allclose(v, v[0])
 
 
-def test_csv_json_round_trip():
-    f = SampledFunction([0.0, 0.25, 1.0], [0.0, -1.5, 2.0])
-    assert SampledFunction.from_csv(f.to_csv()).values == pytest.approx(f.values.tolist())
-    g = SampledFunction.from_json(f.to_json())
-    assert np.array_equal(g.grid, f.grid)
-    assert np.array_equal(g.values, f.values)
-    p = SampledFunction([0.0, 1.0, 2.0], [1.0, 2.0, 1.0], periodic=True, period=4.0)
-    q = SampledFunction.from_json(p.to_json())
-    assert q.periodic and q.period == 4.0
-    with pytest.raises(ValueError):
-        SampledFunction.from_csv("a,b\n1,2\n")
-
-
 def test_extrema_reduce_monotone_keeps_endpoints():
     f = SampledFunction([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
     red = extrema_reduce(f)

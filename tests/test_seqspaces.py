@@ -21,6 +21,7 @@ from pvarlab import (
     power_orlicz,
     pvariation_profile,
     rearrange,
+    unif2_verdicts,
 )
 from pvarlab import verify as inv
 
@@ -56,6 +57,30 @@ def test_lorentz_examples():
         lorentz_norm([1, 1], [0.5, 1.0], 1.0)
 
 
+def test_marcinkiewicz_and_lorentz_refuse_sums_beyond_the_float_range():
+    with pytest.raises(ValueError, match=r"2 \* \(max \|x\|\)\^p overflows"):
+        marcinkiewicz_norm([1e300, 1e300], NU_SQRT, 2.0)
+    with pytest.raises(ValueError, match=r"\(max \|x\|\)\^p underflows"):
+        marcinkiewicz_norm([1e-200], NU_SQRT, 3.0)
+    with pytest.raises(ValueError, match=r"2 \* \(max \|x\|\)\^q overflows"):
+        lorentz_norm([1e300, 1e300], HARMONIC_W, 2.0)
+    with pytest.raises(ValueError, match=r"\(max \|x\|\)\^q underflows"):
+        lorentz_norm([1e-200], HARMONIC_W, 2.0)
+    # the largest weight scales every term
+    with pytest.raises(ValueError, match="overflows"):
+        lorentz_norm([1e150], [1e10], 2.0)
+    with pytest.raises(ValueError, match="underflows"):
+        lorentz_norm([1e-150], [1e-10], 2.0)
+    assert lorentz_norm([1e150], [1e-10], 2.0) == pytest.approx(1e145, rel=1e-12)
+    # inside the rule the values stay finite and exact
+    assert marcinkiewicz_norm([1e150, 1e150], NU_SQRT, 2.0) == pytest.approx(1e150, rel=1e-12)
+    assert marcinkiewicz_norm([1e-100], NU_SQRT, 3.0) == pytest.approx(1e-100, rel=1e-12)
+    assert lorentz_norm([1e150, 1e150], [1.0, 1.0], 2.0) == pytest.approx(
+        math.sqrt(2.0) * 1e150, rel=1e-12)
+    assert marcinkiewicz_norm([0.0, 0.0], NU_SQRT, 3.0) == 0.0
+    assert lorentz_norm([0.0], HARMONIC_W, 2.0) == 0.0
+
+
 def test_orlicz_examples():
     assert orlicz_norm([3, 4], power_orlicz(2.0)) == pytest.approx(5.0, rel=1e-10)
     assert orlicz_norm([1.0], exp_orlicz()) == pytest.approx(1 / math.log(2), rel=1e-10)
@@ -70,8 +95,8 @@ def test_modular_examples():
     Phi_lam = PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic())
     assert modular_norm([1, 1], Phi_lam) == pytest.approx(math.sqrt(1.5), rel=1e-10)
     assert modular_norm([1, 0], PhiSequence.power_all(2.0)) == pytest.approx(1.0, rel=1e-10)
-    Phi_custom = PhiSequence.custom([lambda u: u ** 2] * 3)  # evaluated one phi_j at a time
-    assert modular_norm(x, Phi_custom) == pytest.approx(modular_norm(x, Phi_sq), rel=1e-15)
+    Phi_orlicz = PhiSequence.orlicz_all(power_orlicz(2.0))  # the same phi_j = u^2
+    assert modular_norm(x, Phi_orlicz) == pytest.approx(modular_norm(x, Phi_sq), rel=1e-15)
 
 
 @pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
@@ -97,14 +122,14 @@ def test_luxemburg_norm_far_from_one_gallops(s, value):
     assert len(calls) <= 100  # unseeded: the gallop from 1
 
 
-# power gauges (every one but exp and custom) seed their bisections at a closed form
+# power gauges (every one but exp) seed their bisections at a closed form
 _LUXEMBURG = [(orlicz_norms, orlicz_norm, g)
               for g in (power_orlicz(1.5), power_orlicz(2.0), power_orlicz(3.0), exp_orlicz())] + [
     (modular_norms, modular_norm, Phi)
     for Phi in (PhiSequence.power_all(1.5), PhiSequence.power_all(2.0), PhiSequence.power_all(3.0),
                 PhiSequence.orlicz_all(exp_orlicz()),
                 PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic()),
-                PhiSequence.custom([lambda u, j=j: u ** 2 / (1.0 + 0.1 * j) for j in range(20)]))]
+                PhiSequence.orlicz_over_lambda(exp_orlicz(), LambdaSequence.power(0.5)))]
 
 
 @pytest.mark.filterwarnings("error")
@@ -197,6 +222,12 @@ def test_dual_harmonic_estimates():
     cases = [(NU_SQRT, 2.0, 10_000)] + [(NU_LOG, 2.0, h) for h in (16, 64, 1024)]
     assert np.max(inv.dual_gaps(cases)) <= 1e-12
     assert inv.dual_gaps([(NU_LOG, 1.0, 10_000)])[0] <= 0.0
+
+
+def test_dual_harmonic_estimate_at_large_p_is_finite():
+    lower, upper = dual_harmonic_estimate(NU_SQRT, 2000.0, 10)
+    assert math.isfinite(lower) and math.isfinite(upper)
+    assert math.isfinite(unif2_verdicts(NU_SQRT, 2000.0, 16).partials["epsp_harmonic"])
 
 
 def test_dual_harmonic_estimate_caps_the_horizon():
