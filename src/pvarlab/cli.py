@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: pvar, kfunc, fourier, embed, seqnorm, verify.  CSV and
-``--format json`` rows carry numbers at 12 significant digits so identical
-configurations produce byte-identical files; the ``embed`` report and the
-``pvar --selection-out`` file carry full ``repr`` floats.  Exit codes:
-0 success, 1 computation error, 2 validation error.
+Subcommands: pvar, kfunc, fourier, embed, seqnorm, verify.  pvar, kfunc,
+fourier and seqnorm write rows, CSV or ``--format json``, with numbers at 12
+significant digits so identical configurations produce byte-identical files;
+the ``embed`` JSON report and the ``pvar --selection-out`` file carry full
+``repr`` floats, and ``verify`` writes a text report.  Exit codes: 0 success,
+1 computation error, 2 validation error.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .functions import from_spec
 from .kfunctional import kfunctional_sweep, lower_monotone_in_t
 from .modulus import _check_count, _read_number, _spec_fields, parse_modulus
 from .sampled import SampledFunction
-from .variation import _pvariation_solve
+from .variation import _profile, _pvariation_solve
 from .verify import run_battery
 
 log = logging.getLogger("pvarlab")
@@ -205,9 +206,8 @@ def _emit_rows(args, header: str, rows: list[list[str]]):
 def _cmd_pvar(args) -> int:
     _check_count(args.n)  # one row per n
     f = _load_function(args)
-    value, sel, prof = _pvariation_solve(f, args.p, args.n)
-    rows = [[str(n), _fmt(prof[min(n, prof.size) - 1])] for n in range(1, args.n + 1)]
     if args.selection_out:
+        value, sel, prof = _pvariation_solve(f, args.p, args.n)
         # Written before the rows, so a failed write leaves stdout empty.
         payload = {
             "p": args.p,
@@ -217,6 +217,9 @@ def _cmd_pvar(args) -> int:
             "differences": [float(d) for d in sel.differences],
         }
         _write_file(args.selection_out, _indented_json(payload))
+    else:  # no rows kept for a backtrack: the profile DP alone
+        prof = _profile(f, args.p, args.n)
+    rows = [[str(n), _fmt(prof[min(n, prof.size) - 1])] for n in range(1, args.n + 1)]
     try:
         _emit_rows(args, "n,value", rows)
     except ValueError:
@@ -337,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="pvarlab", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, function=True):
+    def common(p, function=True, rows=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        if rows:  # embed writes a JSON report and verify a text report
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
         if function:
             p.add_argument("--values", default=None, help="comma list sampled on [0,1]")
             p.add_argument("--function", default=None,
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fourier)
 
     p = sub.add_parser("embed", help="embedding criterion and optional witness")
-    common(p, function=False)
+    common(p, function=False, rows=False)
     p.add_argument("--phi", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--p", type=_number(float), required=True)
@@ -393,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_seqnorm)
 
     p = sub.add_parser("verify", help="run the invariant battery")
-    common(p, function=False)
+    common(p, function=False, rows=False)
     p.add_argument("--seed", type=_number(int), default=0)
     p.set_defaults(fn=_cmd_verify)
     return ap

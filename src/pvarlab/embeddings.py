@@ -138,6 +138,9 @@ def _advance(below, probe, lo, hi, step) -> bool:
     return True
 
 
+_MAX_LAMBDA_TABLE = 1 << 26  # Lambda_n entries: 512 MB of floats
+
+
 class LambdaSequence:
     """lambda_j = j^beta with 0 <= beta <= 1: nondecreasing, positive, with
     divergent reciprocal sum (beta = 1 is the harmonic sequence)."""
@@ -165,7 +168,10 @@ class LambdaSequence:
     def reciprocal_cumsum(self, n: int) -> np.ndarray:
         """Lambda_k = sum_{j<=k} 1/lambda_j for k = 1..n (read-only), a prefix of
         the longest table so far.  ``np.cumsum`` adds in sequence, so a table
-        grown from its last sum holds the same floats as one cumsum."""
+        grown from its last sum holds the same floats as one cumsum.  A table
+        longer than ``_MAX_LAMBDA_TABLE`` is refused before it grows."""
+        if n > _MAX_LAMBDA_TABLE:
+            raise ValueError(f"Lambda_n needs a table of {n} entries, more than {_MAX_LAMBDA_TABLE}")
         cum = self._cum
         if cum.size < n:
             js = np.arange(cum.size + 1, max(n, 1024) + 1, dtype=np.float64)

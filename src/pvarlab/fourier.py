@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .modulus import ModulusOfVariation, _check_count, _check_p, epsilon_p_table
+from .modulus import ModulusOfVariation, _check_count, _check_p, _ratio_vanishes, epsilon_p_table
 from .sampled import SampledFunction
 
 TWO_PI = 2.0 * math.pi
@@ -303,15 +303,6 @@ def _series_terms(nu: ModulusOfVariation, p: float, horizon: int) -> dict:
     }
 
 
-def _family_converges(nu: ModulusOfVariation, p: float) -> bool | None:
-    """Integral-test verdict shared by all five series, for closed-form families."""
-    if nu.kind == "power":
-        return nu.alpha < 1.0 / p
-    if nu.kind == "log":
-        return True
-    return None
-
-
 def unif2_verdicts(nu: ModulusOfVariation, p: float, horizon: int) -> Unif2Report:
     """Partial sums at horizon and horizon/2 of the five series with verdicts.
 
@@ -327,7 +318,7 @@ def unif2_verdicts(nu: ModulusOfVariation, p: float, horizon: int) -> Unif2Repor
     _check_count(horizon, "horizon")
     terms = _series_terms(nu, p, horizon)
     half = horizon // 2
-    truth = _family_converges(nu, p)
+    truth = _ratio_vanishes(nu, p)
     return Unif2Report(
         horizon=int(horizon),
         partials={k: float(np.sum(v)) for k, v in terms.items()},

@@ -1,6 +1,6 @@
-"""Variation moduli: validated nondecreasing concave positive sequences, and
-the input rules the API and the CLI share (``_check_p``, ``_spec_fields``,
-``_read_number``)."""
+"""Variation moduli (validated nondecreasing concave positive sequences),
+the rules on nu(k)/k^(1/p) that every module reads, and the input rules the
+API and the CLI share (``_check_p``, ``_spec_fields``, ``_read_number``)."""
 
 from __future__ import annotations
 
@@ -91,8 +91,9 @@ class ModulusOfVariation:
     """Sequence nu with nu(0) = 0, nu(k) > 0 nondecreasing and concave.
 
     Three kinds: ``power`` (nu(k) = k**alpha), ``log`` (nu(k) = log(k+1)) and
-    finite ``table``.  Tables are never extrapolated; indexing past the end
-    raises.
+    finite ``table``.  The constructor is the one check of these axioms (to
+    1e-12 for a table; power and log hold them by construction).  Tables are
+    never extrapolated; indexing past the end raises.
     """
 
     def __init__(self, kind: str, alpha: float | None = None, table: np.ndarray | None = None):
@@ -176,13 +177,11 @@ class ModulusOfVariation:
 
 @dataclass(frozen=True)
 class ModulusValidation:
-    """Checks recorded by :func:`validate_modulus`."""
+    """What :func:`validate_modulus` found.  nu is nondecreasing, so nu^p/k is
+    nonincreasing (nu^p is quasiconcave) exactly when nu(k)/k^(1/p) is."""
 
     modulus: ModulusOfVariation
     p: float
-    nondecreasing: bool
-    concave: bool
-    nu_p_quasiconcave: bool
     ratio_nonincreasing: bool
     ratio_vanishes: bool
 
@@ -206,47 +205,42 @@ def parse_modulus(candidate) -> ModulusOfVariation:
     return ModulusOfVariation.from_table(candidate)
 
 
+def _ratio_vanishes(nu: ModulusOfVariation, p: float) -> bool | None:
+    """Does nu(k)/k^(1/p) decrease to 0?  Decided for the closed forms (the
+    integral test of every series built on the ratio); None for a table,
+    since a finite table cannot show a limit."""
+    if nu.kind == "power":
+        return nu.alpha < 1.0 / p
+    return True if nu.kind == "log" else None
+
+
+def _ratio_nonincreasing(nu: ModulusOfVariation, p: float, horizon: int) -> bool:
+    """Is nu(k)/k^(1/p) nonincreasing?  For a power, exactly (alpha <= 1/p);
+    otherwise every step over k <= horizon must be at most 1e-15."""
+    if nu.kind == "power":
+        return nu.alpha <= 1.0 / p
+    ks = np.arange(1, horizon + 1, dtype=np.float64)
+    return bool(np.all(np.diff(nu.table(horizon) / ks ** (1.0 / p)) <= 1e-15))
+
+
 def validate_modulus(candidate, p: float) -> ModulusValidation:
     """Validate a modulus against the regularity needed for exponent p.
 
-    Raises on positivity, monotonicity or concavity failures and when
-    nu(k)/k^(1/p) provably fails to decrease to zero (closed-form families).
-    Closed-form families are checked on k <= 4096.  For tables the ratio is
-    checked over the table only, and ``ratio_vanishes`` is False: a finite
-    table cannot show a limit.
+    Raises on the constructor's refusals (positivity, monotonicity,
+    concavity) and when nu(k)/k^(1/p) provably fails to decrease to zero (a
+    power with alpha >= 1/p).  The log ratio is checked on k <= 4096, a
+    table's over the table only, and ``ratio_vanishes`` is False for a
+    table: a finite table cannot show a limit.
     """
     _check_p(p)
-    nu = parse_modulus(candidate)  # constructors enforce the hard axioms
-
-    full = nu.table(int(nu.max_index) if nu.kind == "table" else _VALIDATE_HORIZON)
-    if nu.kind == "power":
-        ratio_noninc = nu.alpha <= 1.0 / p
-        ratio_vanishes = nu.alpha < 1.0 / p
-        if not ratio_vanishes:
-            raise ValueError(
-                f"nu(k) = k^{nu.alpha:g} with p = {p:g}: nu(k)/k^(1/p) does not decrease to 0"
-            )
-    else:
-        ks = np.arange(1, full.size + 1, dtype=np.float64)
-        ratio_noninc = bool(np.all(np.diff(full / ks ** (1.0 / p)) <= 1e-15))
-        ratio_vanishes = nu.kind == "log"
-
-    t = full[:_VALIDATE_HORIZON]
-    nondecreasing = bool(np.all(np.diff(t) >= -_CONCAVITY_SLACK))
-    concave = bool(np.all(t[2:] + t[:-2] <= 2 * t[1:-1] + _CONCAVITY_SLACK)) if t.size >= 3 else True
-    tp = t ** p
-    quasi = bool(np.all(np.diff(tp) >= -1e-12)) and bool(
-        np.all(np.diff(tp / np.arange(1, t.size + 1)) <= 1e-12)
-    )
-    return ModulusValidation(
-        modulus=nu,
-        p=float(p),
-        nondecreasing=nondecreasing,
-        concave=concave,
-        nu_p_quasiconcave=quasi,
-        ratio_nonincreasing=ratio_noninc,
-        ratio_vanishes=ratio_vanishes,
-    )
+    nu = parse_modulus(candidate)
+    vanishes = _ratio_vanishes(nu, p)
+    if vanishes is False:
+        raise ValueError(
+            f"nu(k) = k^{nu.alpha:g} with p = {p:g}: nu(k)/k^(1/p) does not decrease to 0"
+        )
+    horizon = int(nu.max_index) if nu.kind == "table" else _VALIDATE_HORIZON
+    return ModulusValidation(nu, float(p), _ratio_nonincreasing(nu, p, horizon), bool(vanishes))
 
 
 def epsilon_p_table(nu: ModulusOfVariation, p: float, n: int) -> np.ndarray:

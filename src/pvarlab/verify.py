@@ -23,7 +23,7 @@ from .embeddings import (
 )
 from .functions import make_random, make_square_wave, make_zigzag
 from .kfunctional import bracket_count, kfunctional_bounds, pl_interpolate, varp_pl
-from .modulus import ModulusOfVariation, epsilon_p_table
+from .modulus import ModulusOfVariation, _ratio_nonincreasing, epsilon_p_table
 from .sampled import SampledFunction, extrema_reduce
 from .variation import pvariation_bruteforce, pvariation_profile, vpnu_norm
 
@@ -91,9 +91,8 @@ def epsilon_excess(families, horizon: int) -> np.ndarray:
     for nu, p in families:
         eps, nut = epsilon_p_table(nu, p, horizon), nu.table(horizon)
         out.append(np.abs(np.cumsum(eps ** p) ** (1.0 / p) - nut) / (1.0 + nut))
-        ratio = nut / ks ** (1.0 / p)
-        if np.all(np.diff(ratio) <= 1e-15):
-            out.append(eps - ratio)
+        if _ratio_nonincreasing(nu, p, horizon):
+            out.append(eps - nut / ks ** (1.0 / p))
     return np.concatenate(out)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +34,17 @@ def run_cli(args, env=None):
     proc = subprocess.run([sys.executable, "-m", "pvarlab.cli", *args],
                           capture_output=True, text=True, env=env)
     return proc
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every command of the README's CLI block, in-process, in a scratch directory
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) >= 9 and all(argv[0] == "pvarlab" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, shlex.join(argv)
 
 
 def test_pvar_zigzag_csv(tmp_path):
@@ -193,6 +205,22 @@ def test_pvar_runs_one_dp(p, tmp_path, monkeypatch):
     assert len(calls) == 1
     last = out.read_text().splitlines()[-1]
     assert last == f"6,{json.loads(sel.read_text())['value']:.12g}"
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pvar_without_selection_runs_only_the_profile_dp(p, fmt, tmp_path, monkeypatch):
+    values = ",".join(f"{v:.6f}" for v in np.random.default_rng(5).uniform(-1, 1, 60))
+    argv = ["pvar", "--values", values, "--p", p, "--n", "40", "--format", fmt]
+    kept, alone = tmp_path / "kept.txt", tmp_path / "alone.txt"
+    assert main(argv + ["--out", str(kept), "--selection-out", str(tmp_path / "s.json")]) == 0
+
+    def forbidden(*args):
+        raise AssertionError("pvar ran the DP that keeps its rows")
+
+    monkeypatch.setattr(_kernels, "dp_with_parents", forbidden)
+    assert main(argv + ["--out", str(alone)]) == 0
+    assert alone.read_bytes() == kept.read_bytes()
 
 
 def test_pvar_p1_builds_no_pair_costs(tmp_path, monkeypatch):
@@ -664,6 +692,18 @@ def test_embed_witness_cheap_pair(tmp_path):
     assert payload["witness"]["certificates"][0]["ratio"] >= 2.0
 
 
+def test_embed_over_the_lambda_table_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(embeddings, "_MAX_LAMBDA_TABLE", 1 << 17)
+    assert main(["embed", "--phi", "lambda:3:0.5", "--nu", "power:0.5", "--p", "1",
+                 "--witness", "--k-max", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"more than {1 << 17}" in err
+    lam = embeddings.LambdaSequence.power(0.5)
+    assert lam.reciprocal_cumsum(1 << 17).size == 1 << 17
+    with pytest.raises(ValueError, match="Lambda_n needs a table"):
+        lam.reciprocal_cumsum((1 << 17) + 1)
+
+
 def test_embed_witness_stdout_is_pinned(capsys):
     assert main(["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--k-max", "1",
                  "--witness"]) == 0
@@ -892,6 +932,22 @@ def test_embed_witness_never_builds_an_omitted_function(monkeypatch, capsys):
     assert witness["certified"] is True
     assert witness["function"] == {"points": 226_427, "omitted": True}
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--horizon", "64"],
+    ["verify", "--seed", "1"],
+])
+def test_format_is_refused_where_no_rows_are_written(argv, tmp_path, capsys):
+    # embed writes its JSON report and verify its text report, whatever --format says
+    assert main(argv + ["--format", "csv"]) == 2
+    cfg = tmp_path / "cfg.json"
+    params = dict(zip((a[2:] for a in argv[1::2]), argv[2::2]))
+    cfg.write_text(json.dumps({"subcommand": argv[0], "params": params,
+                               "output": {"format": "json"}}))
+    assert main(["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("unrecognized arguments: --format") == 2
 
 
 def test_config_file_fourier_sweep(tmp_path):
