@@ -138,7 +138,9 @@ def _advance(below, probe, lo, hi, step) -> bool:
     return True
 
 
-_MAX_LAMBDA_TABLE = 1 << 26  # Lambda_n entries: 512 MB of floats
+# Lambda_n entries (576 MiB): the rate pass's largest probe (k = 1, n = 9
+# doubled while <= _LITERAL_N_MAX), so only the ratio pass can ask for more.
+_MAX_LAMBDA_TABLE = 9 << 23
 
 
 class LambdaSequence:
@@ -663,8 +665,9 @@ def _search_block(scan: _ScoreScan, nu: ModulusOfVariation, p: float, k: int, po
         return m, g / nu.value(n)
 
     # Pass 1: the full 2^(4k) rate, if it is reachable within the scan cap
-    # and its block fits the point budget.
-    n, _ = _first_passing(lambda n: rate(n)[1] > full_rate_target, n_min, _LITERAL_N_MAX, 2.0)
+    # and the Lambda_n table cap and its block fits the point budget.
+    n_cap = _LITERAL_N_MAX if Phi.lam is None else min(_LITERAL_N_MAX, _MAX_LAMBDA_TABLE)
+    n, _ = _first_passing(lambda n: rate(n)[1] > full_rate_target, n_min, n_cap, 2.0)
     if n is not None:
         m, rt = rate(n)
         s, height = _block_geometry(k, n, m, Phi)

@@ -214,13 +214,12 @@ def _ratio_vanishes(nu: ModulusOfVariation, p: float) -> bool | None:
     return True if nu.kind == "log" else None
 
 
-def _ratio_nonincreasing(nu: ModulusOfVariation, p: float, horizon: int) -> bool:
+def _ratio_nonincreasing(nu: ModulusOfVariation, p: float, ratio: np.ndarray) -> bool:
     """Is nu(k)/k^(1/p) nonincreasing?  For a power, exactly (alpha <= 1/p);
-    otherwise every step over k <= horizon must be at most 1e-15."""
+    otherwise every step of ``ratio``, its values on k = 1..horizon, is <= 1e-15."""
     if nu.kind == "power":
         return nu.alpha <= 1.0 / p
-    ks = np.arange(1, horizon + 1, dtype=np.float64)
-    return bool(np.all(np.diff(nu.table(horizon) / ks ** (1.0 / p)) <= 1e-15))
+    return bool(np.all(np.diff(ratio) <= 1e-15))
 
 
 def validate_modulus(candidate, p: float) -> ModulusValidation:
@@ -240,7 +239,8 @@ def validate_modulus(candidate, p: float) -> ModulusValidation:
             f"nu(k) = k^{nu.alpha:g} with p = {p:g}: nu(k)/k^(1/p) does not decrease to 0"
         )
     horizon = int(nu.max_index) if nu.kind == "table" else _VALIDATE_HORIZON
-    return ModulusValidation(nu, float(p), _ratio_nonincreasing(nu, p, horizon), bool(vanishes))
+    ratio = nu.table(horizon) / np.arange(1, horizon + 1, dtype=np.float64) ** (1.0 / p)
+    return ModulusValidation(nu, float(p), _ratio_nonincreasing(nu, p, ratio), bool(vanishes))
 
 
 def epsilon_p_table(nu: ModulusOfVariation, p: float, n: int) -> np.ndarray:

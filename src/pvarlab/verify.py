@@ -91,8 +91,9 @@ def epsilon_excess(families, horizon: int) -> np.ndarray:
     for nu, p in families:
         eps, nut = epsilon_p_table(nu, p, horizon), nu.table(horizon)
         out.append(np.abs(np.cumsum(eps ** p) ** (1.0 / p) - nut) / (1.0 + nut))
-        if _ratio_nonincreasing(nu, p, horizon):
-            out.append(eps - nut / ks ** (1.0 / p))
+        ratio = nut / ks ** (1.0 / p)
+        if _ratio_nonincreasing(nu, p, ratio):
+            out.append(eps - ratio)
     return np.concatenate(out)
 
 

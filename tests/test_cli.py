@@ -704,6 +704,18 @@ def test_embed_over_the_lambda_table_cap_exits_2(monkeypatch, capsys):
         lam.reciprocal_cumsum((1 << 17) + 1)
 
 
+def test_embed_rate_pass_stops_at_the_lambda_table_cap(monkeypatch, capsys):
+    # Below the cap the full 2^(4k) rate is out of reach at k = 3, so the
+    # search falls through to the 2^k ratio, which certifies inside the cap.
+    monkeypatch.setattr(embeddings, "_MAX_LAMBDA_TABLE", 1 << 17)
+    assert main(["embed", "--phi", "lambda:3:0.5", "--nu", "log", "--p", "1",
+                 "--witness", "--k-max", "3"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["certified"]
+    assert [b["literal"] for b in witness["blocks"]] == [True, True, False]
+    assert max(b["n"] for b in witness["blocks"]) <= 1 << 17
+
+
 def test_embed_witness_stdout_is_pinned(capsys):
     assert main(["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--k-max", "1",
                  "--witness"]) == 0
