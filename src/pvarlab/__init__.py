@@ -41,6 +41,7 @@ from .fourier import (
     q_sequence,
     sine_integral_lower,
     theta,
+    thetas,
     unif2_verdicts,
 )
 from .kfunctional import (

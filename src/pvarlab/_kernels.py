@@ -112,14 +112,16 @@ def _pair_row(prev, starts, cost, offsets, buf, cur):
 
     buf holds prev[j] + cost of every pair; each end's run of it reduces to
     ext[i] = max over its candidate starts.  Every start is in range, so the
-    gather clips instead of checking, which spares it a buffered copy.
+    gather clips instead of checking, which spares it a buffered copy.  Every
+    end has a candidate (start i - 1) and every candidate is >= 0, so ext
+    needs no clamp at 0.
     """
     np.take(prev, starts, out=buf, mode="clip")
     buf += cost
     cur[0] = 0.0
-    np.maximum.reduceat(buf, offsets, out=cur[1:])
-    np.maximum(cur[1:], 0.0, out=cur[1:])
-    np.maximum.accumulate(cur[1:], out=cur[1:])
+    ext = cur[1:]
+    np.maximum.reduceat(buf, offsets, out=ext)
+    np.maximum.accumulate(ext, out=ext)
 
 
 def _dp1_row(prev, values, cur):
@@ -190,7 +192,7 @@ def _rows(step, m, n):
         cur = np.empty(m)
         step(prev, cur)
         yield cur
-        if np.array_equal(cur, prev):
+        if (cur == prev).all():
             return
         prev = cur
 

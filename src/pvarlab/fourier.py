@@ -30,6 +30,7 @@ __all__ = [
     "OmegaPower",
     "OmegaLog",
     "theta",
+    "thetas",
     "ConvergenceSequences",
     "convergence_sequences",
     "q_sequence",
@@ -214,27 +215,40 @@ class OmegaLog:
 # Convergence criterion sequences
 # ---------------------------------------------------------------------------
 
-def _split_objective(nu: ModulusOfVariation, omega, p: float, n: int):
-    """(omega(1/n), H_r, objective) for r = 1..n-1, and the minimizing split index.
+def _split_objectives(nu: ModulusOfVariation, omega, p: float, ns) -> list:
+    """Per n in ns: (omega(1/n), H_r, objective) for r = 1..n-1, and the
+    minimizing split index.
 
     The objective is omega(1/n) H_r + sum_{k>r} nu(k)/k^(1+1/p); ties go to
-    the smallest r.
+    the smallest r.  H_r and the cumulative tail sums are built once, up to
+    the largest n, and each n reads prefixes of them: a cumulative sum adds
+    in order, so a prefix holds the floats of a shorter run.
     """
     _check_p(p)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    _check_count(n)
-    w = omega(1.0 / n)
-    ks = np.arange(1, n, dtype=np.float64)  # 1..n-1
+    ns = [int(n) for n in ns]
+    for n in ns:
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        _check_count(n)
+    ks = np.arange(1, max(ns, default=2), dtype=np.float64)  # 1..max n - 1
     harm = np.cumsum(1.0 / ks)
-    tail_cum = np.cumsum(nu.table(n - 1) / ks ** (1.0 + 1.0 / p))
-    obj = w * harm + (tail_cum[-1] - tail_cum)
-    return w, harm, obj, int(np.argmin(obj)) + 1
+    tail_cum = np.cumsum(nu.table(ks.size) / ks ** (1.0 + 1.0 / p))
+    out = []
+    for n in ns:
+        w = omega(1.0 / n)
+        obj = w * harm[:n - 1] + (tail_cum[n - 2] - tail_cum[:n - 1])
+        out.append((w, harm[:n - 1], obj, int(np.argmin(obj)) + 1))
+    return out
+
+
+def thetas(nu: ModulusOfVariation, omega, p: float, ns) -> list[int]:
+    """``theta`` at every n in ns, from one pass over the prefix sums."""
+    return [th for *_, th in _split_objectives(nu, omega, p, ns)]
 
 
 def theta(nu: ModulusOfVariation, omega, p: float, n: int) -> int:
     """Smallest r in [1, n-1] minimizing omega(1/n) H_r + sum_{k>r} nu(k)/k^(1+1/p)."""
-    return _split_objective(nu, omega, p, n)[3]
+    return thetas(nu, omega, p, [n])[0]
 
 
 @dataclass(frozen=True)
@@ -249,7 +263,7 @@ class ConvergenceSequences:
 
 def convergence_sequences(nu: ModulusOfVariation, omega, p: float, n: int) -> ConvergenceSequences:
     """rho, sigma, tau, eta at n; tails are empty at n = 2."""
-    w, harm, obj, th = _split_objective(nu, omega, p, n)
+    w, harm, obj, th = _split_objectives(nu, omega, p, [n])[0]
     head = w * harm[th - 1]
     rho = float(obj[th - 1])
     terms = _series_terms(nu, p, n - 1)

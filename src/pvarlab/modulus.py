@@ -147,7 +147,7 @@ class ModulusOfVariation:
     def value(self, k):
         """nu(k) for integer k >= 0 (scalar or array)."""
         arr = np.asarray(k)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("modulus index must be nonnegative")
         kk = arr.astype(np.float64)
         if self.kind == "power":
@@ -155,7 +155,7 @@ class ModulusOfVariation:
         elif self.kind == "log":
             out = np.log1p(kk)
         else:
-            if np.any(arr > self._table.size):
+            if (arr > self._table.size).any():
                 raise ValueError("index beyond table; modulus tables are not extrapolated")
             out = np.where(arr == 0, 0.0, self._table[np.maximum(arr, 1) - 1])
         return float(out) if np.isscalar(k) or arr.ndim == 0 else out

@@ -39,9 +39,9 @@ class SampledFunction:
             raise ValueError("grid and values must have the same length")
         if grid.size < 2:
             raise ValueError("need at least two sample points")
-        if not np.all(np.diff(grid) > 0):
+        if not (grid[1:] > grid[:-1]).all():
             raise ValueError("grid must be strictly increasing")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
             raise ValueError("grid and values must be finite")
         if self.periodic:
             if self.period is None or not np.isfinite(self.period) or self.period <= 0:
@@ -83,20 +83,28 @@ class SampledFunction:
         return d
 
 
+def _extrema_indices(v: np.ndarray) -> np.ndarray:
+    """Increasing indices of the points ``extrema_reduce`` keeps of values v.
+
+    Both ends and the end of each monotone run: the point reached by the
+    last nonzero step before the direction flips.
+    """
+    m = v.size
+    if m <= 2:
+        return np.arange(m)
+    d = v[1:] - v[:-1]
+    nz = np.flatnonzero(d)
+    up = d[nz] > 0
+    return np.concatenate(([0], nz[:-1][up[1:] != up[:-1]] + 1, [m - 1]))
+
+
 def extrema_reduce(f: SampledFunction) -> SampledFunction:
     """Drop grid points that are not endpoints or strict interior extrema.
 
     Plateaus are compressed to their first point.  The p-variation profile is
     unchanged by this reduction for every interval budget.
     """
-    v = f.values
-    m = v.size
-    if m <= 2:
+    if len(f) <= 2:
         return f
-    # Keep both ends and the end of each monotone run: the point reached by the
-    # last nonzero step before the direction flips.  Indices are increasing.
-    d = np.diff(v)
-    nz = np.flatnonzero(d)
-    up = d[nz] > 0
-    idx = np.concatenate(([0], nz[:-1][up[1:] != up[:-1]] + 1, [m - 1]))
+    idx = _extrema_indices(f.values)
     return SampledFunction(f.grid[idx], f.values[idx], f.periodic, f.period)

@@ -34,7 +34,7 @@ def _as_seq(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional sequence")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sequence entries must be finite")
     return arr
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _kernels
 from .modulus import ModulusOfVariation, _check_magnitude, _check_p
-from .sampled import SampledFunction, extrema_reduce
+from .sampled import SampledFunction, _extrema_indices
 
 __all__ = [
     "IntervalSelection",
@@ -86,24 +86,26 @@ def pvariation_bruteforce(f: SampledFunction, p: float, n: int):
 
 
 def _reduced(f: SampledFunction, p: float, n: int, name: str = "n"):
-    """The checks both DPs start from, then (extrema-reduced f, effective budget).
+    """The checks both DPs start from, then (kept indices, their values,
+    effective budget) of the extrema reduction of f.
 
-    The effective budget is min(n, len(red) - 1): consecutive kept points
-    differ and turn at every step, so len(red) - 1 is the swing count, past
+    The effective budget is min(n, len(kept) - 1): consecutive kept points
+    differ and turn at every step, so len(kept) - 1 is the swing count, past
     which v_p(n, f) stays constant.  A constant f reduces to its two equal
     ends, where the one-row DP gives 0.
 
     A selection of at most min(n, m - 1) intervals (no more fit on m points)
     sums at most that many (max - min)^p, the bound ``_check_magnitude`` holds
-    to the float range.
+    to the float range.  It runs before the reduction, whose differences of
+    values could overflow on a refused input.
     """
     if n < 1:
         raise ValueError(f"{name} must be >= 1")
     _check_p(p)
-    spread = float(np.max(f.values)) - float(np.min(f.values))
-    _check_magnitude(spread, p, min(n, len(f) - 1), "max - min")
-    red = extrema_reduce(f)
-    return red, min(n, len(red) - 1)
+    v = f.values
+    _check_magnitude(float(v.max()) - float(v.min()), p, min(n, v.size - 1), "max - min")
+    idx = _extrema_indices(v)
+    return idx, v[idx], min(n, idx.size - 1)
 
 
 def _backtrack(rows, pair_sums, n: int) -> list[tuple[int, int]]:
@@ -132,9 +134,8 @@ def _backtrack(rows, pair_sums, n: int) -> list[tuple[int, int]]:
 
 def _pvariation_solve(f: SampledFunction, p: float, n: int):
     """(v_p(n, f), optimal selection, ``_profile``) from one DP's rows."""
-    red, n_eff = _reduced(f, p, n)
-    kept = np.searchsorted(f.grid, red.grid)
-    rows, pair_sums = _kernels.dp_with_parents(red.values, p, n_eff)
+    kept, values, n_eff = _reduced(f, p, n)
+    rows, pair_sums = _kernels.dp_with_parents(values, p, n_eff)
     pairs = [(int(kept[j]), int(kept[i])) for j, i in _backtrack(rows, pair_sums, n_eff)]
     prof = np.array([row[-1] for row in rows[1:]]) ** (1.0 / p)
     # the profile's array root, so the value and the profile agree bit for bit
@@ -156,8 +157,8 @@ def pvariation_dp(f: SampledFunction, p: float, n: int):
 def _profile(f: SampledFunction, p: float, n: int, name: str = "n") -> np.ndarray:
     """v_p(1..K, f): the DP stops at its fixed point K <= n, at or before the
     swing count, and v_p(k, f) = prof[min(k, K) - 1] for every k <= n."""
-    red, n_eff = _reduced(f, p, n, name)
-    return _kernels.dp_profile_pow(red.values, p, n_eff)[1:] ** (1.0 / p)
+    _, values, n_eff = _reduced(f, p, n, name)
+    return _kernels.dp_profile_pow(values, p, n_eff)[1:] ** (1.0 / p)
 
 
 def pvariation_profile(f: SampledFunction, p: float, n_max: int) -> np.ndarray:
@@ -176,10 +177,10 @@ def vpnu_norm(f: SampledFunction, nu: ModulusOfVariation, p: float):
     Exact: v_p(n, f) = v_p(K, f) for n >= K, the DP's fixed point, and nu is
     nondecreasing, so the sup is the max over n <= K.  A table nu shorter
     than K is refused, and a longer one is read to its end, since tables may
-    dip by 1e-12.  At p > 1 that is K rows of the candidate-pair DP: 0.024 s
-    for K = 123 on a 2 000-step walk at p = 2, where a dense m x m DP took
-    0.97 s; 5.1 s and 74 MB peak RSS for K = 855 on a 20 000-step walk
-    (2 vCPU, numpy 2.4).
+    dip by 1e-12.  At p > 1 that is K rows of the candidate-pair DP.  At
+    p = 2 on Gaussian walks (numpy seed 1): 0.027 s for K = 123 on 2 000
+    steps; 2.3 to 3.6 s and 69 MB peak process RSS for K = 838 on 20 000
+    steps (2 vCPU, numpy 2.4).
     """
     prof = _profile(f, p, len(f) - 1)
     n = prof.size if nu.kind != "table" else max(prof.size, int(nu.max_index))

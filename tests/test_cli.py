@@ -674,6 +674,20 @@ def test_bad_log_level_env():
     assert proc.stdout == ""
 
 
+def test_verify_debug_log_times_each_check_and_keeps_the_report():
+    proc = run_cli(["verify", "--seed", "1"], env={"PVARLAB_LOG": "debug", "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0
+    assert proc.stdout.encode() == (DATA / "verify_seed1.txt").read_bytes()
+    timed = [line for line in proc.stderr.splitlines() if line.startswith("DEBUG pvarlab: verify ")]
+    assert len(timed) == 15 and all(line.endswith(" s") for line in timed)
+
+
+def test_fourier_sweep_matches_pinned_output(capsys):
+    for argv, expected in json.loads((DATA / "fourier_sweeps.json").read_text()).items():
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == expected, argv
+
+
 def test_verify_deterministic(verify_seed7_pair):
     codes, (a, b) = verify_seed7_pair
     assert codes == [0, 0]

@@ -23,9 +23,11 @@ from pvarlab import (
     q_sequence,
     sine_integral_lower,
     theta,
+    thetas,
     unif2_verdicts,
 )
 from pvarlab import verify as inv
+from pvarlab.fourier import _split_objectives
 from pvarlab.functions import make_sawtooth, make_sine, make_square_wave
 
 from oracles import fourier_coeffs_loop, trig_sum_loop
@@ -232,6 +234,26 @@ def test_theta_exhaustive_scan_oracle():
     th = theta(nu, om, p, n)
     assert th == best_r
     assert np.all(inv.theta_bracket_excess([(nu, om, p)], [n]) <= 1e-12)
+
+
+def test_thetas_match_the_one_n_theta_bit_for_bit():
+    # theta for many n reads prefixes of one H_r and one tail cumsum; each n's
+    # objective must be the floats its own one-n call builds
+    omegas = [OmegaPower(0.5), OmegaLog()]
+    families = [(nu, om, p) for (nu, p), om in zip(inv._FAMILIES, omegas * 2)]
+    table = ModulusOfVariation.from_table(np.sqrt(np.log1p(np.arange(1, 1024))))
+    families.append((table, OmegaPower(0.5), 1.5))
+    ns = list(range(2, 1025))
+    for nu, om, p in families:
+        assert thetas(nu, om, p, ns) == [theta(nu, om, p, n) for n in ns]
+        for n, (w, harm, obj, th) in zip(ns, _split_objectives(nu, om, p, ns)):
+            w1, harm1, obj1, th1 = _split_objectives(nu, om, p, [n])[0]
+            assert (w, th) == (w1, th1)
+            assert np.array_equal(harm, harm1) and np.array_equal(obj, obj1)
+    assert thetas(table, OmegaLog(), 1.5, [9, 3, 9]) == [theta(table, OmegaLog(), 1.5, n)
+                                                         for n in (9, 3, 9)]
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        thetas(table, OmegaLog(), 1.5, [8, 1])
 
 
 def test_theta_large_omega_forces_one():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,27 @@ def test_epsilon_at_large_p_examples():
 ])
 def test_epsilon_telescoping(nu, p):
     assert np.max(inv.epsilon_excess([(nu, p)], 50_000)) <= 1e-12
+
+
+@pytest.mark.parametrize("nu,p,n", [
+    (ModulusOfVariation.log(), 3000.0, 512),
+    (ModulusOfVariation.log(), 1e5, 4096),
+    (ModulusOfVariation.power(0.5), 1000.0, 4096),
+])
+def test_epsilon_telescoping_at_large_p(nu, p, n):
+    # sum eps_p^p overflows (and its first terms underflow) in floats; the
+    # telescoped root is read from log-sums there, with no warning raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        excess = inv.epsilon_excess([(nu, p)], n)
+    assert np.all(np.isfinite(excess)) and np.max(excess) <= 1e-12
+
+
+def test_epsilon_telescoping_in_range_keeps_the_direct_sum():
+    for nu, p in inv._FAMILIES:
+        eps, nut = epsilon_p_table(nu, p, 4096), nu.table(4096)
+        direct = np.abs(np.cumsum(eps ** p) ** (1.0 / p) - nut) / (1.0 + nut)
+        assert np.array_equal(inv.epsilon_excess([(nu, p)], 4096)[:4096], direct)
 
 
 @pytest.mark.parametrize("nu,p", [

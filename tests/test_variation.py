@@ -32,7 +32,7 @@ from pvarlab import _kernels
 from pvarlab import verify as inv
 from pvarlab.functions import make_random, make_zigzag
 from pvarlab.modulus import ModulusOfVariation
-from pvarlab.variation import _pvariation_solve
+from pvarlab.variation import _pvariation_solve, _reduced
 
 ZIGZAG = make_zigzag(5)
 MONOTONE = SampledFunction([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
@@ -342,6 +342,35 @@ def test_profile_lp_bound(rng):
         assert np.all(np.diff(prof) >= -1e-12)
         ns = np.arange(1, 7, dtype=float)
         assert np.all(prof <= prof[0] * ns ** (1.0 / p) + 1e-10)
+
+
+def test_reduced_is_extrema_reduce_by_index(rng):
+    grid = np.linspace(0.0, 1.0, 8)
+    cases = [
+        make_random(rng, 40),
+        SampledFunction(grid, [0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0]),  # plateaus
+        SampledFunction(grid, np.full(8, 3.0)),
+        SampledFunction([0.0, 1.0], [0.0, 1.0]),
+        SampledFunction([0.0, 1.0], [2.0, 2.0]),
+        SampledFunction(2 * np.pi * np.arange(16) / 16, np.sin(3 * 2 * np.pi * np.arange(16) / 16),
+                        periodic=True, period=2 * np.pi),
+    ]
+    for f in cases:
+        red = extrema_reduce(f)
+        for p, n in ((1.0, 1), (2.0, 3), (1.5, 100)):
+            idx, values, n_eff = _reduced(f, p, n)
+            assert np.array_equal(idx, np.searchsorted(f.grid, red.grid))
+            assert np.array_equal(values, red.values)
+            assert n_eff == min(n, len(red) - 1)
+
+
+def test_reduced_refuses_before_any_arithmetic_on_values():
+    # the reduction's differences would overflow on this input: the scale
+    # check must refuse it first
+    f = SampledFunction([0.0, 0.5, 1.0, 1.5], [1e308, -1e308, 1e308, -1e308])
+    for p in (1.0, 2.0):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows"):
+            _reduced(f, p, 3)
 
 
 def test_extrema_reduce_preserves_dp(rng):
