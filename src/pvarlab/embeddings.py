@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import bisect
+import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -12,6 +14,8 @@ import numpy as np
 from .modulus import ModulusOfVariation, _check_count, _check_p
 from .sampled import SampledFunction
 from .variation import pvariation_profile
+
+log = logging.getLogger("pvarlab")
 
 __all__ = [
     "OrliczFunction",
@@ -138,9 +142,10 @@ def _advance(below, probe, lo, hi, step) -> bool:
     return True
 
 
-# Lambda_n entries (576 MiB): the rate pass's largest probe (k = 1, n = 9
-# doubled while <= _LITERAL_N_MAX), so only the ratio pass can ask for more.
-_MAX_LAMBDA_TABLE = 9 << 23
+# Lambda_n up to here is the float cumsum of its terms, past it the
+# Euler-Maclaurin tail; at least the default horizon 100 000, so every
+# criterion trace to that horizon reads the cumsum.
+_N_LAMBDA = 1 << 17
 
 
 class LambdaSequence:
@@ -154,7 +159,6 @@ class LambdaSequence:
             raise ValueError(f"power Lambda-sequence needs 0 <= beta <= 1, got {beta!r}")
         self.beta = beta
         self.name = f"power:{beta:g}"
-        self._cum: np.ndarray = np.empty(0)
 
     @classmethod
     def power(cls, beta: float) -> "LambdaSequence":
@@ -167,23 +171,59 @@ class LambdaSequence:
     def value(self, j):
         return np.asarray(j, dtype=np.float64) ** self.beta
 
-    def reciprocal_cumsum(self, n: int) -> np.ndarray:
-        """Lambda_k = sum_{j<=k} 1/lambda_j for k = 1..n (read-only), a prefix of
-        the longest table so far.  ``np.cumsum`` adds in sequence, so a table
-        grown from its last sum holds the same floats as one cumsum.  A table
-        longer than ``_MAX_LAMBDA_TABLE`` is refused before it grows."""
-        if n > _MAX_LAMBDA_TABLE:
-            raise ValueError(f"Lambda_n needs a table of {n} entries, more than {_MAX_LAMBDA_TABLE}")
-        cum = self._cum
-        if cum.size < n:
-            js = np.arange(cum.size + 1, max(n, 1024) + 1, dtype=np.float64)
-            terms = 1.0 / self.value(js)
-            if cum.size:
-                terms[0] += cum[-1]
-            cum = np.concatenate([cum, np.cumsum(terms)])
-            cum.flags.writeable = False
-            self._cum = cum
-        return cum[:n]
+    def cumulative(self, n) -> np.ndarray:
+        """Lambda_n = sum_{j<=n} 1/lambda_j, elementwise over an array of n >= 1.
+
+        At beta = b = 0, Lambda_n is n itself.  Up to N = ``_N_LAMBDA`` it is
+        ``np.cumsum`` of the terms 1/j^b, computed up to min(max n, N); cumsum
+        adds in sequence, so every n <= N reads the same float however far
+        the sum runs.  Past N it is Lambda_N + T(n), with T(n) the
+        Euler-Maclaurin sum of the terms N+1..n of f(x) = x^-b:
+
+            T(n) = N^(1-b) expm1((1-b) log(n/N)) / (1-b)    (log(n/N) at b = 1)
+                   + (n^-b - N^-b)/2 - b (n^(-b-1) - N^(-b-1))/12
+                   + b(b+1)(b+2) (n^(-b-3) - N^(-b-3))/720,
+
+        that is, the integral of f, the endpoint terms and the B_2 and B_4
+        corrections.  The remainder is -int_N^n f^(4)(x) P_4(x)/4! dx with
+        |P_4| <= |B_4| = 1/30, so it is at most int_N^n |f^(4)|/720 =
+        |f'''(n) - f'''(N)|/720 < b(b+1)(b+2) N^(-b-3)/720 <= 2^-51 N^-b/120,
+        below 1e-22 of Lambda_N >= N^(1-b).  The integral is written
+        N^(1-b)((n/N)^(1-b) - 1)/(1-b), so it keeps its relative accuracy as
+        b -> 1, where n^(1-b)/(1-b) and N^(1-b)/(1-b) would cancel; the
+        factor (n/N)^(1-b) - 1 is expm1(y), y = (1-b) log(n/N), for y < 1, and
+        ``pow`` minus 1 past that, where the rounding of y, amplified about
+        y times by expm1, would cost more (13 ulps of Lambda_n at b = 0.25,
+        n near 2^34, against 2.3 with ``pow``).
+        """
+        n = np.asarray(n)
+        if self.beta == 0:
+            return n.astype(np.float64)
+        idx = n.astype(np.int64)
+        top = int(min(np.max(idx), _N_LAMBDA))
+        prefix = np.cumsum(1.0 / self.value(np.arange(1, top + 1, dtype=np.float64)))
+        head = prefix[np.minimum(idx, top) - 1]
+        if top < _N_LAMBDA:
+            return head
+        return np.where(idx > _N_LAMBDA, head + self._tail(np.maximum(idx, _N_LAMBDA)), head)
+
+    def _tail(self, n) -> np.ndarray:
+        """T(n) of ``cumulative``: the sum of the terms N+1..n, for n >= N."""
+        b, big_n = self.beta, float(_N_LAMBDA)
+        x = np.asarray(n, dtype=np.float64)
+        ratio = x / big_n  # exact: N is a power of two
+        if b == 1:
+            integral = np.log(ratio)
+        else:
+            y = (1.0 - b) * np.log(ratio)
+            grown = np.where(y < 1.0, np.expm1(y), ratio ** (1.0 - b) - 1.0)
+            integral = big_n ** (1.0 - b) * grown / (1.0 - b)
+
+        def diff(e):
+            return x ** e - big_n ** e
+
+        return (integral + diff(-b) / 2.0 - b * diff(-b - 1.0) / 12.0
+                + b * (b + 1.0) * (b + 2.0) * diff(-b - 3.0) / 720.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +291,7 @@ class PhiSequence:
         """Lambda_n elementwise over an array of n: n itself when lambda_j = 1."""
         if self.lam is None:
             return np.asarray(n, dtype=np.float64)
-        return self.lam.reciprocal_cumsum(int(np.max(n)))[np.asarray(n).astype(np.int64) - 1]
+        return self.lam.cumulative(n)
 
     def phi(self, j, x):
         """phi_j(x), elementwise over an array of j the way ``partial`` takes n."""
@@ -291,7 +331,8 @@ def phi_partial_inverse(Phi: PhiSequence, n, y):
     The result is the adjacent-float transition of the monotone bisection:
     the smallest float x with Phi_n(x) >= y, or the float just below it.
     The bisection starts at ``Phi.closed_inverse(n, y)``, which shortens it
-    but cannot move that transition.
+    but cannot move that transition.  Lambda_n is read once, and each step
+    evaluates ``Lambda_n * phi(x)``: the floats of ``Phi.partial(n, x)``.
     """
     scalar = np.ndim(n) == 0 and np.ndim(y) == 0
     ns, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(n, dtype=np.float64)),
@@ -300,7 +341,8 @@ def phi_partial_inverse(Phi: PhiSequence, n, y):
         raise ValueError("n must be >= 1")
     if np.any(ys < 0):
         raise ValueError("y must be >= 0")
-    x = _bisect_increasing(lambda x: Phi.partial(ns, x), ys, Phi.closed_inverse(ns, ys))
+    lam_n, gauge = Phi._lambda_n(ns), Phi.gauge
+    x = _bisect_increasing(lambda x: lam_n * gauge(x), ys, Phi.closed_inverse(ns, ys))
     return float(x[0]) if scalar else x
 
 
@@ -347,15 +389,57 @@ def _verdict_from_trace(trace: np.ndarray) -> str:
     return "Inconclusive"
 
 
+def _exponent_verdict(Phi: PhiSequence, nu: ModulusOfVariation, p: float) -> str | None:
+    """The verdict, "Embeds" or "Fails", from the growth exponents of
+    g(n) = n^(1/p) Phi_n^{-1}(1) and nu(n) where they decide it; else None.
+
+    The criterion asks whether the trace max_(k<=n) g(k)/nu(n) stays bounded.
+    The rule covers nu = n^alpha and nu = log(1 + n), with two kinds of Phi:
+
+    - phi_j = x^q / j^beta (``power_all``, ``orlicz_all(power_orlicz(q))`` at
+      beta = 0).  Then g(n) = n^(1/p) Lambda_n^(-1/q).  For beta < 1,
+      n^(1-beta) <= Lambda_n <= 1 + int_1^n x^-beta dx <= n^(1-beta)/(1-beta)
+      (no term is below the last one; the terms decrease), so
+      (1-beta)^(1/q) n^c <= g(n) <= n^c with c = 1/p - (1-beta)/q, and the
+      running max of g is of order n^max(c, 0).  The trace is bounded iff
+      max(c, 0) <= alpha for nu = n^alpha (alpha > 0), that is c <= alpha,
+      and iff c <= 0 for nu = log(1 + n).  For beta = 1, log(n + 1) <=
+      Lambda_n <= 1 + log n, so g(n) is of order n^(1/p) (log n)^(-1/q),
+      which grows: bounded iff 1/p <= alpha for nu = n^alpha, never for
+      nu = log(1 + n).
+    - ``orlicz_all(exp_orlicz())``.  Then g(n) = n^(1/p) log1p(1/n) <=
+      n^(1/p - 1) <= 1 and nu(n) >= nu(1) > 0, so every trace is bounded.
+
+    c <= alpha and c <= 0 are decided in exact rational arithmetic on the
+    given floats (``Fraction``), with no tolerance.  A table nu, or any other
+    gauge, returns None and keeps the trace heuristic.
+    """
+    if nu.kind not in ("power", "log"):
+        return None
+    gauge = Phi.gauge
+    if Phi.lam is None and gauge._fn is np.expm1 and gauge._inv is np.log1p:
+        return "Embeds"
+    if gauge.q is None:
+        return None
+    beta = Fraction(0 if Phi.lam is None else Phi.lam.beta)
+    alpha = Fraction(nu.alpha) if nu.kind == "power" else Fraction(0)
+    if beta == 1:
+        embeds = nu.kind == "power" and 1 / Fraction(p) <= alpha
+    else:
+        embeds = 1 / Fraction(p) - (1 - beta) / Fraction(gauge.q) <= alpha
+    return "Embeds" if embeds else "Fails"
+
+
 def _report_from_scores(scores: np.ndarray, nu: ModulusOfVariation,
-                        crosscheck_gap: float | None = None) -> CriterionReport:
+                        crosscheck_gap: float | None = None,
+                        verdict: str | None = None) -> CriterionReport:
     horizon = scores.size
     trace = np.maximum.accumulate(scores) / nu.table(horizon)
     return CriterionReport(
         horizon=horizon,
         trace=trace,
         running_sup=float(np.max(trace)),
-        verdict=_verdict_from_trace(trace),
+        verdict=verdict or _verdict_from_trace(trace),
         crosscheck_gap=crosscheck_gap,
     )
 
@@ -364,11 +448,14 @@ def embedding_criterion(Phi: PhiSequence, nu: ModulusOfVariation, p: float,
                         horizon: int) -> CriterionReport:
     """Trace of (1/nu(n)) max_{k<=n} k^(1/p) Phi_k^{-1}(1) for n <= horizon, with a verdict.
 
-    The verdict rule is fixed: Fails when the trace at the horizon exceeds 10
-    times its minimum over the first quarter of the horizon; Embeds when the
-    trace at the horizon is at most (1 + 1e-9) times its value at half the
-    horizon; otherwise Inconclusive.  ``witness_generate`` reads the same
-    verdict.
+    Embeds means the trace stays bounded as n grows.  Where the exponent rule
+    decides it (``_exponent_verdict``: power and log nu, with a power gauge
+    over j^beta or exp), the verdict is the rule's.  Elsewhere the trace
+    decides by a fixed heuristic: Fails when the trace at the horizon
+    exceeds 10 times its minimum over the first quarter of the horizon;
+    Embeds when the trace at the horizon is at most (1 + 1e-9) times its
+    value at half the horizon; otherwise Inconclusive.  ``witness_generate``
+    reads the same verdict.
     """
     _check_p(p)
     if horizon < 8:
@@ -376,7 +463,9 @@ def embedding_criterion(Phi: PhiSequence, nu: ModulusOfVariation, p: float,
     _check_count(horizon, "horizon")
     ks = np.arange(1, horizon + 1, dtype=np.float64)
     scores = ks ** (1.0 / p) * Phi.inverse_at_one_table(horizon)
-    return _report_from_scores(scores, nu)
+    verdict = _exponent_verdict(Phi, nu, p)
+    log.debug("embedding verdict: %s", "trace heuristic" if verdict is None else "exponent rule")
+    return _report_from_scores(scores, nu, verdict=verdict)
 
 
 _COROLLARY_CASES = ("BVq", "Salem", "LambdaBV", "WatermanShiba", "PhiLambda")
@@ -406,17 +495,17 @@ def corollary_criteria(case: str, nu: ModulusOfVariation, p: float, horizon: int
     elif case == "LambdaBV":
         if lam is None:
             raise ValueError("LambdaBV needs a Lambda-sequence")
-        expr = kp / lam.reciprocal_cumsum(horizon)
+        expr = kp / lam.cumulative(ks)
         induced = PhiSequence.orlicz_over_lambda(power_orlicz(1.0), lam)
     elif case == "WatermanShiba":
         if lam is None or q is None:
             raise ValueError("WatermanShiba needs q and a Lambda-sequence")
-        expr = kp * lam.reciprocal_cumsum(horizon) ** (-1.0 / q)
+        expr = kp * lam.cumulative(ks) ** (-1.0 / q)
         induced = PhiSequence.orlicz_over_lambda(power_orlicz(q), lam)
     else:  # PhiLambda
         if lam is None or phi is None:
             raise ValueError("PhiLambda needs an Orlicz function and a Lambda-sequence")
-        expr = kp * phi.inverse(1.0 / lam.reciprocal_cumsum(horizon))
+        expr = kp * phi.inverse(1.0 / lam.cumulative(ks))
         induced = PhiSequence.orlicz_over_lambda(phi, lam)
 
     generic = kp * induced.inverse_at_one_table(horizon)
@@ -573,19 +662,26 @@ class Witness:
 class _ScoreScan:
     """Prefix argmax of g(k) = k^(1/p) Phi_k^{-1}(1), scanned in chunks.
 
-    When every phi_j is x^q (``Phi.power_q``: ``power_all(q)`` and
-    ``orlicz_all(power_orlicz(q))``), with c = 1/p - 1/q, g(k) = k^(1/p) k^(-1/q) = k^c,
-    and when c / (2 _N_MAX) > 1e-12 the argmax over 1..n is n itself, read
-    in closed form for every n <= _N_MAX the search asks for.  Proof: the
-    true ratio is g(k+1)/g(k) = (1 + 1/k)^c >= exp(c/(k + 1)) > 1 + c/(2k)
-    for k >= 1 (log(1 + x) >= x/(1 + x)).  The computed g(k) is two ``pow``
-    calls and one product (the factor 1^(1/q) is exactly 1); at 16 ulps per
-    ``pow`` that is a relative error below 7.3e-15, so the computed ratio
-    is above (1 + c/(2k))(1 - 1.46e-14), which exceeds 1 while c/(2k) >
-    1.5e-14 (rounding 1/p and 1/q moves c by about 1e-16).  The computed
+    When the gauge is x^q (``Phi.gauge.q``: ``power_all(q)``,
+    ``orlicz_all(power_orlicz(q))`` and x^q over weights j^beta), with
+    c = 1/p - 1/q, and when c / (2 _N_MAX) > 1e-12, the argmax over 1..n is
+    n itself, read in closed form for every n <= _N_MAX the search asks for.
+    Proof: without weights g(k) = k^(1/p) k^(-1/q) = k^c, and the true ratio
+    is g(k+1)/g(k) = (1 + 1/k)^c >= exp(c/(k + 1)) > 1 + c/(2k) for k >= 1
+    (log(1 + x) >= x/(1 + x)).  Over weights g(k) = k^(1/p) Lambda_k^(-1/q),
+    and Lambda_(k+1)/Lambda_k <= 1 + 1/k, because Lambda_k >= k k^-beta (no
+    term is below the last one), so the ratio is again at least (1 + 1/k)^c.
+    The computed g(k) is two ``pow`` calls and one product (the factor
+    1^(1/q) is exactly 1); at 16 ulps per ``pow`` that is a relative error
+    below 7.3e-15, so the computed ratio is above (1 + c/(2k))(1 - 1.46e-14),
+    which exceeds 1 while c/(2k) > 1.5e-14 (rounding 1/p and 1/q moves c by
+    about 1e-16).  Over weights the floats add a division and Lambda_k's own
+    rounding, and consecutive Lambda_k keep their ratio to within a few ulps
+    (one rounding per cumsum step; a few ulps of Lambda_k per tail value of
+    ``LambdaSequence.cumulative``), far inside that margin.  The computed
     floats are then strictly increasing on 1..n, so ``np.argmax`` over any
     chunking picks n, with the float the chunk expression gives at n; that
-    expression is ``_g_chunk(n, n)``.  Every other Phi, and these below the
+    expression is ``_g_chunk(n, n)``.  Every other gauge, and these below the
     margin (q < about 1.036 at p = 1), is scanned.
     """
 
@@ -594,8 +690,9 @@ class _ScoreScan:
     def __init__(self, Phi: PhiSequence, p: float):
         self.Phi = Phi
         self.p = p
-        q = Phi.power_q
+        q = Phi.gauge.q
         self._increasing = q is not None and (1.0 / p - 1.0 / q) / (2.0 * _N_MAX) > 1e-12
+        log.debug("witness score: %s", "closed-form argmax" if self._increasing else "chunked scan")
         # (k scanned up to, argmax over 1..k, max over 1..k), one per chunk
         self._checkpoints: list[tuple[int, int, float]] = [(0, 0, -np.inf)]
 
@@ -665,9 +762,8 @@ def _search_block(scan: _ScoreScan, nu: ModulusOfVariation, p: float, k: int, po
         return m, g / nu.value(n)
 
     # Pass 1: the full 2^(4k) rate, if it is reachable within the scan cap
-    # and the Lambda_n table cap and its block fits the point budget.
-    n_cap = _LITERAL_N_MAX if Phi.lam is None else min(_LITERAL_N_MAX, _MAX_LAMBDA_TABLE)
-    n, _ = _first_passing(lambda n: rate(n)[1] > full_rate_target, n_min, n_cap, 2.0)
+    # and its block fits the point budget.
+    n, _ = _first_passing(lambda n: rate(n)[1] > full_rate_target, n_min, _LITERAL_N_MAX, 2.0)
     if n is not None:
         m, rt = rate(n)
         s, height = _block_geometry(k, n, m, Phi)

@@ -682,6 +682,24 @@ def test_verify_debug_log_times_each_check_and_keeps_the_report():
     assert len(timed) == 15 and all(line.endswith(" s") for line in timed)
 
 
+def test_embed_debug_log_names_its_decisions_and_keeps_the_output(tmp_path):
+    argv = ["embed", "--phi", "power:2", "--nu", "log", "--p", "1", "--k-max", "1", "--witness"]
+    env = {"PVARLAB_LOG": "debug", "PATH": "/usr/bin:/bin"}
+    pinned = gzip.decompress((DATA / "embed_witness_power2_log_k1.json.gz").read_bytes())
+    proc = run_cli(argv, env=env)
+    assert proc.returncode == 0 and proc.stdout.encode() == pinned
+    assert proc.stderr.splitlines() == ["DEBUG pvarlab: embedding verdict: exponent rule",
+                                        "DEBUG pvarlab: witness score: closed-form argmax"]
+    out = tmp_path / "w.json"
+    proc = run_cli([*argv, "--out", str(out)], env=env)
+    assert proc.returncode == 0 and proc.stdout == "" and out.read_bytes() == pinned
+    # a table nu keeps the trace heuristic
+    proc = run_cli(["embed", "--phi", "power:2", "--nu", "table:1,1.5,2,2.4,2.8,3.1,3.4,3.7",
+                    "--p", "1", "--horizon", "8"], env=env)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == ["DEBUG pvarlab: embedding verdict: trace heuristic"]
+
+
 def test_fourier_sweep_matches_pinned_output(capsys):
     for argv, expected in json.loads((DATA / "fourier_sweeps.json").read_text()).items():
         assert main(argv.split()) == 0
@@ -706,28 +724,12 @@ def test_embed_witness_cheap_pair(tmp_path):
     assert payload["witness"]["certificates"][0]["ratio"] >= 2.0
 
 
-def test_embed_over_the_lambda_table_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(embeddings, "_MAX_LAMBDA_TABLE", 1 << 17)
-    assert main(["embed", "--phi", "lambda:3:0.5", "--nu", "power:0.5", "--p", "1",
-                 "--witness", "--k-max", "2"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and f"more than {1 << 17}" in err
-    lam = embeddings.LambdaSequence.power(0.5)
-    assert lam.reciprocal_cumsum(1 << 17).size == 1 << 17
-    with pytest.raises(ValueError, match="Lambda_n needs a table"):
-        lam.reciprocal_cumsum((1 << 17) + 1)
-
-
-def test_embed_rate_pass_stops_at_the_lambda_table_cap(monkeypatch, capsys):
-    # Below the cap the full 2^(4k) rate is out of reach at k = 3, so the
-    # search falls through to the 2^k ratio, which certifies inside the cap.
-    monkeypatch.setattr(embeddings, "_MAX_LAMBDA_TABLE", 1 << 17)
-    assert main(["embed", "--phi", "lambda:3:0.5", "--nu", "log", "--p", "1",
-                 "--witness", "--k-max", "3"]) == 0
-    witness = json.loads(capsys.readouterr().out)["witness"]
-    assert witness["certified"]
-    assert [b["literal"] for b in witness["blocks"]] == [True, True, False]
-    assert max(b["n"] for b in witness["blocks"]) <= 1 << 17
+def test_embed_exponent_rule_fails_where_the_trace_flattens(capsys):
+    # g(n)/nu(n) = n^(1/15)/H_n falls until n ~ e^15, past the horizon, then grows
+    assert main(["embed", "--phi", "lambda:1:1", "--nu", "power:0.6", "--p", "1.5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "Fails"
+    assert report["trace"][-1] < report["trace"][len(report["trace"]) // 2]
 
 
 def test_embed_witness_stdout_is_pinned(capsys):
@@ -886,15 +888,43 @@ def _peak_rss(code):
     return lines, int(hwm_kb) / 1024
 
 
-def test_embed_witness_k3_peak_memory():
+def _embed_peak_rss(argv):
+    """(exit code, parsed stdout, peak RSS in MB) of ``pvarlab embed argv``."""
     lines, mb = _peak_rss("import contextlib, io\n"
                           "from pvarlab.cli import main\n"
-                          "with contextlib.redirect_stdout(io.StringIO()):\n"
-                          "    rc = main(['embed', '--phi', 'power:2', '--nu', 'log', '--p', '1',\n"
-                          "               '--k-max', '3', '--witness'])\n"
-                          "print(rc)\n")
-    assert lines == ["0"]
+                          "out = io.StringIO()\n"
+                          "with contextlib.redirect_stdout(out):\n"
+                          f"    rc = main({['embed', *argv]!r})\n"
+                          "print(rc)\n"
+                          "print(out.getvalue().replace(chr(10), ' '))\n")
+    return int(lines[0]), json.loads(lines[1]), mb
+
+
+def test_embed_witness_k3_peak_memory():
+    rc, _, mb = _embed_peak_rss(["--phi", "power:2", "--nu", "log", "--p", "1", "--k-max", "3",
+                                 "--witness"])
+    assert rc == 0
     assert mb < 350
+
+
+def test_embed_over_weights_past_every_block_answers_null_in_bounded_memory():
+    # No certifiable k = 3 block fits the point budget: the search runs to 2^34
+    # with Lambda_n from the tail, in O(1) memory per n.
+    rc, payload, mb = _embed_peak_rss(["--phi", "lambda:3:0.5", "--nu", "power:0.5", "--p", "1",
+                                       "--witness", "--k-max", "3"])
+    assert rc == 0 and payload["verdict"] == "Fails" and payload["witness"] is None
+    assert mb < 150
+
+
+def test_embed_over_weights_k_max_5_blocks_in_bounded_memory():
+    rc, payload, mb = _embed_peak_rss(["--phi", "lambda:3:0.5", "--nu", "log", "--p", "1",
+                                       "--witness", "--k-max", "5"])
+    assert rc == 0 and payload["witness"]["certified"]
+    blocks = [(b["k"], b["n"], b["m"], b["r"], b["literal"]) for b in payload["witness"]["blocks"]]
+    assert blocks == [(1, 291, 291, 73, True), (2, 15513, 15513, 1939, True),
+                      (3, 640378, 640378, 40024, True), (4, 23780527, 23780527, 743141, True),
+                      (5, 9950560, 9950560, 155478, False)]
+    assert mb < 150
 
 
 def test_vpnu_norm_on_a_long_walk_peak_memory():

@@ -48,17 +48,35 @@ def test_lambda_sequence_validation():
         with pytest.raises(ValueError, match="needs 0 <= beta <= 1"):
             LambdaSequence.power(beta)
     lam = LambdaSequence.harmonic()
-    assert lam.reciprocal_cumsum(3) == pytest.approx([1.0, 1.5, 11 / 6])
+    assert lam.cumulative([1, 2, 3]) == pytest.approx([1.0, 1.5, 11 / 6])
 
 
-def test_lambda_partial_sums_grown_in_steps_are_one_cumsum():
-    lam = LambdaSequence.power(0.5)
-    for n in (1024, 5000, 7, 2 ** 20 + 3):
-        grown = lam.reciprocal_cumsum(n)
-        assert grown.size == n and not grown.flags.writeable
-    js = np.arange(1, 2 ** 20 + 4, dtype=np.float64)
-    assert np.array_equal(grown, np.cumsum(1.0 / js ** 0.5))
-    assert np.array_equal(lam.reciprocal_cumsum(5000), grown[:5000])
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.75, 0.999, 1.0])
+def test_lambda_partial_sums_are_the_cumsum_then_its_tail(beta):
+    big_n = embeddings._N_LAMBDA
+    lam = LambdaSequence.power(beta)
+    assert vars(lam) == {"beta": beta, "name": f"power:{beta:g}"}  # no cached table
+    terms = 1.0 / np.arange(1, 2 ** 22 + 1, dtype=np.float64) ** beta
+    # up to N: the float cumsum, bit for bit, however far one call reaches
+    cum = np.cumsum(terms[:big_n])
+    assert lam.cumulative(np.arange(1, big_n + 1)).tobytes() == cum.tobytes()
+    for n in (1, 7, 5000, big_n):
+        assert lam.cumulative(n) == cum[n - 1]
+        assert lam.cumulative([n, 2 ** 30])[0] == cum[n - 1]
+    # past N: the Euler-Maclaurin tail, within 4 ulps of the exact sum of its terms
+    tail_terms = terms[big_n:].tolist()
+    ns = np.array([big_n + 1, big_n + 1000, 2 * big_n + 3, 2 ** 20 + 5, 2 ** 22])
+    lam_n = lam.cumulative(ns)
+    for n, value in zip(ns, lam_n):
+        exact = math.fsum(tail_terms[:n - big_n])
+        assert abs((value - cum[-1]) - exact) <= 4 * np.spacing(value), n
+    assert np.all(np.diff(lam_n) > 0)
+
+
+def test_lambda_partial_sums_at_beta_0_are_n():
+    lam = LambdaSequence.power(0.0)
+    ns = np.array([1, 2, 5000, embeddings._N_LAMBDA + 1, 2 ** 34])
+    assert lam.cumulative(ns).tobytes() == ns.astype(np.float64).tobytes()
 
 
 def test_phi_sequence_validation():
@@ -87,7 +105,7 @@ def test_phi_sequences_are_a_gauge_over_weights():
         assert Phi.power_q == q  # every phi_j is x^q, or None
     x = np.array([0.5, 2.0])
     Phi = PhiSequence.orlicz_over_lambda(exp_orlicz(), lam)
-    assert Phi.partial(3, x).tobytes() == (lam.reciprocal_cumsum(3)[2] * np.expm1(x)).tobytes()
+    assert Phi.partial(3, x).tobytes() == (lam.cumulative(3) * np.expm1(x)).tobytes()
     assert Phi.phi(3, x).tobytes() == (np.expm1(x) / 3.0).tobytes()
 
 
@@ -210,7 +228,7 @@ def test_closed_inverse_at_one_is_the_scan_formula():
         (PhiSequence.power_all(2.5), ks ** (-1.0 / 2.5)),
         (PhiSequence.orlicz_all(exp_orlicz()), np.log1p(1.0 / ks)),
         (PhiSequence.orlicz_over_lambda(power_orlicz(3.0), lam),
-         (1.0 / lam.reciprocal_cumsum(5000)) ** (1.0 / 3.0)),
+         (1.0 / lam.cumulative(ks)) ** (1.0 / 3.0)),
     ]
     for Phi, expected in cases:
         assert Phi.closed_inverse(ks, 1.0).tobytes() == expected.tobytes()
@@ -221,8 +239,8 @@ def test_inverse_table_takes_at_most_8_evaluations():
     # 17 ulps out bracket it, and four halvings close the 16-ulp bracket
     Phi = PhiSequence.power_all(2.0)
     calls = []
-    partial = Phi.partial
-    Phi.partial = lambda n, x: calls.append(1) or partial(n, x)
+    gauge = Phi.gauge  # each bisection step evaluates Lambda_n * phi(x) once
+    Phi.gauge = lambda x: calls.append(1) or gauge(x)
     table = Phi.inverse_at_one_table(100_000)
     assert len(calls) <= 8
     assert table.tobytes() == inverse_at_one_loop(PhiSequence.power_all(2.0), 1, 100_000).tobytes()
@@ -281,6 +299,98 @@ def test_power_q_equals_p_embeds():
 ])
 def test_corollary_crosscheck(case, kw):
     assert inv.crosscheck_gaps([(case, kw)], NU_SQRT, 2.0, 2048)[0] <= 1e-9
+
+
+@pytest.mark.parametrize("case,kw", [
+    ("LambdaBV", {"lam": LambdaSequence.power(0.5)}),
+    ("WatermanShiba", {"lam": LambdaSequence.power(0.25), "q": 2.0}),
+    ("PhiLambda", {"lam": LambdaSequence.harmonic(), "phi": exp_orlicz()}),
+])
+def test_corollary_crosscheck_past_the_cumsum_prefix(case, kw):
+    # the last 2^17 of the 2^18 Lambda_n come from the tail, on both sides of the check
+    assert embeddings._N_LAMBDA < 2 ** 18
+    assert inv.crosscheck_gaps([(case, kw)], NU_SQRT, 2.0, 2 ** 18)[0] <= 1e-9
+
+
+# (q, beta, p, alpha or None for log) where g(n)/nu(n) grows like n^e, e in
+# {1/30, 1/15, 1/12}, but is still falling at horizon 100 000, so the trace
+# heuristic says Embeds: phi_j = x^q / j^beta into V_p[nu].
+TRACE_FLAT_BUT_FAILS = [
+    (1.0, 0.75, 3.0, None), (1.0, 0.75, 3.0, 0.05), (1.0, 1.0, 1.5, 0.6), (1.0, 1.0, 3.0, 0.25),
+    (1.0, 1.0, 3.0, 0.3), (1.25, 0.25, 1.5, None), (1.25, 1.0, 1.5, 0.6), (1.25, 1.0, 3.0, 0.3),
+    (1.5, 1.0, 3.0, 0.3), (2.0, 0.5, 3.0, None), (2.0, 1.0, 3.0, 0.3), (3.0, 0.25, 3.0, None),
+]
+# c = 1/p - (1 - beta)/q is the decimal alpha, just above its float: Fails by the
+# exact rule on the given floats, at a rate n^(1e-17) no trace can see.
+FLOAT_ALPHA_BELOW_C = [(5.0, 0.0, 2.0, 0.3), (1.25, 0.5, 1.0, 0.6), (1.25, 0.75, 2.0, 0.3)]
+
+
+def _exponent_case(q, beta, p, alpha):
+    lam = LambdaSequence.power(beta)
+    Phi = (PhiSequence.power_all(q) if beta == 0
+           else PhiSequence.orlicz_over_lambda(power_orlicz(q), lam))
+    return Phi, NU_LOG if alpha is None else ModulusOfVariation.power(alpha)
+
+
+def test_exponent_rule_verdicts_against_the_trace_heuristic():
+    grid = [(q, beta, p, alpha)
+            for q in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0) for beta in (0.0, 0.25, 0.5, 0.75, 1.0)
+            for p in (1.0, 1.5, 2.0, 3.0)
+            for alpha in (None, 0.05, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0)
+            if alpha is None or alpha <= 1.0 / p]
+    assert len(grid) == 810
+    picked = np.random.default_rng(32).choice(len(grid), 200, replace=False)
+    cases = sorted({grid[i] for i in picked} | set(TRACE_FLAT_BUT_FAILS) | set(FLOAT_ALPHA_BELOW_C),
+                   key=lambda c: (c[:3], -1.0 if c[3] is None else c[3]))
+    assert len(cases) >= 200
+    flipped = []
+    for q, beta, p, alpha in cases:
+        Phi, nu = _exponent_case(q, beta, p, alpha)
+        report = embedding_criterion(Phi, nu, p, 100_000)
+        rule = embeddings._exponent_verdict(Phi, nu, p)
+        heuristic = embeddings._verdict_from_trace(report.trace)
+        assert rule is not None and report.verdict == rule
+        if heuristic != rule:
+            # the rule never clears a heuristic Fails; it settles every Inconclusive as Fails
+            assert heuristic != "Fails" and rule == "Fails", (q, beta, p, alpha)
+            if heuristic == "Embeds":
+                flipped.append((q, beta, p, alpha))
+    assert set(flipped) == set(TRACE_FLAT_BUT_FAILS) | set(FLOAT_ALPHA_BELOW_C)
+
+
+@pytest.mark.parametrize("q,beta,p,alpha", TRACE_FLAT_BUT_FAILS)
+def test_trace_flat_cases_grow_past_the_horizon(q, beta, p, alpha):
+    # A lower bound of the trace at n = e^690: g(n) >= n^(1/p) Lambda_n^(-1/q) with
+    # Lambda_n <= n^(1-beta)/(1-beta), or 1 + log n at beta = 1.
+    Phi, nu = _exponent_case(q, beta, p, alpha)
+    running_sup = embedding_criterion(Phi, nu, p, 100_000).running_sup
+    log_n = 690.0
+    log_lam = math.log1p(log_n) if beta == 1 else (1 - beta) * log_n - math.log(1 - beta)
+    log_nu = math.log(log_n) if alpha is None else alpha * log_n
+    assert log_n / p - log_lam / q - log_nu > math.log(1e6 * running_sup)
+
+
+def test_exponent_rule_scope():
+    lam = LambdaSequence.harmonic()
+    exp_all = PhiSequence.orlicz_all(exp_orlicz())
+    table = ModulusOfVariation.from_table(np.sqrt(np.arange(1.0, 65.0)))
+    rule = embeddings._exponent_verdict
+    # c = 1/p - (1 - beta)/q against alpha, exactly: c = alpha = 1/2 embeds
+    assert rule(PhiSequence.power_all(2.0), NU_SQRT, 1.0) == "Embeds"
+    assert rule(PhiSequence.power_all(2.0), NU_LOG, 2.0) == "Embeds"  # c = 0
+    assert rule(PhiSequence.power_all(2.0), NU_LOG, 1.0) == "Fails"
+    assert rule(PhiSequence.orlicz_all(power_orlicz(3.0)), NU_SQRT, 1.0) == "Fails"
+    # beta = 1: n^(1/p) against nu, log n only in the denominator
+    assert rule(PhiSequence.orlicz_over_lambda(power_orlicz(2.0), lam), NU_SQRT, 2.0) == "Embeds"
+    assert rule(PhiSequence.orlicz_over_lambda(power_orlicz(2.0), lam), NU_LOG, 3.0) == "Fails"
+    for p in (1.0, 2.0):
+        assert rule(exp_all, NU_LOG, p) == "Embeds"
+    # a table nu, exp over weights and any other gauge keep the trace heuristic
+    assert rule(PhiSequence.power_all(2.0), table, 1.0) is None
+    assert rule(exp_all, table, 1.0) is None
+    assert rule(PhiSequence.orlicz_over_lambda(exp_orlicz(), lam), NU_LOG, 1.0) is None
+    cosh = OrliczFunction("cosh", lambda x: np.cosh(x) - 1.0, lambda y: np.arccosh(1.0 + y))
+    assert rule(PhiSequence.orlicz_all(cosh), NU_LOG, 1.0) is None
 
 
 def test_corollary_criteria_caps_the_horizon():
@@ -542,11 +652,23 @@ def test_power_score_closed_form_is_the_chunked_scan(q, p):
     closed = embeddings._ScoreScan(Phi, p)
     c = 1.0 / p - 1.0 / q
     assert closed._increasing == (c > 0.035)  # c / 2^35 > 1e-12
-    if not closed._increasing:
-        return  # q <= p: the criterion embeds, and the scan keeps its chunks
+    if closed._increasing:  # else q <= p: the criterion embeds, and the scan keeps its chunks
+        _assert_closed_form_is_the_scan(closed)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_power_score_over_weights_closed_form_is_the_chunked_scan(beta):
+    # Lambda_(k+1)/Lambda_k <= 1 + 1/k keeps the margin of x^q alone
+    Phi = PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.power(beta))
+    closed = embeddings._ScoreScan(Phi, 1.5)
+    assert closed._increasing  # c = 1/6
+    _assert_closed_form_is_the_scan(closed)
+
+
+def _assert_closed_form_is_the_scan(closed):
     chunk = embeddings._ScoreScan._CHUNK
     for n in (chunk - 1, chunk, chunk + 1, 1 << 27, embeddings._N_MAX - 1):
-        scanned = embeddings._ScoreScan(Phi, p)
+        scanned = embeddings._ScoreScan(closed.Phi, closed.p)
         scanned._increasing = False
         if n > 2 * chunk:
             # A scan of all n values takes minutes, so the forced scan starts from
