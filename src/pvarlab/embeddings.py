@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -316,7 +315,7 @@ class PhiSequence:
 
         ``phi_partial_inverse`` starts its bisection here, so the estimate
         only needs to be near the root: its floats come from the bisection,
-        not from this value.  The score scan reads it directly at y = 1, as
+        not from this value.  The witness score reads it directly at y = 1, as
         n^(-1/q) (times 1^(1/q) = 1) or phi^{-1}(1/Lambda_n).
         """
         q = self.power_q
@@ -597,7 +596,7 @@ def wu_bound_check(Phi: PhiSequence, x, p: float, var_budget: float):
 
 # The witness search budget.
 _N_MAX = 1 << 34            # largest block index searched
-_LITERAL_N_MAX = 1 << 27    # scan cap while chasing the full 2^(4k) rate
+_LITERAL_N_MAX = 1 << 27    # search cap while chasing the full 2^(4k) rate
 _MAX_POINTS = 30_000_000    # total grid points over all blocks
 _PREFIX_TEETH = 40          # teeth in the small replica DP check
 _MAX_JSON_POINTS = 200_000  # a larger witness function is written as its point count
@@ -659,73 +658,45 @@ class Witness:
         }
 
 
-class _ScoreScan:
-    """Prefix argmax of g(k) = k^(1/p) Phi_k^{-1}(1), scanned in chunks.
+def _score(Phi: PhiSequence, p: float, n: int) -> float:
+    """g(n) = n^(1/p) Phi_n^{-1}(1), the score the block search reads at n.
+
+    The block at n takes its tooth height from m = n, the index the paper's
+    construction takes as the argmax of g over 1..n.  That choice is sound
+    for every gauge: each certificate check reads only the block (its 2r
+    differences of height h, nu(n), Phi_2r(h) against 2^(1-k), the prefix DP
+    and the window value), so any m <= n gives a block that is certified, or
+    reported uncertified, on its own.  m only steers which n the search tries.
 
     When the gauge is x^q (``Phi.gauge.q``: ``power_all(q)``,
     ``orlicz_all(power_orlicz(q))`` and x^q over weights j^beta), with
-    c = 1/p - 1/q, and when c / (2 _N_MAX) > 1e-12, the argmax over 1..n is
-    n itself, read in closed form for every n <= _N_MAX the search asks for.
-    Proof: without weights g(k) = k^(1/p) k^(-1/q) = k^c, and the true ratio
-    is g(k+1)/g(k) = (1 + 1/k)^c >= exp(c/(k + 1)) > 1 + c/(2k) for k >= 1
-    (log(1 + x) >= x/(1 + x)).  Over weights g(k) = k^(1/p) Lambda_k^(-1/q),
-    and Lambda_(k+1)/Lambda_k <= 1 + 1/k, because Lambda_k >= k k^-beta (no
-    term is below the last one), so the ratio is again at least (1 + 1/k)^c.
-    The computed g(k) is two ``pow`` calls and one product (the factor
-    1^(1/q) is exactly 1); at 16 ulps per ``pow`` that is a relative error
-    below 7.3e-15, so the computed ratio is above (1 + c/(2k))(1 - 1.46e-14),
-    which exceeds 1 while c/(2k) > 1.5e-14 (rounding 1/p and 1/q moves c by
-    about 1e-16).  Over weights the floats add a division and Lambda_k's own
-    rounding, and consecutive Lambda_k keep their ratio to within a few ulps
-    (one rounding per cumsum step; a few ulps of Lambda_k per tail value of
-    ``LambdaSequence.cumulative``), far inside that margin.  The computed
-    floats are then strictly increasing on 1..n, so ``np.argmax`` over any
-    chunking picks n, with the float the chunk expression gives at n; that
-    expression is ``_g_chunk(n, n)``.  Every other gauge, and these below the
-    margin (q < about 1.036 at p = 1), is scanned.
+    c = 1/p - 1/q > 0, the real g strictly increases, so n is the exact
+    argmax.  Without weights g(k) = k^(1/p) k^(-1/q) = k^c.  Over weights
+    g(k) = k^(1/p) Lambda_k^(-1/q), and Lambda_(k+1)/Lambda_k <= 1 + 1/k,
+    because Lambda_k >= k k^-beta (no term is below the last one), so
+    g(k+1)/g(k) >= (1 + 1/k)^c > 1.
+
+    ``orlicz:exp`` never reaches the search: for a power or log nu the
+    exponent rule says Embeds, and for a table nu, g <= 1 and g(1) = log 2,
+    so the end of every trace stays within 1/log 2 of its first-quarter
+    floor, below the 10x Fails bar.  Gauges only the API builds (exp over
+    weights, or a user's own ``OrliczFunction``) are steered by g(n) as well;
+    there g need not increase, so such a witness may certify at a later n
+    than its argmax would give, or be ``None``.
+
+    The float is the one-element array expression ``ks ** (1/p) * ...``:
+    numpy's array ``**`` and Python's float ``**`` differ in the last bit
+    on some (k, p).
     """
-
-    _CHUNK = 1 << 21
-
-    def __init__(self, Phi: PhiSequence, p: float):
-        self.Phi = Phi
-        self.p = p
-        q = Phi.gauge.q
-        self._increasing = q is not None and (1.0 / p - 1.0 / q) / (2.0 * _N_MAX) > 1e-12
-        log.debug("witness score: %s", "closed-form argmax" if self._increasing else "chunked scan")
-        # (k scanned up to, argmax over 1..k, max over 1..k), one per chunk
-        self._checkpoints: list[tuple[int, int, float]] = [(0, 0, -np.inf)]
-
-    def _g_chunk(self, lo: int, hi: int) -> np.ndarray:
-        ks = np.arange(lo, hi + 1, dtype=np.float64)
-        return ks ** (1.0 / self.p) * self.Phi.closed_inverse(ks, 1.0)
-
-    def argmax_upto(self, n: int) -> tuple[int, float]:
-        if self._increasing:
-            return n, float(self._g_chunk(n, n)[0])
-        while (last := self._checkpoints[-1])[0] < n:
-            scanned, best_m, best_g = last
-            lo = scanned + 1
-            hi = min(scanned + self._CHUNK, n)
-            g = self._g_chunk(lo, hi)
-            i = int(np.argmax(g))
-            if g[i] > best_g:
-                best_m, best_g = lo + i, float(g[i])
-            self._checkpoints.append((hi, best_m, best_g))
-        # best over a strict prefix of the scanned range
-        at = bisect.bisect_right(self._checkpoints, n, key=lambda cp: cp[0]) - 1
-        last_cp, base_m, base_g = self._checkpoints[at]
-        if last_cp < n:
-            g = self._g_chunk(last_cp + 1, n)
-            i = int(np.argmax(g))
-            if g[i] > base_g:
-                return last_cp + 1 + i, float(g[i])
-        return base_m, base_g
+    ks = np.arange(n, n + 1, dtype=np.float64)
+    return float((ks ** (1.0 / p) * Phi.closed_inverse(ks, 1.0))[0])
 
 
-def _block_geometry(k: int, n: int, m: int, Phi: PhiSequence):
+def _block_geometry(k: int, n: int, Phi: PhiSequence):
+    """(s, height) of the block at n: s <= n/4 + 1/2 teeth fit, each of height
+    2^-k Phi_n^{-1}(1)."""
     s = int((2.0 ** (-k) * n + 1.0) // 2)
-    height = 2.0 ** (-k) * phi_partial_inverse(Phi, m, 1.0)
+    height = 2.0 ** (-k) * phi_partial_inverse(Phi, n, 1.0)
     return s, height
 
 
@@ -750,44 +721,55 @@ def _first_passing(test, n_min: int, n_cap: int, factor: float):
     return lo, hit
 
 
-def _search_block(scan: _ScoreScan, nu: ModulusOfVariation, p: float, k: int, point_cap: int):
-    """Smallest n > 2^(k+2) whose block is certifiable; full growth rate first."""
-    Phi = scan.Phi
+def _search_block(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k: int, point_cap: int):
+    """Smallest n > 2^(k+2) whose block is certifiable; full growth rate first.
+
+    The block at n has m = n (see ``_score``), and r <= s < n teeth.
+    """
     n_min = 2 ** (k + 2) + 1
     full_rate_target = 2.0 ** (4 * k)
     required = 2.0 ** k
+    reads = 0
 
-    def rate(n: int) -> tuple[int, float]:
-        m, g = scan.argmax_upto(n)
-        return m, g / nu.value(n)
+    def rate(n: int) -> float:
+        nonlocal reads
+        reads += 1
+        return _score(Phi, p, n) / nu.value(n)
 
-    # Pass 1: the full 2^(4k) rate, if it is reachable within the scan cap
+    # Pass 1: the full 2^(4k) rate, if it is reachable within the search cap
     # and its block fits the point budget.
-    n, _ = _first_passing(lambda n: rate(n)[1] > full_rate_target, n_min, _LITERAL_N_MAX, 2.0)
+    n, _ = _first_passing(lambda n: rate(n) > full_rate_target, n_min, _LITERAL_N_MAX, 2.0)
     if n is not None:
-        m, rt = rate(n)
-        s, height = _block_geometry(k, n, m, Phi)
-        r = min(m, s)
-        if 3 * r + 2 <= point_cap:
-            return WitnessBlock(k=k, n=n, m=m, s=s, r=r, height=height, rate=rt, literal=True)
+        rt = rate(n)
+        s, height = _block_geometry(k, n, Phi)
+        if 3 * s + 2 <= point_cap:
+            log.debug("witness block k=%d: pass 1 (2^4k rate) at n=%d, %d score reads",
+                      k, n, reads)
+            return WitnessBlock(k=k, n=n, m=n, s=s, r=s, height=height, rate=rt, literal=True)
 
     # Pass 2: smallest n still certifying a 2^k growth ratio within the budget.
     margin = 1.02
 
     def feasible(n: int):
-        m, rt = rate(n)
-        s, height = _block_geometry(k, n, m, Phi)
+        rt = rate(n)
+        s, height = _block_geometry(k, n, Phi)
         if height <= 0:
             return None
         need = (required * nu.value(n) * margin / height) ** p / 2.0
         r_needed = int(math.ceil(need))
-        if r_needed <= min(m, s) and 3 * r_needed + 2 <= point_cap:
-            return WitnessBlock(k=k, n=n, m=m, s=s, r=r_needed, height=height, rate=rt,
+        if r_needed <= s and 3 * r_needed + 2 <= point_cap:
+            return WitnessBlock(k=k, n=n, m=n, s=s, r=r_needed, height=height, rate=rt,
                                 literal=False)
         return None
 
     lo, hit = _first_passing(feasible, n_min, _N_MAX, 1.5)
-    return None if lo is None else feasible(lo) or hit
+    blk = None if lo is None else feasible(lo) or hit
+    if blk is None:
+        log.debug("witness block k=%d: no pass placed it, %d score reads", k, reads)
+    else:
+        log.debug("witness block k=%d: pass 2 (2^k ratio) at n=%d, %d score reads",
+                  k, blk.n, reads)
+    return blk
 
 
 def _tooth_lefts(blk: WitnessBlock, j):
@@ -930,11 +912,10 @@ def witness_generate(Phi: PhiSequence, nu: ModulusOfVariation, p: float, k_max: 
         raise ValueError(
             f"embedding criterion verdict is {report.verdict}; witnesses exist only for Fails"
         )
-    scan = _ScoreScan(Phi, p)
     blocks: list[WitnessBlock] = []
     points_left = _MAX_POINTS
     for k in range(1, k_max + 1):
-        blk = _search_block(scan, nu, p, k, points_left)
+        blk = _search_block(Phi, nu, p, k, points_left)
         if blk is None:
             return None
         points_left -= 3 * blk.r + 2

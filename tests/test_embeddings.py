@@ -649,68 +649,39 @@ def test_witness_function_is_the_windows_certified(Phi, nu, k_max, monkeypatch):
 @pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 3.0])
 def test_power_score_closed_form_is_the_chunked_scan(q, p):
     Phi = PhiSequence.power_all(q)
-    closed = embeddings._ScoreScan(Phi, p)
-    c = 1.0 / p - 1.0 / q
-    assert closed._increasing == (c > 0.035)  # c / 2^35 > 1e-12
-    if closed._increasing:  # else q <= p: the criterion embeds, and the scan keeps its chunks
-        _assert_closed_form_is_the_scan(closed)
+    if 1.0 / p - 1.0 / q > 0:
+        _assert_score_is_the_prefix_argmax(Phi, p)
+    else:  # the criterion embeds, so no witness search reads a score
+        assert embedding_criterion(Phi, NU_LOG, p, 1000).verdict == "Embeds"
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0])
 def test_power_score_over_weights_closed_form_is_the_chunked_scan(beta):
-    # Lambda_(k+1)/Lambda_k <= 1 + 1/k keeps the margin of x^q alone
+    # Lambda_(k+1)/Lambda_k <= 1 + 1/k keeps g increasing over weights
     Phi = PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.power(beta))
-    closed = embeddings._ScoreScan(Phi, 1.5)
-    assert closed._increasing  # c = 1/6
-    _assert_closed_form_is_the_scan(closed)
+    _assert_score_is_the_prefix_argmax(Phi, 1.5)
 
 
-def _assert_closed_form_is_the_scan(closed):
-    chunk = embeddings._ScoreScan._CHUNK
+def _assert_score_is_the_prefix_argmax(Phi, p):
+    # The search reads g at n itself.  For x^q with c = 1/p - 1/q > 0 that is
+    # the float at the argmax a chunked scan of g over 1..n finds: a chunk of
+    # the array expression ends at n and strictly increases.  A scan of all n
+    # values past 2^22 would take minutes, so there the chunk is the last 2^21.
+    chunk = 1 << 21
     for n in (chunk - 1, chunk, chunk + 1, 1 << 27, embeddings._N_MAX - 1):
-        scanned = embeddings._ScoreScan(closed.Phi, closed.p)
-        scanned._increasing = False
-        if n > 2 * chunk:
-            # A scan of all n values takes minutes, so the forced scan starts from
-            # the checkpoint the chunks below n leave: the last chunk before n,
-            # strictly increasing, has its maximum at its end.
-            base = (n - 1) // chunk * chunk
-            g = scanned._g_chunk(base - chunk + 1, base)
-            assert np.all(np.diff(g) > 0)
-            scanned._checkpoints.append((base, base, float(g[-1])))
-        m, g = closed.argmax_upto(n)
-        assert len(closed._checkpoints) == 1  # the closed form scans nothing
-        m_scan, g_scan = scanned.argmax_upto(n)
-        assert (m, g.hex()) == (m_scan, g_scan.hex()) and m == n
-
-
-def test_power_score_below_the_margin_is_scanned():
-    scan = embeddings._ScoreScan(PhiSequence.power_all(1.01), 1.0)
-    assert not scan._increasing
-    n = embeddings._ScoreScan._CHUNK + 5
-    m, g = scan.argmax_upto(n)
-    assert len(scan._checkpoints) == 3  # two chunks scanned
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    values = ks * (ks ** (-1.0 / 1.01) * 1.0)
-    assert (m, g) == (int(np.argmax(values)) + 1, float(np.max(values)))
+        ks = np.arange(1 if n <= 2 * chunk else n - chunk + 1, n + 1, dtype=np.float64)
+        g = ks ** (1.0 / p) * Phi.closed_inverse(ks, 1.0)
+        assert np.all(np.diff(g) > 0)
+        assert embeddings._score(Phi, p, n).hex() == float(g[-1]).hex()
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
-def test_orlicz_power_takes_the_closed_form_scan(q, monkeypatch):
-    calls = {}
-    g_chunk = embeddings._ScoreScan._g_chunk
-
-    def recorded(self, lo, hi):
-        calls.setdefault(self.Phi.name, []).append((lo, hi, self))
-        return g_chunk(self, lo, hi)
-
-    monkeypatch.setattr(embeddings._ScoreScan, "_g_chunk", recorded)
-    for Phi in (PhiSequence.orlicz_all(power_orlicz(q)), PhiSequence.power_all(q)):
-        assert witness_generate(Phi, NU_LOG, 1.0, 2).certified
-    orlicz, power = calls[f"orlicz:power:{q:g}"], calls[f"power:{q:g}"]
-    # every score is read at n alone, and no chunk checkpoint is ever written
-    assert all(lo == hi and len(scan._checkpoints) == 1 for lo, hi, scan in orlicz)
-    assert [c[:2] for c in orlicz] == [c[:2] for c in power]
+def test_orlicz_power_gives_the_power_blocks(q):
+    orlicz, power = (witness_generate(Phi, NU_LOG, 1.0, 2) for Phi in (
+        PhiSequence.orlicz_all(power_orlicz(q)), PhiSequence.power_all(q)))
+    assert orlicz.certified and power.certified
+    assert orlicz.blocks == power.blocks
+    assert all(b.m == b.n for b in power.blocks)
 
 
 def test_a_failed_witness_certificate_is_returned(monkeypatch, capsys):
@@ -741,7 +712,7 @@ def test_witness_block_with_colliding_teeth_is_a_grid_error(monkeypatch):
     for check in (whole_window_check, embeddings._check_window):
         with pytest.raises(ValueError, match="grid must be strictly increasing"):
             check(blk)
-    monkeypatch.setattr(embeddings, "_search_block", lambda scan, nu, p, k, cap: blk)
+    monkeypatch.setattr(embeddings, "_search_block", lambda Phi, nu, p, k, cap: blk)
     with pytest.raises(ValueError, match="grid must be strictly increasing"):
         witness_generate(PhiSequence.power_all(2.0), NU_LOG, 1.0, 1)
     # a sound grid passes both checks, and a nan height is the finite-values error
@@ -821,7 +792,7 @@ def test_witness_whose_last_tooth_ends_at_one_has_no_closing_point(monkeypatch):
 
 
 def test_witness_lambda_gauge_literal_blocks():
-    # the Orlicz-over-Lambda scan path reaches the full 2^(4k) rate cheaply
+    # the Orlicz-over-Lambda score reaches the full 2^(4k) rate cheaply
     Phi = PhiSequence.orlicz_over_lambda(power_orlicz(2.0), LambdaSequence.harmonic())
     w = witness_generate(Phi, NU_SQRT, 1.0, 2)
     assert w is not None and w.certified
