@@ -158,6 +158,7 @@ class LambdaSequence:
             raise ValueError(f"power Lambda-sequence needs 0 <= beta <= 1, got {beta!r}")
         self.beta = beta
         self.name = f"power:{beta:g}"
+        self._lambda_big_n = None  # Lambda_N, the last float of the prefix cumsum
 
     @classmethod
     def power(cls, beta: float) -> "LambdaSequence":
@@ -176,8 +177,10 @@ class LambdaSequence:
         At beta = b = 0, Lambda_n is n itself.  Up to N = ``_N_LAMBDA`` it is
         ``np.cumsum`` of the terms 1/j^b, computed up to min(max n, N); cumsum
         adds in sequence, so every n <= N reads the same float however far
-        the sum runs.  Past N it is Lambda_N + T(n), with T(n) the
-        Euler-Maclaurin sum of the terms N+1..n of f(x) = x^-b:
+        the sum runs.  Past N it is Lambda_N + T(n).  Lambda_N is that
+        cumsum's last float, kept on the instance the first time it is
+        summed, so a call whose every n lies past N sums no prefix.  T(n) is
+        the Euler-Maclaurin sum of the terms N+1..n of f(x) = x^-b:
 
             T(n) = N^(1-b) expm1((1-b) log(n/N)) / (1-b)    (log(n/N) at b = 1)
                    + (n^-b - N^-b)/2 - b (n^(-b-1) - N^(-b-1))/12
@@ -199,11 +202,14 @@ class LambdaSequence:
         if self.beta == 0:
             return n.astype(np.float64)
         idx = n.astype(np.int64)
+        if np.min(idx) > _N_LAMBDA and self._lambda_big_n is not None:
+            return self._lambda_big_n + self._tail(idx)
         top = int(min(np.max(idx), _N_LAMBDA))
         prefix = np.cumsum(1.0 / self.value(np.arange(1, top + 1, dtype=np.float64)))
         head = prefix[np.minimum(idx, top) - 1]
         if top < _N_LAMBDA:
             return head
+        self._lambda_big_n = float(prefix[-1])
         return np.where(idx > _N_LAMBDA, head + self._tail(np.maximum(idx, _N_LAMBDA)), head)
 
     def _tail(self, n) -> np.ndarray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .modulus import ModulusOfVariation, _check_count, _check_p, _ratio_vanishes, epsilon_p_table
+from .modulus import (ModulusOfVariation, _check_count, _check_p, _check_ratio, _ratio_vanishes,
+                      epsilon_p_table)
 from .sampled import SampledFunction
 
 TWO_PI = 2.0 * math.pi
@@ -325,11 +326,13 @@ def unif2_verdicts(nu: ModulusOfVariation, p: float, horizon: int) -> Unif2Repor
     boundary at finite horizons); the raw partials make this auditable.
     A table modulus is undecided, since a finite table cannot show a limit:
     each verdict is None, with method "undecided", and the partials stay.
+    A pair (nu, p) that ``_check_ratio`` refuses is a ValueError.
     """
     _check_p(p)
     if horizon < 16:
         raise ValueError("horizon must be >= 16")
     _check_count(horizon, "horizon")
+    _check_ratio(nu, p, horizon)
     terms = _series_terms(nu, p, horizon)
     half = horizon // 2
     truth = _ratio_vanishes(nu, p)

@@ -222,6 +222,23 @@ def _ratio_nonincreasing(nu: ModulusOfVariation, p: float, ratio: np.ndarray) ->
     return bool(np.all(np.diff(ratio) <= 1e-15))
 
 
+def _ratio(nu: ModulusOfVariation, p: float, horizon: int) -> np.ndarray:
+    """nu(k)/k^(1/p) on k = 1..horizon."""
+    return nu.table(horizon) / np.arange(1, horizon + 1, dtype=np.float64) ** (1.0 / p)
+
+
+def _check_ratio(nu: ModulusOfVariation, p: float, horizon: int):
+    """The rule for a (nu, p) pair that a dual pairing reads: nu(k)/k^(1/p) is
+    nonincreasing (``_ratio_nonincreasing``, a table's on k <= horizon), or it
+    provably decreases to 0.  The second clause admits log, whose ratio rises
+    over its first terms once p > 1.5 and then falls to 0."""
+    if _ratio_vanishes(nu, p):
+        return
+    ratio = _ratio(nu, p, horizon) if nu.kind == "table" else None
+    if not _ratio_nonincreasing(nu, p, ratio):
+        raise ValueError(f"nu(k)/k^(1/p) increases for this {nu.kind} modulus at p = {p:g}")
+
+
 def validate_modulus(candidate, p: float) -> ModulusValidation:
     """Validate a modulus against the regularity needed for exponent p.
 
@@ -239,8 +256,8 @@ def validate_modulus(candidate, p: float) -> ModulusValidation:
             f"nu(k) = k^{nu.alpha:g} with p = {p:g}: nu(k)/k^(1/p) does not decrease to 0"
         )
     horizon = int(nu.max_index) if nu.kind == "table" else _VALIDATE_HORIZON
-    ratio = nu.table(horizon) / np.arange(1, horizon + 1, dtype=np.float64) ** (1.0 / p)
-    return ModulusValidation(nu, float(p), _ratio_nonincreasing(nu, p, ratio), bool(vanishes))
+    return ModulusValidation(nu, float(p), _ratio_nonincreasing(nu, p, _ratio(nu, p, horizon)),
+                             bool(vanishes))
 
 
 def epsilon_p_table(nu: ModulusOfVariation, p: float, n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import OrliczFunction, PhiSequence, _bisect_increasing
 from .modulus import (ModulusOfVariation, _check_count, _check_magnitude, _check_p,
-                      epsilon_p_table)
+                      _check_ratio, epsilon_p_table)
 
 __all__ = [
     "rearrange",
@@ -144,11 +144,13 @@ def dual_harmonic_estimate(nu: ModulusOfVariation, p: float, horizon: int):
 
     The first sum is the pairing of {1/k} with the extremal unit vector
     {eps_p(k)} of the Marcinkiewicz ball, the second the dual-norm bound.
+    A pair (nu, p) that ``_check_ratio`` refuses is a ValueError.
     """
     _check_p(p)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     _check_count(horizon, "horizon")
+    _check_ratio(nu, p, horizon)
     ks = np.arange(1, horizon + 1, dtype=np.float64)
     lower = float(np.sum(epsilon_p_table(nu, p, horizon) / ks))
     upper = float(np.sum(nu.table(horizon) / ks ** (1.0 + 1.0 / p)))

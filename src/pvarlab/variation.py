@@ -55,15 +55,30 @@ def _selection_from_indices(f: SampledFunction, pairs, p: float) -> IntervalSele
 def pvariation_bruteforce(f: SampledFunction, p: float, n: int):
     """Exhaustive maximum over all selections of at most n nonoverlapping intervals.
 
-    Deliberately naive; serves as the oracle for the DP.  Enforced budget:
-    at most 15 grid points and n <= 6.
+    Deliberately naive; serves as the oracle for the DP and shares no code
+    with ``_kernels``.  Enforced budget: at most 15 grid points and n <= 6.
+
+    Every selection is visited start-major (i, then j, then the selections
+    that go on from j), its sum added left to right as acc + |v_j - v_i|^p,
+    and a strictly larger sum replaces the best, so the first maximum in
+    that order wins.  The arithmetic runs on Python floats, the same IEEE
+    operations as on numpy scalars at a fraction of their call cost; each
+    pair's cost is read once into an m x m list, and the last interval of a
+    selection is tried inline, with no call per leaf.
+
+    The input rule is the DP's: ``_check_p``, then ``_check_magnitude`` on
+    max - min, so the oracle refuses with the same ValueError exactly what
+    the DP refuses, and a Python float power never overflows.
     """
     m = len(f)
     if m > _BRUTE_MAX_POINTS or n > _BRUTE_MAX_N:
         raise ValueError("brute-force budget exceeded (<= 15 points, n <= 6)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    v = f.values
+    _check_p(p)
+    v = f.values.tolist()
+    _check_magnitude(max(v) - min(v), p, min(n, m - 1), "max - min")
+    cost = [[abs(b - a) ** p for b in v] for a in v]
     best_pow = 0.0
     best_sel: list[tuple[int, int]] = []
 
@@ -72,13 +87,17 @@ def pvariation_bruteforce(f: SampledFunction, p: float, n: int):
         if acc > best_pow:
             best_pow = acc
             best_sel = list(chosen)
-        if left == 0:
-            return
         for i in range(start, m - 1):
+            row = cost[i]
             for j in range(i + 1, m):
-                chosen.append((i, j))
-                recurse(j, left - 1, acc + abs(v[j] - v[i]) ** p, chosen)
-                chosen.pop()
+                if left == 1:
+                    s = acc + row[j]
+                    if s > best_pow:
+                        best_pow, best_sel = s, chosen + [(i, j)]
+                else:
+                    chosen.append((i, j))
+                    recurse(j, left - 1, acc + row[j], chosen)
+                    chosen.pop()
 
     recurse(0, n, 0.0, [])
     value = best_pow ** (1.0 / p)

@@ -3,7 +3,9 @@
 whole-window grid oracle for witness blocks.
 
 They sit beside ``pvariation_bruteforce`` as references for the vectorized
-library code.
+library code.  ``bruteforce_numpy`` is ``pvariation_bruteforce`` as it was
+before it ran on Python floats: the same recursion on numpy scalars, with
+one call per selection, the reference its outputs are pinned to bit for bit.
 
 ``dp_profile_loops``, ``dp1_profile_loops`` and ``shift_max_loops`` are the
 plain loop forms of the three ``_kernels`` profile and window kernels;
@@ -53,7 +55,31 @@ from pvarlab.functions import _SPECS
 from pvarlab.kfunctional import (_CROSSING_TOL, _first_crossing, bracket_count,
                                  pl_interpolate, varp_pl)
 from pvarlab.modulus import ModulusOfVariation
-from pvarlab.variation import _profile
+from pvarlab.variation import _profile, _selection_from_indices
+
+
+def bruteforce_numpy(f: SampledFunction, p: float, n: int):
+    m = len(f)
+    v = f.values
+    best_pow = 0.0
+    best_sel: list[tuple[int, int]] = []
+
+    def recurse(start: int, left: int, acc: float, chosen: list[tuple[int, int]]):
+        nonlocal best_pow, best_sel
+        if acc > best_pow:
+            best_pow = acc
+            best_sel = list(chosen)
+        if left == 0:
+            return
+        for i in range(start, m - 1):
+            for j in range(i + 1, m):
+                chosen.append((i, j))
+                recurse(j, left - 1, acc + abs(v[j] - v[i]) ** p, chosen)
+                chosen.pop()
+
+    recurse(0, n, 0.0, [])
+    value = best_pow ** (1.0 / p)
+    return value, _selection_from_indices(f, best_sel, p)
 
 
 def dp_profile_loops(values, p, nmax):

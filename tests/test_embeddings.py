@@ -55,7 +55,8 @@ def test_lambda_sequence_validation():
 def test_lambda_partial_sums_are_the_cumsum_then_its_tail(beta):
     big_n = embeddings._N_LAMBDA
     lam = LambdaSequence.power(beta)
-    assert vars(lam) == {"beta": beta, "name": f"power:{beta:g}"}  # no cached table
+    # no cached table: Lambda_N alone, as one float once read
+    assert vars(lam) == {"beta": beta, "name": f"power:{beta:g}", "_lambda_big_n": None}
     terms = 1.0 / np.arange(1, 2 ** 22 + 1, dtype=np.float64) ** beta
     # up to N: the float cumsum, bit for bit, however far one call reaches
     cum = np.cumsum(terms[:big_n])
@@ -71,6 +72,23 @@ def test_lambda_partial_sums_are_the_cumsum_then_its_tail(beta):
         exact = math.fsum(tail_terms[:n - big_n])
         assert abs((value - cum[-1]) - exact) <= 4 * np.spacing(value), n
     assert np.all(np.diff(lam_n) > 0)
+    assert vars(lam)["_lambda_big_n"] == cum[-1] and type(vars(lam)["_lambda_big_n"]) is float
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_lambda_partial_sums_past_the_prefix_sum_it_once(beta):
+    # n all past N read the kept Lambda_N: the same floats as the first call,
+    # which summed the prefix, and no term is evaluated again
+    ns = np.array([embeddings._N_LAMBDA + 1, 3 * embeddings._N_LAMBDA, 2 ** 34])
+    lam = LambdaSequence.power(beta)
+    first = lam.cumulative(ns)
+    calls = []
+    lam.value = lambda j: calls.append(j) or LambdaSequence.value(lam, j)
+    assert lam.cumulative(ns).tobytes() == first.tobytes()
+    assert lam.cumulative(ns[1]) == first[1]
+    assert calls == []
+    assert lam.cumulative([1, ns[0]]).tobytes() == np.array([1.0, first[0]]).tobytes()
+    assert len(calls) == 1
 
 
 def test_lambda_partial_sums_at_beta_0_are_n():

@@ -225,9 +225,24 @@ def test_dual_harmonic_estimates():
 
 
 def test_dual_harmonic_estimate_at_large_p_is_finite():
-    lower, upper = dual_harmonic_estimate(NU_SQRT, 2000.0, 10)
-    assert math.isfinite(lower) and math.isfinite(upper)
-    assert math.isfinite(unif2_verdicts(NU_SQRT, 2000.0, 16).partials["epsp_harmonic"])
+    # nu(k)^p overflows for log at p = 2000; k^(1/2000) is the largest power
+    # whose ratio nu(k)/k^(1/p) does not increase
+    for nu in (ModulusOfVariation.power(1 / 2000), NU_LOG):
+        lower, upper = dual_harmonic_estimate(nu, 2000.0, 10)
+        assert math.isfinite(lower) and math.isfinite(upper)
+        assert math.isfinite(unif2_verdicts(nu, 2000.0, 16).partials["epsp_harmonic"])
+
+
+@pytest.mark.parametrize("nu, p", [
+    (NU_SQRT, 2000.0), (ModulusOfVariation.power(0.6), 2.0),
+    (ModulusOfVariation.from_table(np.arange(1, 17) ** 0.9), 2.0),
+])
+def test_dual_pairings_refuse_an_increasing_ratio(nu, p):
+    # nu(k)/k^(1/p) increases: the pairing would read above its own bound
+    # (5.0210 against 5.0179 for k^0.5 at p = 2000, horizon 10)
+    for call in (lambda: dual_harmonic_estimate(nu, p, 16), lambda: unif2_verdicts(nu, p, 16)):
+        with pytest.raises(ValueError, match=r"nu\(k\)/k\^\(1/p\) increases"):
+            call()
 
 
 def test_dual_harmonic_estimate_caps_the_horizon():

@@ -27,7 +27,7 @@ from pvarlab import (
     vpnu_norm,
     wu_bound_check,
 )
-from oracles import dense_dp_with_parents
+from oracles import bruteforce_numpy, dense_dp_with_parents
 from pvarlab import _kernels
 from pvarlab import verify as inv
 from pvarlab.functions import make_random, make_zigzag
@@ -85,6 +85,7 @@ def test_single_interval_is_max_diff(rng):
 def test_invalid_p_rejected(p):
     nu = ModulusOfVariation.log()
     for call in (lambda: pvariation_dp(ZIGZAG, p, 2), lambda: pvariation_profile(ZIGZAG, p, 2),
+                 lambda: pvariation_bruteforce(ZIGZAG, p, 2),
                  lambda: validate_modulus(nu, p), lambda: marcinkiewicz_norm([1.0], nu, p),
                  lambda: dual_harmonic_estimate(nu, p, 8), lambda: theta(nu, OmegaLog(), p, 8),
                  lambda: unif2_verdicts(nu, p, 16), lambda: coeff_decay_report(ZIGZAG, nu, p, 2),
@@ -118,6 +119,68 @@ def test_bruteforce_budget():
         pvariation_bruteforce(f, 1.0, 2)
     with pytest.raises(ValueError):
         pvariation_bruteforce(ZIGZAG, 1.0, 7)
+
+
+def _oracle_inputs(rng, count):
+    """(f, p, n) of the kinds the oracle is pinned on: noise, walks scaled
+    1e-8 to 1e8, 4-level integer plateaus, zigzags converging about 1e6 and
+    noise at 1e-150, on 2-12 points."""
+    for case in range(count):
+        m, n = int(rng.integers(2, 13)), int(rng.integers(1, 7))
+        p = (1.0, 1.25, 1.5, 2.0, 3.0, 7.3)[case % 6]
+        kind = case % 5
+        if kind == 0:
+            values = rng.normal(size=m)
+        elif kind == 1:
+            values = np.cumsum(rng.normal(size=m)) * 10.0 ** int(rng.integers(-8, 9))
+        elif kind == 2:
+            values = rng.integers(0, 4, m).astype(float)
+        elif kind == 3:
+            values = 1e6 + (-1.0) ** np.arange(m) / (1.0 + np.arange(m)) * rng.uniform(0.5, 2.0)
+        else:
+            values = rng.normal(size=m) * 1e-150
+        yield SampledFunction(np.linspace(0.0, 1.0, m), values), p, n
+
+
+def _bits(value, sel):
+    return (float(value).hex(), sel.intervals, sel.differences.tobytes(), float(sel.objective).hex())
+
+
+def test_bruteforce_is_its_numpy_form_bit_for_bit():
+    # the oracle on Python floats against its numpy-scalar form, wherever the DP
+    # accepts the input; where the DP refuses it, the oracle refuses it too
+    rng = np.random.default_rng(35)
+    cases = list(_oracle_inputs(rng, 1000))
+    cases += [(make_random(rng, 15), p, 6) for p in (1.0, 3.0)]
+    compared = 0
+    for f, p, n in cases:
+        if not _in_scale(f.values, p, n):
+            with pytest.raises(ValueError, match="values too"):
+                pvariation_bruteforce(f, p, n)
+            continue
+        assert _bits(*pvariation_bruteforce(f, p, n)) == _bits(*bruteforce_numpy(f, p, n))
+        compared += 1
+    assert compared >= 900
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x, match", [
+    (1e153, None), (1e154, "values too large"),
+    (1e-154, None), (1e-155, "values too small"),
+])
+def test_bruteforce_refuses_what_the_dp_refuses(x, match):
+    # 2 (2x)^2 is finite and (2x)^2 a normal float just inside each edge; past
+    # it the DP's ValueError, never an OverflowError or a numpy warning
+    f = SampledFunction([0.0, 0.5, 1.0], [0.0, x, -x])
+    if match is None:
+        value, sel = pvariation_bruteforce(f, 2.0, 2)
+        dp_value, dp_sel = pvariation_dp(f, 2.0, 2)
+        assert (value, sel.intervals) == (dp_value, dp_sel.intervals)
+        assert math.isfinite(value) and value > 0
+        return
+    for call in (pvariation_bruteforce, pvariation_dp):
+        with pytest.raises(ValueError, match=match):
+            call(f, 2.0, 2)
 
 
 def test_selection_consistency(rng):
